@@ -45,7 +45,8 @@ _FLOAT_KEYS = {"B", "wb", "wvc"}
 _STR_KEYS = {"grammar"}
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+def parse_config_values(text: str, source: str = "<config>") -> dict:
+    """Parse config text into RunConfig keyword arguments, not yet validated."""
     values = {}
     op_weights = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,13 +77,20 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         else:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
     if op_weights:
-        base = RunConfig(**values)
-        base.operator_weights.update(op_weights)
-        return RunConfig(**{**values, "operator_weights": base.operator_weights})
+        values["operator_weights"] = op_weights
+    return values
+
+
+def make_config(values: dict, context: str) -> RunConfig:
+    """Build the RunConfig once all values are known; invalid values are ConfigErrors."""
     try:
         return RunConfig(**values)
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    return make_config(parse_config_values(text, source), source)
 
 
 def _parse_value(key, value, cast, source, lineno):
@@ -93,15 +101,16 @@ def _parse_value(key, value, cast, source, lineno):
             f"{source}:{lineno}: key {key!r} needs a {cast.__name__}, got {value!r}") from None
 
 
-def load_config(path: Optional[str]) -> RunConfig:
+def load_config_values(path: Optional[str]) -> dict:
+    """Config file values as RunConfig keyword arguments; {} without a file."""
     if path is None:
-        return RunConfig()
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=path)
+    return parse_config_values(text, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +140,12 @@ def _progress_printer(every: int):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    values = load_config_values(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        values["seed"] = args.seed
     if args.threads is not None:
-        cfg.threads = args.threads
+        values["threads"] = args.threads
+    cfg = make_config(values, "invalid configuration")
     train = load_csv(args.train, args.target)
     test = load_csv(args.test, args.target)
     if args.log_target:
@@ -214,8 +224,9 @@ def cmd_bench(args) -> int:
     train = oracle_dataset(suite, train_X, names)
     test = oracle_dataset(suite, test_X, names)
 
-    cfg = RunConfig(population=200, generations=args.generations, seed=args.seed,
-                    threads=args.threads)
+    cfg = make_config(dict(population=200, generations=args.generations,
+                           seed=args.seed, threads=args.threads),
+                      "invalid configuration")
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     started = time.perf_counter()
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)

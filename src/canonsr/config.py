@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -26,6 +27,10 @@ def default_operator_weights() -> Dict[str, float]:
     return weights
 
 
+def _positive_finite(value: float) -> bool:
+    return value > 0 and math.isfinite(value)
+
+
 @dataclass
 class RunConfig:
     """All evolutionary, grammar and complexity settings for one run."""
@@ -47,8 +52,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("population", "generations", "max_bases", "max_depth",
                      "B", "wb", "wvc", "exp_cap", "sig_figs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config field {name!r} must be positive")
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"config field {name!r} must be positive and finite")
         if self.threads < 0:
             raise ValueError("config field 'threads' must be >= 0")
         unknown = set(self.operator_weights) - set(OPERATOR_NAMES)
@@ -56,8 +61,9 @@ class RunConfig:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")
         for name in OPERATOR_NAMES:
             self.operator_weights.setdefault(name, default_operator_weights()[name])
-            if self.operator_weights[name] <= 0:
-                raise ValueError(f"operator weight for {name!r} must be positive")
+            if not _positive_finite(self.operator_weights[name]):
+                raise ValueError(
+                    f"operator weight for {name!r} must be positive and finite")
 
     def as_dict(self) -> dict:
         d = {

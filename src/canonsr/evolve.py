@@ -8,7 +8,8 @@ nondominated valid individual seen so far.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,32 +35,31 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 
 
 def nondominated_sort(points: Sequence[Objectives]) -> List[List[int]]:
-    """Fast nondominated sort; front k is dominated only by fronts < k."""
+    """Fast nondominated sort; front k is dominated only by fronts < k.
+
+    Front 0 lists its members in ascending index order.  A later front lists
+    its members in the order the classic peeling loop appends them: by the
+    position of their last dominator in the previous front, then by index.
+    That order feeds the stable crowding-distance tie-breaks.
+    """
     n = len(points)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    dom_count = [0] * n
-    fronts: List[List[int]] = [[]]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(points[p], points[q]):
-                dominated_by[p].append(q)
-            elif dominates(points[q], points[p]):
-                dom_count[p] += 1
-        if dom_count[p] == 0:
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
-        nxt: List[int] = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                dom_count[q] -= 1
-                if dom_count[q] == 0:
-                    nxt.append(q)
-        fronts.append(nxt)
-        i += 1
-    fronts.pop()
+    if n == 0:
+        return []
+    pts = np.asarray(points, dtype=float).reshape(n, 2)
+    e, c = pts[:, 0], pts[:, 1]
+    # dom[p, q]: p dominates q (copies of one point never dominate each other)
+    dom = ((e[:, None] <= e) & (c[:, None] <= c)
+           & ((e[:, None] < e) | (c[:, None] < c)))
+    count = dom.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    fronts: List[List[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        rows = dom[front]
+        count -= rows.sum(axis=0)
+        nxt = np.flatnonzero((count == 0) & rows.any(axis=0))
+        last = len(front) - 1 - np.argmax(rows[::-1, nxt], axis=0)
+        front = nxt[np.lexsort((nxt, last))]
     return fronts
 
 
@@ -83,6 +83,31 @@ def crowding_distance(front: Sequence[Objectives]) -> List[float]:
     return dist
 
 
+def pareto_insert(kept: List[Model], candidate: Model,
+                  objective: Callable[[Model], Objectives]) -> bool:
+    """Add `candidate` to the mutually nondominated list `kept`, in place.
+
+    The candidate is refused when a kept model has the same objective pair
+    (the first model wins) or dominates it; otherwise the kept models it
+    dominates are dropped and it is appended.  Returns whether it was added.
+    """
+    obj = objective(candidate)
+    survivors: List[Model] = []
+    for m in kept:
+        other = objective(m)
+        if other == obj or dominates(other, obj):
+            return False
+        if not dominates(obj, other):
+            survivors.append(m)
+    kept[:] = survivors
+    kept.append(candidate)
+    return True
+
+
+def _train_objective(m: Model) -> Objectives:
+    return (m.train_error, m.complexity)
+
+
 class ParetoArchive:
     """Run-wide nondominated set over (train error, complexity).
 
@@ -99,17 +124,7 @@ class ParetoArchive:
     def merge(self, candidate: Model) -> bool:
         if not candidate.valid or not np.isfinite(candidate.train_error):
             return False
-        cand_obj = (candidate.train_error, candidate.complexity)
-        keep: List[Model] = []
-        for m in self.models:
-            obj = (m.train_error, m.complexity)
-            if obj == cand_obj or dominates(obj, cand_obj):
-                return False
-            if not dominates(cand_obj, obj):
-                keep.append(m)
-        keep.append(candidate)
-        self.models = keep
-        return True
+        return pareto_insert(self.models, candidate, _train_objective)
 
     def merge_all(self, candidates: Sequence[Model]) -> None:
         for m in candidates:
@@ -408,10 +423,21 @@ def _tournament(rank: List[int], crowd: List[float], rng) -> int:
     return i
 
 
+@lru_cache(maxsize=8)
+def _operator_cdf(weights: Tuple[float, ...]) -> np.ndarray:
+    # the cumulative distribution Generator.choice builds from p
+    w = np.array(weights)
+    p = w / w.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _weighted_operator_choice(cfg: RunConfig, rng) -> str:
-    weights = np.array([cfg.operator_weights[n] for n in OPERATOR_NAMES])
-    idx = rng.choice(len(OPERATOR_NAMES), p=weights / weights.sum())
-    return OPERATOR_NAMES[int(idx)]
+    """Same draw as rng.choice(len(OPERATOR_NAMES), p=normalised weights)."""
+    cdf = _operator_cdf(tuple(cfg.operator_weights[n] for n in OPERATOR_NAMES))
+    return OPERATOR_NAMES[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _environmental_selection(combined: List[Model], objs: List[Objectives],

@@ -48,6 +48,7 @@ class Grammar:
         self.rules = rules
         self.start = start
         self._min_depth: Dict[str, float] = {}
+        self._alt_min_depths: Dict[str, Tuple[float, ...]] = {}
         self._check()
         self._recompute_min_depths()
 
@@ -82,11 +83,9 @@ class Grammar:
     def min_depth(self, symbol: str) -> float:
         return self._min_depth[symbol]
 
-    def alt_min_depth(self, alt: Alternative) -> float:
-        refs = alt.nt_refs()
-        if not refs:
-            return 1.0
-        return 1.0 + max(self._min_depth[r] for r in refs)
+    def alt_min_depths(self, symbol: str) -> Tuple[float, ...]:
+        """Minimum derivation depth through each alternative; inf if disabled."""
+        return self._alt_min_depths[symbol]
 
     def _check(self) -> None:
         if not self.rules:
@@ -102,15 +101,19 @@ class Grammar:
 
     def _recompute_min_depths(self) -> None:
         md = {nt: _INF for nt in self.rules}
+
+        def through(alt: Alternative) -> float:
+            if not alt.enabled:
+                return _INF
+            refs = alt.nt_refs()
+            return 1.0 if not refs else 1.0 + max(md[r] for r in refs)
+
         changed = True
         while changed:
             changed = False
             for nt, alts in self.rules.items():
                 for alt in alts:
-                    if not alt.enabled:
-                        continue
-                    refs = alt.nt_refs()
-                    cand = 1.0 if not refs else 1.0 + max(md[r] for r in refs)
+                    cand = through(alt)
                     if cand < md[nt]:
                         md[nt] = cand
                         changed = True
@@ -119,6 +122,8 @@ class Grammar:
             raise GrammarError(
                 f"no terminating derivation for nonterminal(s): {', '.join(dead)}")
         self._min_depth = md
+        self._alt_min_depths = {nt: tuple(through(alt) for alt in alts)
+                                for nt, alts in self.rules.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 
     def gen(sym: str, budget: int) -> NTNode:
         alts = g.rules[sym]
-        feasible = [i for i, a in enumerate(alts)
-                    if a.enabled and g.alt_min_depth(a) <= budget]
+        feasible = [i for i, d in enumerate(g.alt_min_depths(sym)) if d <= budget]
         pick = feasible[int(rng.integers(len(feasible)))]
         children = []
         for kind, tok in alts[pick].struct:

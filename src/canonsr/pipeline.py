@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .dataset import DataError, Dataset
-from .evolve import (ParetoArchive, dominates, fit_model, init_population,
-                     nsga2_generation)
+from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
+                     pareto_insert)
 from .expr import Model, eval_basis_matrix, model_from_dict, model_to_dict, to_canonical_text
 from .fit import RegressionProblem, forward_regression_press, nmse, press
 from .grammar import Grammar, default_grammar_text, parse_grammar
@@ -60,20 +60,7 @@ def pareto_reduce(models: Sequence[Model], which: str = "train") -> List[Model]:
     """Keep one model per objective point, drop dominated ones, sort by complexity."""
     kept: List[Model] = []
     for m in models:
-        obj = _objective(m, which)
-        dominated = False
-        survivors: List[Model] = []
-        for other in kept:
-            other_obj = _objective(other, which)
-            if other_obj == obj or dominates(other_obj, obj):
-                dominated = True
-                survivors = kept
-                break
-            if not dominates(obj, other_obj):
-                survivors.append(other)
-        kept = survivors
-        if not dominated:
-            kept.append(m)
+        pareto_insert(kept, m, lambda model: _objective(model, which))
     return sorted(kept, key=lambda m: m.complexity)
 
 

@@ -277,3 +277,55 @@ def test_bench_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--suite", "mystery"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# every invalid configuration exits 2 without a traceback
+# ---------------------------------------------------------------------------
+
+def _run_with_config(pm_files, tmp_path, text, *extra):
+    train_path, test_path, _ = pm_files
+    cfg_path = str(tmp_path / "case.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    return main(["run", "--config", cfg_path, "--train", train_path,
+                 "--test", test_path, "--target", "pm_like",
+                 "--out", str(tmp_path / "o"), "--quiet", *extra])
+
+
+def _assert_config_exit(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert needle in err
+
+
+def test_run_operator_weight_with_invalid_field_exits_2(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path,
+                            "population = 0\noperator.basis_add.weight = 2\n")
+    _assert_config_exit(code, capsys, "'population' must be positive")
+
+
+def test_run_nonpositive_operator_weight_exits_2(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path, "operator.basis_add.weight = -1\n")
+    _assert_config_exit(code, capsys, "'basis_add' must be positive")
+
+
+def test_run_nonfinite_operator_weight_exits_2(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path, "operator.basis_add.weight = nan\n")
+    _assert_config_exit(code, capsys, "'basis_add' must be positive")
+
+
+def test_run_nonfinite_float_field_exits_2(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path, "B = inf\n")
+    _assert_config_exit(code, capsys, "'B' must be positive")
+
+
+def test_run_negative_threads_flag_exits_2(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path, "population = 10\n", "--threads", "-3")
+    _assert_config_exit(code, capsys, "'threads' must be >= 0")
+
+
+def test_bench_zero_generations_exits_2(capsys):
+    code = main(["bench", "--suite", "offset_like", "--generations", "0", "--quiet"])
+    _assert_config_exit(code, capsys, "'generations' must be positive")

@@ -123,6 +123,20 @@ def test_disable_operator_api():
         g.disable_operator("NOPE")
 
 
+def test_alternative_min_depths_follow_enable_flags():
+    g = load_default_grammar()
+    assert g.alt_min_depths("REPVC") == (1.0, 4.0, 4.0)
+    assert g.alt_min_depths("REPOP") == (4.0, 3.0, 4.0)
+    g.set_enabled("REPOP", 1, False)          # no 1OP: REPOP needs 2OP, one level deeper
+    assert g.alt_min_depths("REPOP") == (5.0, float("inf"), 4.0)
+    assert g.alt_min_depths("REPVC") == (1.0, 5.0, 5.0)
+    g.set_enabled("REPOP", 1, True)
+    assert g.alt_min_depths("REPVC") == (1.0, 4.0, 4.0)
+    tan = [i for i, alt in enumerate(g.rules["1OP"]) if alt.symbols == (("t", "tan"),)]
+    g.disable_operator("TAN")
+    assert [i for i, d in enumerate(g.alt_min_depths("1OP")) if d == float("inf")] == tan
+
+
 # ---------------------------------------------------------------------------
 # random generation
 # ---------------------------------------------------------------------------
