@@ -14,8 +14,8 @@ from .dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
 from .expr import (Model, complexity, eval_basis, eval_model, interpret_weight,
                    model_from_dict, model_to_dict, nnodes, to_canonical_text,
                    tree_from_dict, tree_to_dict, vc_value)
-from .fit import (ErrorReport, RegressionProblem, fit_weights,
-                  forward_regression_press, nmse, press)
+from .fit import (RegressionProblem, fit_weights, forward_regression_press,
+                  nmse, press)
 from .grammar import (Grammar, GrammarError, crossover_sites,
                       default_grammar_text, load_default_grammar,
                       load_grammar_file, parse_grammar, random_tree, validate)
@@ -34,7 +34,7 @@ __all__ = [
     "Model", "complexity", "eval_basis", "eval_model", "interpret_weight",
     "model_from_dict", "model_to_dict", "nnodes", "to_canonical_text",
     "tree_from_dict", "tree_to_dict", "vc_value",
-    "ErrorReport", "RegressionProblem", "fit_weights",
+    "RegressionProblem", "fit_weights",
     "forward_regression_press", "nmse", "press",
     "Grammar", "GrammarError", "crossover_sites", "default_grammar_text",
     "load_default_grammar", "load_grammar_file", "parse_grammar",

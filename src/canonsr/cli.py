@@ -13,12 +13,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import OPERATOR_NAMES, RunConfig
+from .config import OPERATOR_NAMES, ConfigError, RunConfig
 from .dataset import (DataError, DoePlan, doe_full_factorial,
                       doe_latin_hypercube, load_csv, oracle_dataset,
                       scale_target_log10, write_points_csv, ORACLE_DIMS)
-from .expr import eval_basis_matrix, to_canonical_text
-from .fit import ErrorReport, nmse
+from .expr import eval_model_matrix, to_canonical_text
+from .fit import nmse
 from .grammar import GrammarError
 from .pipeline import TradeoffSet, load_model_json, run_pipeline
 
@@ -31,16 +31,12 @@ BENCH_TRAIN_THRESHOLD = 5.0
 BENCH_TEST_THRESHOLD = 5.0
 
 
-class ConfigError(ValueError):
-    """Raised for malformed config files or bad flag combinations."""
-
-
 # ---------------------------------------------------------------------------
 # config file parsing: flat "key = value" lines with '#' comments
 # ---------------------------------------------------------------------------
 
 _INT_KEYS = {"population", "generations", "max_bases", "max_depth",
-             "exp_cap", "seed", "sig_figs", "threads"}
+             "exp_cap", "seed", "sig_figs"}
 _FLOAT_KEYS = {"B", "wb", "wvc"}
 _STR_KEYS = {"grammar"}
 
@@ -143,8 +139,6 @@ def cmd_run(args) -> int:
     values = load_config_values(args.config)
     if args.seed is not None:
         values["seed"] = args.seed
-    if args.threads is not None:
-        values["threads"] = args.threads
     cfg = make_config(values, "invalid configuration")
     train = load_csv(args.train, args.target)
     test = load_csv(args.test, args.target)
@@ -187,10 +181,7 @@ def cmd_eval(args) -> int:
     order = [ds.var_names.index(name) for name in payload["var_names"]]
     X = ds.X[:, order]
 
-    B = payload["B"]
-    pred = np.full(X.shape[0], float(model.coeffs[0]))
-    for j, tree in enumerate(model.bases):
-        pred = pred + float(model.coeffs[j + 1]) * eval_basis_matrix(tree, X, B)
+    pred = eval_model_matrix(model, X, payload["B"])
 
     y = ds.y
     if payload["target_log_scaled"]:
@@ -200,11 +191,8 @@ def cmd_eval(args) -> int:
         reported = np.power(10.0, pred)
     else:
         reported = pred
-    report = ErrorReport(train_error_pct=model.train_error,
-                         test_error_pct=nmse(pred, y, payload["train_reference"]),
-                         reference=payload["train_reference"])
-    print(f"nmse_pct: {report.test_error_pct!r}")
-    print(f"stored_train_error_pct: {report.train_error_pct!r}")
+    print(f"nmse_pct: {nmse(pred, y, payload['train_reference'])!r}")
+    print(f"stored_train_error_pct: {model.train_error!r}")
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("prediction\n")
@@ -225,7 +213,7 @@ def cmd_bench(args) -> int:
     test = oracle_dataset(suite, test_X, names)
 
     cfg = make_config(dict(population=200, generations=args.generations,
-                           seed=args.seed, threads=args.threads),
+                           seed=args.seed),
                       "invalid configuration")
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     started = time.perf_counter()
@@ -262,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--target", required=True, help="target column name")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--threads", type=int,
-                       help="evaluation worker cap; 0 = one per CPU (default: config)")
     p_run.add_argument("--log-target", action="store_true",
                        help="log10-scale the target before fitting")
     p_run.add_argument("--quiet", action="store_true")
@@ -293,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", required=True, choices=sorted(ORACLE_DIMS))
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--generations", type=int, default=100)
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="evaluation worker cap; 0 = one per CPU")
     p_bench.add_argument("--out", default=None, help="optional export directory")
     p_bench.add_argument("--quiet", action="store_true")
     p_bench.set_defaults(fn=cmd_bench)

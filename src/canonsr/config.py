@@ -27,8 +27,21 @@ def default_operator_weights() -> Dict[str, float]:
     return weights
 
 
+class ConfigError(ValueError):
+    """Raised for malformed config files, bad flag combinations or unreadable grammars."""
+
+
 def _positive_finite(value: float) -> bool:
     return value > 0 and math.isfinite(value)
+
+
+def _finite_decades(B: float) -> bool:
+    # 10**B is the largest interpreted weight; when it is finite, so is the
+    # [-2B, 2B] range random trees draw stored weights from
+    try:
+        return math.isfinite(10.0 ** B)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -46,7 +59,6 @@ class RunConfig:
     seed: int = 0
     grammar: Optional[str] = None   # grammar file path; None = packaged default
     sig_figs: int = 3
-    threads: int = 1         # 1 = sequential; 0 = one worker per CPU
     operator_weights: Dict[str, float] = field(default_factory=default_operator_weights)
 
     def __post_init__(self) -> None:
@@ -54,8 +66,8 @@ class RunConfig:
                      "B", "wb", "wvc", "exp_cap", "sig_figs"):
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"config field {name!r} must be positive and finite")
-        if self.threads < 0:
-            raise ValueError("config field 'threads' must be >= 0")
+        if not _finite_decades(self.B):
+            raise ValueError("config field 'B' is too large: 10**B must be finite")
         unknown = set(self.operator_weights) - set(OPERATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")
@@ -78,7 +90,6 @@ class RunConfig:
             "seed": self.seed,
             "grammar": self.grammar,
             "sig_figs": self.sig_figs,
-            "threads": self.threads,
         }
         for name in OPERATOR_NAMES:
             d[f"operator.{name}.weight"] = self.operator_weights[name]

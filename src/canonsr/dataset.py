@@ -22,7 +22,11 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples of d-dimensional design points with one scalar target each."""
+    """N samples of d-dimensional design points with one scalar target each.
+
+    X and y are read-only copies of what was passed in, because basis trees
+    keep columns evaluated on X (see expr.basis_column).
+    """
 
     var_names: Tuple[str, ...]
     X: np.ndarray                  # N x d
@@ -32,8 +36,10 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "var_names", tuple(self.var_names))
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        for name in ("X", "y"):
+            owned = np.array(getattr(self, name), dtype=float)
+            owned.flags.writeable = False
+            object.__setattr__(self, name, owned)
         if self.X.ndim != 2 or self.y.ndim != 1:
             raise DataError("X must be 2-D and y 1-D")
         if self.X.shape[0] != self.y.shape[0]:
@@ -97,9 +103,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
         y_vals.append(values[t_idx])
         X_rows.append([v for i, v in enumerate(values) if i != t_idx])
 
-    return Dataset(var_names=tuple(var_names),
-                   X=np.array(X_rows, dtype=float),
-                   y=np.array(y_vals, dtype=float),
+    return Dataset(var_names=tuple(var_names), X=X_rows, y=y_vals,
                    target_name=target_column)
 
 
@@ -204,7 +208,7 @@ def scale_target_log10(ds: Dataset) -> Dataset:
     if np.any(ds.y <= 0):
         bad = int(np.argmax(ds.y <= 0)) + 1
         raise DataError(f"row {bad}: target {ds.y[bad - 1]!r} is <= 0, cannot log-scale")
-    return Dataset(var_names=ds.var_names, X=ds.X.copy(), y=np.log10(ds.y),
+    return Dataset(var_names=ds.var_names, X=ds.X, y=np.log10(ds.y),
                    target_name=ds.target_name, target_log_scaled=True)
 
 

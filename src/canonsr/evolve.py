@@ -4,6 +4,10 @@ Individuals are Models: a set of grammar-derived basis trees whose linear
 coefficients are always refit by least squares, never evolved.  Selection
 minimizes (training error, complexity); a run-wide archive keeps every
 nondominated valid individual seen so far.
+
+Trees are immutable.  An operator rebuilds only the path from a basis root
+to the node it changes and shares everything else with the parents, so an
+offspring reuses the stored columns and complexities of unchanged bases.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import OPERATOR_NAMES, RunConfig
-from .expr import (INF, BasisTree, Model, NTNode, VCLeaf, WeightLeaf,
-                   complexity_of_bases, eval_basis_matrix, repair_all_zero_vc,
-                   tree_depth, walk)
+from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
+                   basis_column, complexity_of_bases, repair_all_zero_vc,
+                   replace_at, tree_depth, walk)
 from .fit import RegressionProblem, fit_weights, nmse
-from .grammar import Grammar, crossover_sites, nonterminal_symbols, random_tree, validate
+from .grammar import Grammar, crossover_sites, random_tree, validate
 
 # validate every produced individual against the grammar (slow; used by tests)
 VALIDATE_EVERY_GENERATION = False
@@ -140,11 +144,15 @@ class ParetoArchive:
 
 def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
               reference: float, cfg: RunConfig) -> Model:
-    """Least-squares fit of the linear weights; non-finite bases invalidate."""
+    """Least-squares fit of the linear weights; non-finite bases invalidate.
+
+    Each basis column is read from the tree when it was already evaluated on
+    this X (see basis_column).
+    """
     cpx = complexity_of_bases(bases, cfg.wb, cfg.wvc)
     columns = []
     for tree in bases:
-        col = eval_basis_matrix(tree, X, cfg.B)
+        col = basis_column(tree, X, cfg.B)
         if not np.all(np.isfinite(col)):
             return Model(bases=list(bases), coeffs=None, train_error=INF,
                          complexity=cpx, valid=False)
@@ -174,7 +182,7 @@ def vc_onepoint_crossover(a: VCLeaf, b: VCLeaf, rng) -> Tuple[VCLeaf, VCLeaf]:
         raise ValueError("variable combos have different lengths")
     d = len(a.exponents)
     if d == 1:
-        return a.clone(), b.clone()
+        return a, b
     k = int(rng.integers(1, d))
     ea = a.exponents[:k] + b.exponents[k:]
     eb = b.exponents[:k] + a.exponents[k:]
@@ -193,12 +201,10 @@ def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = 5) -> VCLeaf:
 
 # ---------------------------------------------------------------------------
 # model-level operators (each returns a list of offspring bases, or None
-# when a precondition fails and the caller should resample)
+# when a precondition fails and the caller should resample).  Site lists
+# are in preorder, basis by basis, and every random draw happens in a fixed
+# order, so a seed always gives the same offspring.
 # ---------------------------------------------------------------------------
-
-def _clone_bases(m: Model) -> List[BasisTree]:
-    return [t.clone() for t in m.bases]
-
 
 def _nonempty_subset(items: Sequence, rng) -> List:
     # uniform over nonempty subsets, by rejection
@@ -211,8 +217,7 @@ def _nonempty_subset(items: Sequence, rng) -> List:
 def op_basis_set_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
     if not p1.bases or not p2.bases:
         return None
-    chosen = ([t.clone() for t in _nonempty_subset(p1.bases, rng)]
-              + [t.clone() for t in _nonempty_subset(p2.bases, rng)])
+    chosen = _nonempty_subset(p1.bases, rng) + _nonempty_subset(p2.bases, rng)
     if len(chosen) > cfg.max_bases:
         keep = sorted(rng.choice(len(chosen), size=cfg.max_bases, replace=False))
         chosen = [chosen[int(i)] for i in keep]
@@ -222,7 +227,7 @@ def op_basis_set_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
 def op_basis_delete(p: Model, cfg: RunConfig, rng):
     if not p.bases:
         return None
-    bases = _clone_bases(p)
+    bases = list(p.bases)
     bases.pop(int(rng.integers(len(bases))))
     return [bases]
 
@@ -230,9 +235,7 @@ def op_basis_delete(p: Model, cfg: RunConfig, rng):
 def op_basis_add(p: Model, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     if len(p.bases) >= cfg.max_bases:
         return None
-    bases = _clone_bases(p)
-    bases.append(random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B))
-    return [bases]
+    return [list(p.bases) + [random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)]]
 
 
 def op_basis_copy_in(p: Model, donor: Model, cfg: RunConfig, rng):
@@ -241,23 +244,11 @@ def op_basis_copy_in(p: Model, donor: Model, cfg: RunConfig, rng):
     sites: List[NTNode] = []
     for tree in donor.bases:
         sites.extend(crossover_sites(tree, "REPVC"))
-    pick = sites[int(rng.integers(len(sites)))]
-    bases = _clone_bases(p)
-    bases.append(pick.clone())
-    return [bases]
+    return [list(p.bases) + [sites[int(rng.integers(len(sites)))]]]
 
 
-def _nt_sites(tree: BasisTree) -> List[Tuple[NTNode, Optional[NTNode], int, int]]:
-    return [(node, parent, idx, level) for node, parent, idx, level in walk(tree)
-            if isinstance(node, NTNode)]
-
-
-def _replace_subtree(tree: BasisTree, parent: Optional[NTNode], idx: int,
-                     replacement: NTNode) -> BasisTree:
-    if parent is None:
-        return replacement
-    parent.children[idx] = replacement
-    return tree
+def _nt_sites(tree: BasisTree) -> List[Tuple[NTNode, Path]]:
+    return [(node, path) for node, path in walk(tree) if isinstance(node, NTNode)]
 
 
 def op_subtree_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
@@ -266,27 +257,24 @@ def op_subtree_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
         return None
     i1 = int(rng.integers(len(p1.bases)))
     i2 = int(rng.integers(len(p2.bases)))
-    shared = sorted(set(nonterminal_symbols(p1.bases[i1]))
-                    & set(nonterminal_symbols(p2.bases[i2])))
-    b1, b2 = _clone_bases(p1), _clone_bases(p2)
+    t1, t2 = p1.bases[i1], p2.bases[i2]
+    sites1, sites2 = _nt_sites(t1), _nt_sites(t2)
+    shared = sorted({n.symbol for n, _ in sites1} & {n.symbol for n, _ in sites2})
+    b1, b2 = list(p1.bases), list(p2.bases)
     if not shared:
         return [b1, b2]
 
     symbol = shared[int(rng.integers(len(shared)))]
+    s1 = [s for s in sites1 if s[0].symbol == symbol]
+    s2 = [s for s in sites2 if s[0].symbol == symbol]
     for _ in range(10):
-        t1 = p1.bases[i1].clone()
-        t2 = p2.bases[i2].clone()
-        s1 = [s for s in _nt_sites(t1) if s[0].symbol == symbol]
-        s2 = [s for s in _nt_sites(t2) if s[0].symbol == symbol]
-        n1, par1, idx1, lvl1 = s1[int(rng.integers(len(s1)))]
-        n2, par2, idx2, lvl2 = s2[int(rng.integers(len(s2)))]
-        if (lvl1 - 1 + tree_depth(n2) > cfg.max_depth
-                or lvl2 - 1 + tree_depth(n1) > cfg.max_depth):
+        n1, path1 = s1[int(rng.integers(len(s1)))]
+        n2, path2 = s2[int(rng.integers(len(s2)))]
+        if (len(path1) + tree_depth(n2) > cfg.max_depth
+                or len(path2) + tree_depth(n1) > cfg.max_depth):
             continue
-        t1 = _replace_subtree(t1, par1, idx1, n2)
-        t2 = _replace_subtree(t2, par2, idx2, n1)
-        b1[i1] = t1
-        b2[i2] = t2
+        b1[i1] = replace_at(t1, path1, n2)
+        b2[i2] = replace_at(t2, path2, n1)
         return [b1, b2]
     return [b1, b2]   # abandoned: parents returned unchanged
 
@@ -295,58 +283,56 @@ def op_subtree_mutate(p: Model, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     """Regrow a uniformly chosen subtree within the remaining depth budget."""
     if not p.bases:
         return None
-    bases = _clone_bases(p)
-    i = int(rng.integers(len(bases)))
-    tree = bases[i]
-    sites = _nt_sites(tree)
-    node, parent, idx, level = sites[int(rng.integers(len(sites)))]
-    budget = cfg.max_depth - level + 1
+    i = int(rng.integers(len(p.bases)))
+    sites = _nt_sites(p.bases[i])
+    node, path = sites[int(rng.integers(len(sites)))]
+    budget = cfg.max_depth - len(path)
     fresh = random_tree(g, budget, rng, n_vars, B=cfg.B, start=node.symbol)
-    bases[i] = _replace_subtree(tree, parent, idx, fresh)
+    bases = list(p.bases)
+    bases[i] = replace_at(bases[i], path, fresh)
     return [bases]
 
 
-def _leaf_sites(bases: Sequence[BasisTree], leaf_type) -> List[Tuple[NTNode, int]]:
-    sites = []
-    for tree in bases:
-        for node, parent, idx, _ in walk(tree):
-            if isinstance(node, leaf_type):
-                sites.append((parent, idx))
-    return sites
+LeafSite = Tuple[int, Path, object]   # (basis index, path in that basis, leaf)
+
+
+def _leaf_sites(bases: Sequence[BasisTree], leaf_type) -> List[LeafSite]:
+    return [(i, path, node) for i, tree in enumerate(bases)
+            for node, path in walk(tree) if isinstance(node, leaf_type)]
+
+
+def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTree]:
+    i, path, _ = site
+    out = list(bases)
+    out[i] = replace_at(out[i], path, leaf)
+    return out
 
 
 def op_weight_cauchy_mutate(p: Model, cfg: RunConfig, rng, scale: float = 1.0):
-    bases = _clone_bases(p)
-    sites = _leaf_sites(bases, WeightLeaf)
+    sites = _leaf_sites(p.bases, WeightLeaf)
     if not sites:
         return None
-    parent, idx = sites[int(rng.integers(len(sites)))]
-    parent.children[idx] = weight_cauchy_mutate(parent.children[idx], scale, cfg.B, rng)
-    return [bases]
+    site = sites[int(rng.integers(len(sites)))]
+    return [_with_leaf(p.bases, site, weight_cauchy_mutate(site[2], scale, cfg.B, rng))]
 
 
 def op_vc_exponent_mutate(p: Model, cfg: RunConfig, rng):
-    bases = _clone_bases(p)
-    sites = _leaf_sites(bases, VCLeaf)
+    sites = _leaf_sites(p.bases, VCLeaf)
     if not sites:
         return None
-    parent, idx = sites[int(rng.integers(len(sites)))]
-    parent.children[idx] = vc_exponent_mutate(parent.children[idx], rng, cfg.exp_cap)
-    return [bases]
+    site = sites[int(rng.integers(len(sites)))]
+    return [_with_leaf(p.bases, site, vc_exponent_mutate(site[2], rng, cfg.exp_cap))]
 
 
 def op_vc_onepoint_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
-    b1, b2 = _clone_bases(p1), _clone_bases(p2)
-    s1 = _leaf_sites(b1, VCLeaf)
-    s2 = _leaf_sites(b2, VCLeaf)
+    s1 = _leaf_sites(p1.bases, VCLeaf)
+    s2 = _leaf_sites(p2.bases, VCLeaf)
     if not s1 or not s2:
         return None
-    par1, idx1 = s1[int(rng.integers(len(s1)))]
-    par2, idx2 = s2[int(rng.integers(len(s2)))]
-    c1, c2 = vc_onepoint_crossover(par1.children[idx1], par2.children[idx2], rng)
-    par1.children[idx1] = c1
-    par2.children[idx2] = c2
-    return [b1, b2]
+    site1 = s1[int(rng.integers(len(s1)))]
+    site2 = s2[int(rng.integers(len(s2)))]
+    c1, c2 = vc_onepoint_crossover(site1[2], site2[2], rng)
+    return [_with_leaf(p1.bases, site1, c1), _with_leaf(p2.bases, site2, c2)]
 
 
 _TWO_PARENT_OPS = {"basis_set_crossover", "basis_copy_in",
@@ -385,22 +371,14 @@ def apply_operator(name: str, parents: Sequence[Model], g: Grammar, n_vars: int,
 # ---------------------------------------------------------------------------
 
 def init_population(g: Grammar, n_vars: int, X: np.ndarray, y: np.ndarray,
-                    reference: float, cfg: RunConfig, rng,
-                    executor=None) -> List[Model]:
+                    reference: float, cfg: RunConfig, rng) -> List[Model]:
     """Random individuals with basis counts uniform in [1, max_bases]."""
     all_bases = []
     for _ in range(cfg.population):
         nb = int(rng.integers(1, cfg.max_bases + 1))
         all_bases.append([random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)
                           for _ in range(nb)])
-    return _fit_all(all_bases, X, y, reference, cfg, executor)
-
-
-def _fit_all(bases_list, X, y, reference, cfg, executor) -> List[Model]:
-    if executor is None:
-        return [fit_model(b, X, y, reference, cfg) for b in bases_list]
-    futures = [executor.submit(fit_model, b, X, y, reference, cfg) for b in bases_list]
-    return [f.result() for f in futures]
+    return [fit_model(b, X, y, reference, cfg) for b in all_bases]
 
 
 def _rank_and_crowding(objs: Sequence[Objectives]) -> Tuple[List[int], List[float]]:
@@ -457,7 +435,7 @@ def _environmental_selection(combined: List[Model], objs: List[Objectives],
 
 def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
                      reference: float, g: Grammar, cfg: RunConfig, rng,
-                     archive: ParetoArchive, executor=None) -> List[Model]:
+                     archive: ParetoArchive) -> List[Model]:
     """One mu+lambda NSGA-II step (lambda = mu) with archive maintenance."""
     if len(pop) != cfg.population:
         raise ValueError(f"population size {len(pop)} != configured {cfg.population}")
@@ -485,7 +463,7 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
         offspring_bases.extend(result)
     offspring_bases = offspring_bases[: len(pop)]
 
-    offspring = _fit_all(offspring_bases, X, y, reference, cfg, executor)
+    offspring = [fit_model(b, X, y, reference, cfg) for b in offspring_bases]
 
     if VALIDATE_EVERY_GENERATION:
         for child in offspring:

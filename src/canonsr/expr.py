@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,13 +29,10 @@ class VCLeaf:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: Sequence[int]):
-        self.exponents = [int(e) for e in exponents]
-
-    def clone(self) -> "VCLeaf":
-        return VCLeaf(self.exponents)
+        self.exponents = tuple(int(e) for e in exponents)
 
     def __repr__(self) -> str:
-        return f"VCLeaf({self.exponents})"
+        return f"VCLeaf({list(self.exponents)})"
 
 
 class WeightLeaf:
@@ -45,9 +42,6 @@ class WeightLeaf:
 
     def __init__(self, stored: float):
         self.stored = float(stored)
-
-    def clone(self) -> "WeightLeaf":
-        return WeightLeaf(self.stored)
 
     def __repr__(self) -> str:
         return f"WeightLeaf({self.stored!r})"
@@ -61,25 +55,27 @@ class OpLeaf:
     def __init__(self, name: str):
         self.name = name
 
-    def clone(self) -> "OpLeaf":
-        return OpLeaf(self.name)
-
     def __repr__(self) -> str:
         return f"OpLeaf({self.name!r})"
 
 
 class NTNode:
-    """Nonterminal node: grammar symbol, chosen alternative index, children."""
+    """Nonterminal node: grammar symbol, chosen alternative index, children.
 
-    __slots__ = ("symbol", "alt", "children")
+    Nodes never change once built, so trees share subtrees freely.  A node
+    used as a basis also keeps two values derived from it: its complexity
+    (see basis_complexity) and its column on one sample matrix (see
+    basis_column).  Both die with the node.
+    """
 
-    def __init__(self, symbol: str, alt: int, children: list):
+    __slots__ = ("symbol", "alt", "children", "_cpx", "_column")
+
+    def __init__(self, symbol: str, alt: int, children: Sequence):
         self.symbol = symbol
         self.alt = alt
-        self.children = children
-
-    def clone(self) -> "NTNode":
-        return NTNode(self.symbol, self.alt, [c.clone() for c in self.children])
+        self.children = tuple(children)
+        self._cpx = None
+        self._column = None
 
     def __repr__(self) -> str:
         return f"NTNode({self.symbol}, alt={self.alt}, n={len(self.children)})"
@@ -88,29 +84,43 @@ class NTNode:
 # a basis function is an NTNode whose symbol is the grammar start symbol
 BasisTree = NTNode
 
+Path = Tuple[int, ...]   # child indices from a root down to one node
 
-def walk(tree: NTNode):
-    """Yield (node, parent, child_index, level) over the whole tree, preorder.
 
-    Level counts nonterminal expansions: the root is level 1, payload leaves
-    inherit their parent's level + 1 only through nonterminal children.
+def walk(tree: NTNode) -> Iterator[Tuple[object, Path]]:
+    """Yield (node, path) over the whole tree, preorder.
+
+    A node's level in nonterminal expansions is len(path) + 1: the root is
+    level 1, and a payload leaf sits one level below its parent.
     """
-    stack = [(tree, None, -1, 1)]
+    stack = [(tree, ())]
     while stack:
-        node, parent, idx, level = stack.pop()
-        yield node, parent, idx, level
+        node, path = stack.pop()
+        yield node, path
         if isinstance(node, NTNode):
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[i], node, i, level + 1))
+            ch = node.children
+            for i in range(len(ch) - 1, -1, -1):
+                stack.append((ch[i], path + (i,)))
 
 
 def tree_depth(tree: NTNode) -> int:
     """Depth in nonterminal levels; a bare REPVC -> 'VC' tree has depth 1."""
-    best = 0
-    for node, _, _, level in walk(tree):
-        if isinstance(node, NTNode) and level > best:
-            best = level
-    return best
+    return max((len(path) + 1 for node, path in walk(tree) if isinstance(node, NTNode)),
+               default=0)
+
+
+def replace_at(tree: NTNode, path: Path, new) -> NTNode:
+    """`tree` with its node at `path` replaced by `new`.
+
+    Only the nodes along the path are rebuilt; every other subtree is shared
+    with `tree`, which is left as it was.
+    """
+    if not path:
+        return new
+    i = path[0]
+    ch = tree.children
+    return NTNode(tree.symbol, tree.alt,
+                  ch[:i] + (replace_at(ch[i], path[1:], new),) + ch[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +303,21 @@ def eval_basis(tree: BasisTree, x: Sequence[float], B: float) -> float:
     return float(eval_basis_matrix(tree, X, B)[0])
 
 
+def basis_column(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
+    """eval_basis_matrix(tree, X, B), kept on the tree for the last (X, B) asked.
+
+    The kept column is read-only.  It is reused only for the same array
+    object X and an equal B, so X must not change in place while the tree
+    lives; Dataset arrays are read-only for that reason.
+    """
+    memo = tree._column
+    if memo is None or memo[0] is not X or memo[1] != B:
+        col = eval_basis_matrix(tree, X, B)
+        col.flags.writeable = False
+        memo = tree._column = (X, B, col)
+    return memo[2]
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -312,18 +337,9 @@ class Model:
     def n_bases(self) -> int:
         return len(self.bases)
 
-    def clone(self) -> "Model":
-        return Model(
-            bases=[t.clone() for t in self.bases],
-            coeffs=None if self.coeffs is None else np.array(self.coeffs, dtype=float),
-            train_error=self.train_error,
-            test_error=self.test_error,
-            complexity=self.complexity,
-            valid=self.valid,
-        )
-
 
 def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
+    """Offset plus each weighted basis column, added in basis order."""
     if m.coeffs is None:
         raise ValueError("model has no fitted coefficients")
     out = np.full(X.shape[0], float(m.coeffs[0]))
@@ -340,22 +356,31 @@ def eval_model(m: Model, x: Sequence[float], B: float = 10.0) -> float:
 def nnodes(tree: BasisTree) -> int:
     """Expression-node count: payload leaves only (VCs, weights, operators)."""
     count = 0
-    for node, _, _, _ in walk(tree):
+    for node, _ in walk(tree):
         if isinstance(node, (VCLeaf, WeightLeaf, OpLeaf)):
             count += 1
     return count
 
 
-def _vccost(tree: BasisTree, wvc: float) -> float:
-    cost = 0.0
-    for node, _, _, _ in walk(tree):
-        if isinstance(node, VCLeaf):
-            cost += wvc * sum(abs(e) for e in node.exponents)
-    return cost
+def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
+    """wb + nnodes + exponent cost of one basis, kept on the tree per (wb, wvc).
+
+    The exponent cost adds wvc * sum|e| over the variable combos in preorder.
+    """
+    memo = tree._cpx
+    if memo is None or memo[0] != wb or memo[1] != wvc:
+        count, cost = 0, 0.0
+        for node, _ in walk(tree):
+            if isinstance(node, VCLeaf):
+                cost += wvc * sum(abs(e) for e in node.exponents)
+            if not isinstance(node, NTNode):
+                count += 1
+        memo = tree._cpx = (wb, wvc, wb + count + cost)
+    return memo[2]
 
 
 def complexity_of_bases(bases: Sequence[BasisTree], wb: float, wvc: float) -> float:
-    return float(sum(wb + nnodes(t) + _vccost(t, wvc) for t in bases))
+    return float(sum(basis_complexity(t, wb, wvc) for t in bases))
 
 
 def complexity(m: Model, wb: float, wvc: float) -> float:

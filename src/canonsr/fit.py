@@ -9,7 +9,7 @@ strictly decreases, which prunes columns that harm predictive ability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,19 +38,6 @@ class RegressionProblem:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(self.Phi)) or not np.all(np.isfinite(self.y)):
             raise ValueError("regression problem contains non-finite entries")
-
-
-@dataclass
-class ErrorReport:
-    """Training / testing error pair, with the normalizing reference."""
-
-    train_error_pct: float
-    test_error_pct: Optional[float]
-    reference: float
-
-    def __post_init__(self):
-        if self.reference <= 0:
-            raise ValueError("reference must be positive")
 
 
 def fit_weights(p: RegressionProblem) -> np.ndarray:

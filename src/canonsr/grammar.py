@@ -9,6 +9,7 @@ trees are guaranteed to respect the productions and a depth bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +32,7 @@ class Alternative:
     symbols: Tuple[Tuple[str, str], ...]
     enabled: bool = True
 
-    @property
+    @cached_property
     def struct(self) -> Tuple[Tuple[str, str], ...]:
         # structural symbols only: punctuation terminals carry no tree content
         return tuple((k, v) for k, v in self.symbols
@@ -320,8 +321,9 @@ def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
     if check_root and tree.symbol != g.start:
         violations.append(f"root symbol {tree.symbol!r} != start {g.start!r}")
 
-    for node, _, _, level in walk(tree):
+    for node, path in walk(tree):
         if isinstance(node, NTNode):
+            level = len(path) + 1
             if level > max_depth:
                 violations.append(f"depth {level} exceeds max_depth {max_depth}")
             alts = g.rules.get(node.symbol)
@@ -370,10 +372,5 @@ def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
 
 def crossover_sites(tree: BasisTree, symbol: str) -> List[NTNode]:
     """All nodes deriving `symbol`, in deterministic preorder."""
-    return [node for node, _, _, _ in walk(tree)
+    return [node for node, _ in walk(tree)
             if isinstance(node, NTNode) and node.symbol == symbol]
-
-
-def nonterminal_symbols(tree: BasisTree) -> List[str]:
-    """Distinct nonterminal symbols present, in sorted order."""
-    return sorted({node.symbol for node, _, _, _ in walk(tree) if isinstance(node, NTNode)})

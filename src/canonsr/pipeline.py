@@ -11,18 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .dataset import DataError, Dataset
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
-from .expr import Model, eval_basis_matrix, model_from_dict, model_to_dict, to_canonical_text
+from .expr import (Model, basis_column, eval_model_matrix, model_from_dict, model_to_dict,
+                   to_canonical_text)
 from .fit import RegressionProblem, forward_regression_press, nmse, press
 from .grammar import Grammar, default_grammar_text, parse_grammar
 
@@ -68,8 +68,11 @@ def _resolve_grammar(cfg: RunConfig) -> Tuple[Grammar, str]:
     if cfg.grammar is None:
         text = default_grammar_text()
     else:
-        with open(cfg.grammar, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(cfg.grammar, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read grammar file {cfg.grammar}: {exc}") from exc
     return parse_grammar(text), text
 
 
@@ -92,24 +95,15 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
     reference = _reference(train)
     X, y = train.X, train.y
 
-    executor = None
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    if workers > 1:
-        executor = ThreadPoolExecutor(max_workers=workers)
-
-    try:
-        archive = ParetoArchive()
-        # the offset-only model is always available as a zero-complexity baseline
-        archive.merge(fit_model([], X, y, reference, cfg))
-        pop = init_population(g, train.n_vars, X, y, reference, cfg, rng, executor)
-        archive.merge_all(pop)
-        for gen in range(cfg.generations):
-            pop = nsga2_generation(pop, X, y, reference, g, cfg, rng, archive, executor)
-            if progress is not None:
-                progress(gen + 1, cfg.generations, len(archive))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    archive = ParetoArchive()
+    # the offset-only model is always available as a zero-complexity baseline
+    archive.merge(fit_model([], X, y, reference, cfg))
+    pop = init_population(g, train.n_vars, X, y, reference, cfg, rng)
+    archive.merge_all(pop)
+    for gen in range(cfg.generations):
+        pop = nsga2_generation(pop, X, y, reference, g, cfg, rng, archive)
+        if progress is not None:
+            progress(gen + 1, cfg.generations, len(archive))
 
     models = pareto_reduce(archive.tradeoff(), "train")
     return TradeoffSet(models=models, var_names=train.var_names,
@@ -121,7 +115,8 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
     """Prune each model's bases by PRESS-driven forward regression, then refit.
 
     A model is only replaced when the pruned version has a PRESS no worse
-    than the original, so predictive ability never degrades.
+    than the original, so predictive ability never degrades.  Columns come
+    from the trees, which kept them from evolution on the same train.X.
     """
     X, y = train.X, train.y
     reference = _reference(train)
@@ -130,7 +125,7 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         if not m.bases:
             out.append(m)
             continue
-        columns = [eval_basis_matrix(t, X, cfg.B) for t in m.bases]
+        columns = [basis_column(t, X, cfg.B) for t in m.bases]
         selected, _ = forward_regression_press(columns, y)
         if sorted(selected) == list(range(len(m.bases))):
             out.append(m)
@@ -142,7 +137,7 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         if original_press < pruned_press:
             out.append(m)
             continue
-        pruned = fit_model([m.bases[j].clone() for j in selected], X, y, reference, cfg)
+        pruned = fit_model([m.bases[j] for j in selected], X, y, reference, cfg)
         pruned.test_error = m.test_error
         out.append(pruned)
     return ts.replace_models(pareto_reduce(out, "train"))
@@ -156,16 +151,9 @@ def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> Tradeof
             f"{sorted(ts.var_names)}")
     order = [test.var_names.index(name) for name in ts.var_names]
     X = test.X[:, order]
-    scored: List[Model] = []
-    for m in ts.models:
-        m2 = m.clone()
-        columns = [eval_basis_matrix(t, X, cfg.B) for t in m2.bases]
-        pred = np.full(X.shape[0], float(m2.coeffs[0]))
-        for j, col in enumerate(columns):
-            pred = pred + float(m2.coeffs[j + 1]) * col
-        m2.test_error = nmse(pred, test.y, ts.train_reference)
-        scored.append(m2)
-    return ts.replace_models(scored)
+    return ts.replace_models([
+        replace(m, test_error=nmse(eval_model_matrix(m, X, cfg.B), test.y, ts.train_reference))
+        for m in ts.models])
 
 
 def filter_test_tradeoff(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:

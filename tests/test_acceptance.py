@@ -251,8 +251,7 @@ def test_criterion_9_sag_effectiveness():
              NTNode("REPVC", 0, [VCLeaf([0, 0, 1, -1])])]
     fitted = fit_model(bases, train.X, train.y, reference, cfg)
 
-    duplicated = fit_model([b.clone() for b in fitted.bases]
-                           + [fitted.bases[0].clone()],
+    duplicated = fit_model(fitted.bases + [fitted.bases[0]],
                            train.X, train.y, reference, cfg)
     assert duplicated.n_bases == 3
 

@@ -128,18 +128,6 @@ def test_run_log_target_wraps_model_text(pm_files, tmp_path):
     assert text.startswith("10^(") and text.endswith(")")
 
 
-def test_run_threads_flag_is_deterministic(pm_files, tmp_path):
-    train_path, test_path, cfg_path = pm_files
-    outs = [str(tmp_path / "t1"), str(tmp_path / "t4")]
-    for out_dir, threads in zip(outs, ("1", "4")):
-        code = main(["run", "--config", cfg_path, "--train", train_path,
-                     "--test", test_path, "--target", "pm_like",
-                     "--out", out_dir, "--threads", threads, "--quiet"])
-        assert code == 0
-    assert open(outs[0] + "/front.csv", "rb").read() == \
-        open(outs[1] + "/front.csv", "rb").read()
-
-
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -321,9 +309,16 @@ def test_run_nonfinite_float_field_exits_2(pm_files, tmp_path, capsys):
     _assert_config_exit(code, capsys, "'B' must be positive")
 
 
-def test_run_negative_threads_flag_exits_2(pm_files, tmp_path, capsys):
-    code = _run_with_config(pm_files, tmp_path, "population = 10\n", "--threads", "-3")
-    _assert_config_exit(code, capsys, "'threads' must be >= 0")
+def test_run_huge_B_exits_2(pm_files, tmp_path, capsys):
+    # finite, but 10**B and the [-2B, 2B] weight range overflow
+    code = _run_with_config(pm_files, tmp_path, "B = 1e308\n")
+    _assert_config_exit(code, capsys, "'B' is too large")
+
+
+def test_run_missing_grammar_file_exits_2(pm_files, tmp_path, capsys):
+    missing = str(tmp_path / "no_such.grammar")
+    code = _run_with_config(pm_files, tmp_path, f"grammar = {missing}\n")
+    _assert_config_exit(code, capsys, "cannot read grammar file")
 
 
 def test_bench_zero_generations_exits_2(capsys):

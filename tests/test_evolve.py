@@ -131,7 +131,7 @@ def test_vc_crossover_cut_enumeration():
     rng = np.random.default_rng(24)
     a, b = VCLeaf([1, 0]), VCLeaf([0, 2])
     c1, c2 = vc_onepoint_crossover(a, b, rng)
-    assert c1.exponents == [1, 2]
+    assert c1.exponents == (1, 2)
     assert any(c2.exponents)                      # [0, 0] must be repaired
     assert sum(1 for e in c2.exponents if e) == 1
     assert all(e in (-1, 0, 1) for e in c2.exponents)
@@ -141,14 +141,14 @@ def test_vc_crossover_identical_parents():
     rng = np.random.default_rng(25)
     a = VCLeaf([2, -1, 1])
     c1, c2 = vc_onepoint_crossover(a, VCLeaf([2, -1, 1]), rng)
-    assert c1.exponents == [2, -1, 1]
-    assert c2.exponents == [2, -1, 1]
+    assert c1.exponents == (2, -1, 1)
+    assert c2.exponents == (2, -1, 1)
 
 
 def test_vc_crossover_single_dim_returns_copies():
     rng = np.random.default_rng(26)
     c1, c2 = vc_onepoint_crossover(VCLeaf([2]), VCLeaf([-1]), rng)
-    assert (c1.exponents, c2.exponents) == ([2], [-1])
+    assert (c1.exponents, c2.exponents) == ((2,), (-1,))
 
 
 def test_vc_crossover_children_subset_of_parent_exponents():

@@ -236,7 +236,7 @@ def test_nnodes_one_op_with_weighted_term():
 
 def test_nnodes_copy_equal():
     tree = one_op_basis("sqrt", 1.0, 2.0, [1, -1])
-    assert nnodes(tree) == nnodes(tree.clone())
+    assert nnodes(tree) == nnodes(tree_from_dict(tree_to_dict(tree)))
 
 
 def test_complexity_constant_model_is_zero():
@@ -251,7 +251,7 @@ def test_complexity_single_vc_worked_example():
 
 def test_complexity_two_identical_bases():
     tree = vc_basis([1, 0, -2, 1])
-    m = Model(bases=[tree, tree.clone()], coeffs=np.array([0.0, 1.0, 1.0]), valid=True)
+    m = Model(bases=[tree, vc_basis([1, 0, -2, 1])], coeffs=np.array([0.0, 1.0, 1.0]), valid=True)
     assert complexity(m, 10.0, 0.25) == 24.0
 
 
@@ -259,7 +259,7 @@ def test_complexity_invariant_under_reordering():
     a = vc_basis([2, -1])
     b = one_op_basis("ln", 1.0, 2.0, [1, 1])
     m1 = Model(bases=[a, b], coeffs=np.zeros(3), valid=True)
-    m2 = Model(bases=[b.clone(), a.clone()], coeffs=np.zeros(3), valid=True)
+    m2 = Model(bases=[b, a], coeffs=np.zeros(3), valid=True)
     assert complexity(m1, 10.0, 0.25) == complexity(m2, 10.0, 0.25)
 
 

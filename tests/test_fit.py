@@ -120,14 +120,6 @@ def test_nmse_zero_reference_rejected():
         nmse(np.zeros(3), np.zeros(3), 0.0)
 
 
-def test_error_report_validation():
-    from canonsr.fit import ErrorReport
-    report = ErrorReport(train_error_pct=4.5, test_error_pct=3.7, reference=350.0)
-    assert report.reference > 0
-    with pytest.raises(ValueError, match="reference"):
-        ErrorReport(train_error_pct=1.0, test_error_pct=None, reference=0.0)
-
-
 def test_nmse_scale_invariance():
     rng = np.random.default_rng(13)
     y = rng.standard_normal(30)

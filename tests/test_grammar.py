@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from canonsr.expr import NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_depth, tree_to_dict, walk
+from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_depth, tree_from_dict,
+                          tree_to_dict, walk)
 from canonsr.grammar import (GrammarError, crossover_sites,
                              default_grammar_text, load_default_grammar,
                              parse_grammar, random_tree, validate)
@@ -12,7 +13,7 @@ N_VARS = 4
 
 
 def _op_names_used(tree):
-    return {node.name for node, _, _, _ in walk(tree) if isinstance(node, OpLeaf)}
+    return {node.name for node, _ in walk(tree) if isinstance(node, OpLeaf)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_initial_vc_density():
     rng = np.random.default_rng(4)
     for _ in range(500):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
-        for node, _, _, _ in walk(tree):
+        for node, _ in walk(tree):
             if isinstance(node, VCLeaf):
                 nonzero = [e for e in node.exponents if e]
                 assert 1 <= len(nonzero) <= 3
@@ -192,7 +193,7 @@ def test_weight_leaves_within_bounds():
     rng = np.random.default_rng(5)
     for _ in range(500):
         tree = random_tree(g, 8, rng, n_vars=N_VARS, B=10.0)
-        for node, _, _, _ in walk(tree):
+        for node, _ in walk(tree):
             if isinstance(node, WeightLeaf):
                 assert abs(node.stored) <= 20.0
 
@@ -270,6 +271,6 @@ def test_sites_match_on_copies():
     tree = random_tree(g, 8, rng, n_vars=N_VARS)
     for symbol in ("REPVC", "REPOP", "REPADD", "MAYBEW", "2ARGS", "1OP", "2OP"):
         a = crossover_sites(tree, symbol)
-        b = crossover_sites(tree.clone(), symbol)
+        b = crossover_sites(tree_from_dict(tree_to_dict(tree)), symbol)
         assert len(a) == len(b)
         assert [n.symbol for n in a] == [n.symbol for n in b]

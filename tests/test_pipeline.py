@@ -261,13 +261,3 @@ def test_end_to_end_determinism(tmp_path):
     b = (tmp_path / "b" / "front.csv").read_bytes()
     assert a == b
 
-
-def test_threaded_run_matches_sequential(tmp_path):
-    train, test = _pm_datasets()
-    cfg_seq = _desk_cfg(generations=5, threads=1)
-    cfg_par = _desk_cfg(generations=5, threads=4)
-    run_pipeline(cfg_seq, train, test, out_dir=str(tmp_path / "seq"))
-    run_pipeline(cfg_par, train, test, out_dir=str(tmp_path / "par"))
-    a = (tmp_path / "seq" / "front.csv").read_bytes()
-    b = (tmp_path / "par" / "front.csv").read_bytes()
-    assert a == b

@@ -1,0 +1,188 @@
+"""Immutable, shared basis trees: operators leave parents alone, stored
+columns and complexities match fresh evaluation bit for bit."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import canonsr.expr as expr
+from canonsr.config import OPERATOR_NAMES, RunConfig
+from canonsr.dataset import Dataset, DoePlan, doe_full_factorial
+from canonsr.evolve import apply_operator, fit_model
+from canonsr.expr import (OpLeaf, VCLeaf, WeightLeaf, basis_column, eval_basis_matrix,
+                          eval_model_matrix, model_from_dict, model_to_dict,
+                          tree_from_dict, tree_to_dict, walk)
+from canonsr.fit import RegressionProblem, fit_weights, nmse
+from canonsr.grammar import GrammarError, load_default_grammar, random_tree, validate
+
+N_VARS = 3
+X = doe_full_factorial(DoePlan(centers=np.array([1.0, 2.0, 0.5]), dx=0.1))
+Y = 3.0 + X[:, 0] / X[:, 1] + np.sqrt(X[:, 2])
+REFERENCE = float(np.max(np.abs(Y)))
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _cfg(**kw):
+    return RunConfig(population=10, generations=1, max_bases=5, **kw)
+
+
+def _parents(g, cfg, rng, count):
+    """Fitted models with 0..max_bases random bases, so trees carry stored columns."""
+    out = []
+    for _ in range(count):
+        nb = int(rng.integers(0, cfg.max_bases + 1))
+        bases = [random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B) for _ in range(nb)]
+        out.append(fit_model(bases, X, Y, REFERENCE, cfg))
+    return out
+
+
+def _snapshot(m):
+    return ([tree_to_dict(t) for t in m.bases], [id(t) for t in m.bases],
+            m.train_error, m.complexity)
+
+
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_operator_leaves_parents_unchanged(name, seed):
+    g = load_default_grammar()
+    cfg = _cfg()
+    rng = np.random.default_rng(seed)
+    parents = _parents(g, cfg, rng, 2)
+    before = [_snapshot(p) for p in parents]
+    for _ in range(5):
+        apply_operator(name, parents, g, N_VARS, cfg, rng)
+    assert [_snapshot(p) for p in parents] == before
+
+
+def _restricted_grammar(rng):
+    """The default grammar with random alternatives disabled, still terminating."""
+    g = load_default_grammar()
+    pairs = [(lhs, i) for lhs, alts in g.rules.items() for i in range(len(alts))]
+    for k in rng.permutation(len(pairs))[: len(pairs) // 2]:
+        lhs, i = pairs[int(k)]
+        try:
+            g.set_enabled(lhs, i, False)
+        except GrammarError:
+            g.set_enabled(lhs, i, True)
+    return g
+
+
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), max_depth=st.sampled_from([5, 6, 8]))
+def test_operators_keep_trees_valid_on_restricted_grammars(name, seed, max_depth):
+    rng = np.random.default_rng(seed)
+    g = _restricted_grammar(rng)
+    assume(g.min_depth(g.start) <= max_depth)
+    cfg = _cfg(max_depth=max_depth)
+    parents = _parents(g, cfg, rng, 2)
+    for _ in range(5):
+        for bases in apply_operator(name, parents, g, N_VARS, cfg, rng) or []:
+            assert len(bases) <= cfg.max_bases
+            for tree in bases:
+                assert validate(tree, g, max_depth=max_depth, B=cfg.B,
+                                exp_cap=cfg.exp_cap, n_vars=N_VARS) == []
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_json_round_trip_predicts_bit_identically(seed):
+    g = load_default_grammar()
+    cfg = _cfg()
+    rng = np.random.default_rng(seed)
+    sweep = rng.uniform(0.5, 2.5, size=(50, N_VARS))
+    for m in _parents(g, cfg, rng, 3):
+        if not m.valid:
+            continue
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(m), indent=1)))
+        assert (eval_model_matrix(loaded, sweep, cfg.B).tobytes()
+                == eval_model_matrix(m, sweep, cfg.B).tobytes())
+
+
+def _fresh_complexity(tree, wb, wvc):
+    """wb + payload-leaf count + wvc * sum|e| per variable combo, added in preorder."""
+    count, cost = 0, 0.0
+    for node, _ in walk(tree):
+        if isinstance(node, VCLeaf):
+            cost += wvc * sum(abs(e) for e in node.exponents)
+        count += isinstance(node, (VCLeaf, WeightLeaf, OpLeaf))
+    return wb + count + cost
+
+
+def _fresh_fit(bases, cfg):
+    """fit_model's arithmetic on freshly evaluated columns of rebuilt trees."""
+    rebuilt = [tree_from_dict(tree_to_dict(t)) for t in bases]
+    columns = [eval_basis_matrix(t, X, cfg.B) for t in rebuilt]
+    Phi = np.column_stack([np.ones(X.shape[0])] + columns)
+    coeffs = fit_weights(RegressionProblem(Phi, Y))
+    cpx = float(sum(_fresh_complexity(t, cfg.wb, cfg.wvc) for t in rebuilt))
+    return coeffs, nmse(Phi @ coeffs, Y, REFERENCE), cpx
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stored_columns_fit_like_fresh_evaluation(seed):
+    g = load_default_grammar()
+    cfg = _cfg()
+    rng = np.random.default_rng(seed)
+    bases = [random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B) for _ in range(4)]
+    first = fit_model(bases, X, Y, REFERENCE, cfg)
+    assume(first.valid)
+    again = fit_model(bases, X, Y, REFERENCE, cfg)      # every column read back
+    coeffs, error, cpx = _fresh_fit(bases, cfg)
+    for m in (first, again):
+        assert m.coeffs.tobytes() == coeffs.tobytes()
+        assert m.train_error == error
+        assert m.complexity == cpx
+
+
+def _counting_eval(monkeypatch):
+    calls = []
+    real = expr.eval_basis_matrix
+
+    def counted(tree, X, B):
+        calls.append(tree)
+        return real(tree, X, B)
+
+    monkeypatch.setattr(expr, "eval_basis_matrix", counted)
+    return calls
+
+
+def test_stored_column_is_read_back_not_reevaluated(monkeypatch):
+    g = load_default_grammar()
+    cfg = _cfg()
+    tree = random_tree(g, cfg.max_depth, np.random.default_rng(3), N_VARS)
+    calls = _counting_eval(monkeypatch)
+    col = basis_column(tree, X, cfg.B)
+    assert basis_column(tree, X, cfg.B) is col
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        col[0] = 0.0                                     # stored columns are read-only
+
+
+def test_other_X_or_B_never_reuses_a_column(monkeypatch):
+    g = load_default_grammar()
+    rng = np.random.default_rng(5)
+    # a tree with a weight, so B changes its column
+    tree = next(t for t in (random_tree(g, 8, rng, N_VARS) for _ in range(100))
+                if '"kind": "w"' in json.dumps(tree_to_dict(t)))
+    X2 = X.copy()                                        # equal values, other array
+    X3 = X * 1.5
+    calls = _counting_eval(monkeypatch)
+    for Xk, B in ((X, 10.0), (X2, 10.0), (X3, 10.0), (X, 12.0), (X, 10.0)):
+        got = basis_column(tree, Xk, B)
+        want = eval_basis_matrix(tree_from_dict(tree_to_dict(tree)), Xk, B)
+        assert got.tobytes() == want.tobytes()
+    assert len(calls) == 5                              # one miss per (X, B) change
+
+
+def test_dataset_arrays_are_read_only():
+    ds = Dataset(("a", "b", "c"), X, Y, "y")
+    with pytest.raises(ValueError):
+        ds.X[0, 0] = 1.0
+    assert X.flags.writeable                              # the caller's array is untouched
