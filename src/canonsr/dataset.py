@@ -74,37 +74,70 @@ def _parse_cell(cell: str, row: int, col_name: str) -> float:
     return value
 
 
-def load_csv(path: str, target_column: str) -> Dataset:
-    """Read a samples CSV; the named column becomes y, the rest become X."""
+def _read_cells(path: str) -> Tuple[List[str], List[str], List[int]]:
+    """Split a CSV into its header, its data cells and each data row's width.
+
+    Rows whose cells are all blank are skipped. The header names are
+    stripped and checked; the data cells stay raw text, flat in file order.
+    """
+    cells: List[str] = []
+    widths: List[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if not rows:
+        for row in csv.reader(fh):
+            if any(map(str.strip, row)):
+                cells += row
+                widths.append(len(row))
+    if not widths:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in cells[:widths[0]]]
     if any(not h for h in header):
         raise DataError(f"{path}: empty header name")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
+    return header, cells[widths[0]:], widths[1:]
+
+
+def _cell_values(path: str, header: List[str], cells: List[str],
+                 widths: List[int]) -> np.ndarray:
+    """Parse the data cells into a rows x columns array.
+
+    One numpy conversion parses every cell as float() does. Only a ragged
+    row, a cell it rejects or a non-finite value falls back to a row-by-row
+    scan, which raises for the first bad row in file order. The scan strips
+    each cell first, so it also accepts a number that float() rejects only
+    for an edge character str.strip removes (the separators U+001C-U+001F).
+    """
+    n_cols = len(header)
+    if widths.count(n_cols) == len(widths):
+        try:
+            values = np.array(cells, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.reshape(-1, n_cols)
+    parsed: List[float] = []
+    for r, width in enumerate(widths, start=1):
+        if width != n_cols:
+            raise DataError(f"{path}: row {r} has {width} values, expected {n_cols}")
+        row = cells[(r - 1) * n_cols:r * n_cols]
+        parsed += [_parse_cell(cell.strip(), r, header[i]) for i, cell in enumerate(row)]
+    return np.array(parsed).reshape(-1, n_cols)
+
+
+def load_csv(path: str, target_column: str) -> Dataset:
+    """Read a samples CSV; the named column becomes y, the rest become X."""
+    header, cells, widths = _read_cells(path)
     if target_column not in header:
         raise DataError(f"{path}: target column {target_column!r} not in header")
-    if len(rows) == 1:
+    if not widths:
         raise DataError(f"{path}: no data rows")
-
+    values = _cell_values(path, header, cells, widths)
     t_idx = header.index(target_column)
-    var_names = [h for i, h in enumerate(header) if i != t_idx]
-    X_rows: List[List[float]] = []
-    y_vals: List[float] = []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} values, expected {len(header)}")
-        values = [_parse_cell(cell.strip(), r, header[i]) for i, cell in enumerate(row)]
-        y_vals.append(values[t_idx])
-        X_rows.append([v for i, v in enumerate(values) if i != t_idx])
-
-    return Dataset(var_names=tuple(var_names), X=X_rows, y=y_vals,
-                   target_name=target_column)
+    var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
+    return Dataset(var_names=var_names, X=np.delete(values, t_idx, axis=1),
+                   y=values[:, t_idx], target_name=target_column)
 
 
 def save_csv(ds: Dataset, path: str) -> None:
@@ -128,17 +161,10 @@ def write_points_csv(var_names: Sequence[str], X: np.ndarray, path: str) -> None
 
 def load_centers_csv(path: str) -> Tuple[Tuple[str, ...], np.ndarray]:
     """Read a one-row CSV of center values; returns (names, centers)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if len(rows) < 2:
+    header, cells, widths = _read_cells(path)
+    if len(widths) != 1:
         raise DataError(f"{path}: expected a header row and one row of center values")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate header name(s)")
-    centers = [_parse_cell(c.strip(), 1, header[i]) for i, c in enumerate(rows[1])]
-    if len(centers) != len(header):
-        raise DataError(f"{path}: row 1 has {len(rows[1])} values, expected {len(header)}")
-    return tuple(header), np.array(centers, dtype=float)
+    return tuple(header), _cell_values(path, header, cells, widths)[0]
 
 
 # ---------------------------------------------------------------------------

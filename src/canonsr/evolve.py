@@ -332,7 +332,11 @@ def op_vc_onepoint_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
     site1 = s1[int(rng.integers(len(s1)))]
     site2 = s2[int(rng.integers(len(s2)))]
     c1, c2 = vc_onepoint_crossover(site1[2], site2[2], rng)
-    return [_with_leaf(p1.bases, site1, c1), _with_leaf(p2.bases, site2, c2)]
+    # an unchanged combo keeps the parent's own basis, and with it the
+    # basis's stored column
+    return [list(p.bases) if c.exponents == site[2].exponents
+            else _with_leaf(p.bases, site, c)
+            for p, site, c in ((p1, site1, c1), (p2, site2, c2))]
 
 
 _TWO_PARENT_OPS = {"basis_set_crossover", "basis_copy_in",

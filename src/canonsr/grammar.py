@@ -58,8 +58,7 @@ class Grammar:
         return list(self.rules)
 
     def set_enabled(self, lhs: str, alt_index: int, enabled: bool) -> None:
-        self.rules[lhs][alt_index].enabled = enabled
-        self._recompute_min_depths()
+        self._set_flags([self.rules[lhs][alt_index]], enabled)
 
     def disable_operator(self, op_token: str) -> None:
         """Disable every single-terminal alternative for this operator.
@@ -70,16 +69,25 @@ class Grammar:
         canon = GRAMMAR_OP_TOKENS.get(op_token.upper())
         if canon is not None:
             names.add(canon)
-        hit = False
-        for alts in self.rules.values():
-            for alt in alts:
-                if len(alt.symbols) == 1 and alt.symbols[0][0] == "t" \
-                        and alt.symbols[0][1] in names:
-                    alt.enabled = False
-                    hit = True
-        if not hit:
+        hits = [alt for alts in self.rules.values() for alt in alts
+                if len(alt.symbols) == 1 and alt.symbols[0][0] == "t"
+                and alt.symbols[0][1] in names]
+        if not hits:
             raise GrammarError(f"no alternative consists of terminal {op_token!r}")
-        self._recompute_min_depths()
+        self._set_flags(hits, False)
+
+    def _set_flags(self, alts: List[Alternative], enabled: bool) -> None:
+        """Set the enable flags; if that leaves a nonterminal without a
+        terminating derivation, put the old flags back and raise."""
+        before = [alt.enabled for alt in alts]
+        for alt in alts:
+            alt.enabled = enabled
+        try:
+            self._recompute_min_depths()
+        except GrammarError:
+            for alt, flag in zip(alts, before):
+                alt.enabled = flag
+            raise
 
     def min_depth(self, symbol: str) -> float:
         return self._min_depth[symbol]

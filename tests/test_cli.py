@@ -176,6 +176,23 @@ def test_sample_narrower_dx_narrower_ranges(tmp_path):
         assert (max(n) - min(n)) < (max(w) - min(w))
 
 
+def _sample_exit(tmp_path, centers_text):
+    path = tmp_path / "centers.csv"
+    path.write_text(centers_text, encoding="utf-8")
+    return main(["sample", "--centers", str(path), "--out", str(tmp_path / "x.csv")])
+
+
+def test_sample_centers_ragged_row_exits_3(tmp_path, capsys):
+    assert _sample_exit(tmp_path, "a,b\n1,2,3\n") == 3
+    assert "row 1 has 3 values, expected 2" in capsys.readouterr().err
+
+
+def test_sample_centers_empty_header_name_exits_3(tmp_path, capsys):
+    assert _sample_exit(tmp_path, "a,\n1,2\n") == 3
+    assert "empty header name" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

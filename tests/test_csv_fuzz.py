@@ -1,0 +1,149 @@
+"""Differential fuzz of the samples CSV reader against the cell-by-cell reader
+it replaced: same names and bit-identical X and y, or the same error."""
+
+import csv
+from typing import List
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from canonsr.dataset import DataError, Dataset, load_csv
+
+
+# ---------------------------------------------------------------------------
+# reference: the row-list reader, one float() per cell
+# ---------------------------------------------------------------------------
+
+def _reference_parse_cell(cell: str, row: int, col_name: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r}") from None
+    if not np.isfinite(value):
+        raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r}")
+    return value
+
+
+def reference_load_csv(path: str, target_column: str) -> Dataset:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(c.strip() for c in row)]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if any(not h for h in header):
+        raise DataError(f"{path}: empty header name")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
+    if target_column not in header:
+        raise DataError(f"{path}: target column {target_column!r} not in header")
+    if len(rows) == 1:
+        raise DataError(f"{path}: no data rows")
+
+    t_idx = header.index(target_column)
+    var_names = [h for i, h in enumerate(header) if i != t_idx]
+    X_rows: List[List[float]] = []
+    y_vals: List[float] = []
+    for r, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r} has {len(row)} values, expected {len(header)}")
+        values = [_reference_parse_cell(cell.strip(), r, header[i]) for i, cell in enumerate(row)]
+        y_vals.append(values[t_idx])
+        X_rows.append([v for i, v in enumerate(values) if i != t_idx])
+
+    return Dataset(var_names=tuple(var_names), X=X_rows, y=y_vals,
+                   target_name=target_column)
+
+
+# ---------------------------------------------------------------------------
+# CSV texts
+# ---------------------------------------------------------------------------
+
+NAMES = ["x", "y", "t", "a b", " x1 "]
+ODD_NAMES = ["", " ", "x", " y"]
+GOOD = ["-0", "1_0", "1e-320", "1.", ".5", "\u0661\u0662", "\x1c3", "3\x1f", "1E5", "+7"]
+BAD = ["1e400", "-1e400", "inf", "-Infinity", "nan", "NaN", "abc", "", " ",
+       "0x10", "1__0", "1,5", "2\n3", 'q"q']
+PADDING = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def cells(draw):
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        text = draw(st.sampled_from(BAD))
+    elif kind < 5:
+        text = draw(st.sampled_from(GOOD))
+    else:
+        text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    text = draw(PADDING) + text + draw(PADDING)
+    if draw(st.integers(0, 3)) == 0 or any(c in text for c in ',\n"'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    n_cols = draw(st.integers(1, 4))
+    header = draw(st.permutations(NAMES))[:n_cols]
+    if draw(st.integers(0, 4)) == 0:                 # empty or duplicate names
+        header[draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(ODD_NAMES))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", ",,", " , ", "\t"])))
+        else:
+            width = n_cols if kind > 1 else draw(st.integers(1, n_cols + 2))
+            lines.append(",".join(draw(cells()) for _ in range(width)))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", "  ", ","])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    names = [h.strip() for h in header if h.strip()]
+    target = draw(st.sampled_from(names)) if names and draw(st.integers(0, 9)) else "zz"
+    return text, target
+
+
+def _outcome(loader, path, target):
+    try:
+        ds = loader(path, target)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", ds.var_names, ds.target_name, ds.X.shape,
+            ds.X.tobytes(), ds.y.tobytes())
+
+
+def _assert_same(path, text, target):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _outcome(load_csv, path, target) == _outcome(reference_load_csv, path, target)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=csv_texts())
+def test_reader_matches_reference(tmp_path_factory, case):
+    text, target = case
+    _assert_same(str(tmp_path_factory.getbasetemp() / "fuzz.csv"), text, target)
+
+
+@pytest.mark.parametrize("text", [
+    'x,y\n"1","2"\n"3" , " 4 "\n',             # quoted cells, space around quotes
+    "x,y\r\n1,2\r\n\r\n  \r\n,,\r\n3,4\r\n",  # CRLF and blank rows of each kind
+    "x,y\n1_0,1e-320\n",                       # underscores, subnormals
+    "x,y\n1,2\n3,1e400\n",                     # overflow to inf
+    "x,y\n1,inf\n", "x,y\n1,nan\n",            # non-finite spellings
+    "x,y\n1,2\n3,abc\n4,\n",                   # the first bad row names the error
+    "x,y\n1,2,3\n4,abc\n",                     # ragged before non-numeric
+    "x,y\n1,abc\n4,5,6\n",                     # non-numeric before ragged
+    "x,y\n\x1c1,2\x1f\n",                      # edges float() alone rejects
+    "x,y\n1\n",                                # short row
+    "x,y\n1\n2,3,4\n",                         # ragged rows with the right cell total
+    " x , y \n1,2\n",                          # stripped header names
+])
+def test_reader_matches_reference_on_named_cases(tmp_path, text):
+    _assert_same(str(tmp_path / "case.csv"), text, "y")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from canonsr.dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
-                             doe_latin_hypercube, load_csv, oracle_targets,
-                             save_csv, scale_target_log10, synthetic_oracle)
+                             doe_latin_hypercube, load_centers_csv, load_csv,
+                             oracle_targets, save_csv, scale_target_log10,
+                             synthetic_oracle)
 
 
 def _write(tmp_path, name, text):
@@ -58,6 +59,16 @@ def test_load_csv_errors(tmp_path):
         load_csv(_write(tmp_path, "e.csv", "x,y\n1,nan\n"), "y")
     with pytest.raises(DataError, match="no data rows"):
         load_csv(_write(tmp_path, "f.csv", "x,y\n"), "y")
+
+
+def test_load_centers_csv_follows_the_samples_rules(tmp_path):
+    names, centers = load_centers_csv(_write(tmp_path, "c.csv", ' a ,"b"\r\n\r\n"1.5", 2_0 \r\n'))
+    assert names == ("a", "b")
+    assert centers.tolist() == [1.5, 20.0]
+    for text, match in (("a,a\n1,2\n", "duplicate"), ("a,b\n1,inf\n", "non-finite"),
+                        ("a,b\n", "one row"), ("a,b\n1,2\n3,4\n", "one row")):
+        with pytest.raises(DataError, match=match):
+            load_centers_csv(_write(tmp_path, "c.csv", text))
 
 
 def test_csv_round_trip_preserves_dataset_exactly(tmp_path):

@@ -138,6 +138,33 @@ def test_alternative_min_depths_follow_enable_flags():
     assert [i for i, d in enumerate(g.alt_min_depths("1OP")) if d == float("inf")] == tan
 
 
+def _assert_trees_validate(g, n=200):
+    for seed in range(n):
+        tree = random_tree(g, 8, np.random.default_rng(seed), n_vars=N_VARS)
+        assert validate(tree, g, n_vars=N_VARS) == []
+
+
+def test_refused_set_enabled_restores_the_flag():
+    g = load_default_grammar()
+    depths = g.alt_min_depths("REPVC")
+    with pytest.raises(GrammarError, match="no terminating derivation"):
+        g.set_enabled("REPVC", 0, False)      # 'VC' is the only way out of REPVC
+    assert g.rules["REPVC"][0].enabled
+    assert g.alt_min_depths("REPVC") == depths
+    _assert_trees_validate(g)
+
+
+def test_refused_disable_operator_restores_the_flags():
+    g = parse_grammar("REPVC => 'VC' | REPOP\n"
+                      "REPOP => 1OP '(' 'W' '+' REPADD ')'\n"
+                      "REPADD => 'W' '*' REPVC\n"
+                      "1OP => 'SIN'\n")
+    with pytest.raises(GrammarError, match="no terminating derivation"):
+        g.disable_operator("SIN")
+    assert g.rules["1OP"][0].enabled
+    _assert_trees_validate(g)
+
+
 # ---------------------------------------------------------------------------
 # random generation
 # ---------------------------------------------------------------------------

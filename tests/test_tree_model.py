@@ -181,6 +181,26 @@ def test_other_X_or_B_never_reuses_a_column(monkeypatch):
     assert len(calls) == 5                              # one miss per (X, B) change
 
 
+def test_unchanged_vc_crossover_keeps_parent_bases(monkeypatch):
+    g = load_default_grammar()
+    cfg = _cfg()
+    tree = random_tree(g, 1, np.random.default_rng(7), N_VARS)   # a single VC leaf
+    p1 = fit_model([tree], X, Y, REFERENCE, cfg)
+    p2 = fit_model([tree_from_dict(tree_to_dict(tree))], X, Y, REFERENCE, cfg)
+    rng = np.random.default_rng(11)
+    expect = np.random.default_rng(11)
+    offspring = apply_operator("vc_onepoint_crossover", [p1, p2], g, N_VARS, cfg, rng)
+    assert offspring[0][0] is p1.bases[0]
+    assert offspring[1][0] is p2.bases[0]
+    expect.integers(1)                                   # one VC site in each parent
+    expect.integers(1)
+    expect.integers(1, N_VARS)                           # the cut point
+    assert rng.bit_generator.state == expect.bit_generator.state
+    calls = _counting_eval(monkeypatch)
+    fit_model(offspring[0], X, Y, REFERENCE, cfg)
+    assert calls == []                                   # the parent's column is reused
+
+
 def test_dataset_arrays_are_read_only():
     ds = Dataset(("a", "b", "c"), X, Y, "y")
     with pytest.raises(ValueError):
