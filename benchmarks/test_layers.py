@@ -4,15 +4,20 @@ Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks/ -q
 
-Sizes follow the `predict_bulk` workload of `perfbench/`: a 20,000-row sweep
-of five variables around the wide5 centers, plus one target column.
+The CSV and prediction sizes follow the `predict_bulk` workload of
+`perfbench/`: a 20,000-row sweep of five variables around the wide5 centers,
+plus one target column.  The search layers use the 81-row pm_like factorial
+of the `pm81` workload.
 """
 
 import numpy as np
 import pytest
 
-from canonsr.dataset import Dataset, load_csv, save_csv
-from canonsr.expr import Model, eval_model_matrix
+from canonsr.config import RunConfig
+from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
+                             oracle_dataset, save_csv)
+from canonsr.evolve import ParetoArchive, fit_model, init_population, nsga2_generation
+from canonsr.expr import Model, basis_column, eval_model_matrix
 from canonsr.grammar import load_default_grammar, random_tree
 
 ROWS = 20000
@@ -46,3 +51,37 @@ def test_eval_model_matrix_8_bases_20000_rows(benchmark):
     model = Model(bases=bases, coeffs=np.ones(len(bases) + 1))
     pred = benchmark(eval_model_matrix, model, _sweep(1), 10.0)
     assert pred.shape == (ROWS,)
+
+
+@pytest.fixture(scope="module")
+def pm81():
+    X = doe_full_factorial(DoePlan(centers=np.ones(4), dx=0.1))
+    train = oracle_dataset("pm_like", X, ("x1", "x2", "x3", "x4"))
+    return train.X, train.y, float(np.max(np.abs(train.y)))
+
+
+def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
+    X, y, ref = pm81
+    cfg = RunConfig(max_bases=15)
+    rng = np.random.default_rng(2)
+    g = load_default_grammar()
+    bases = []
+    while len(bases) < 15:
+        tree = random_tree(g, cfg.max_depth, rng, 4, B=cfg.B)
+        if np.isfinite(basis_column(tree, X, cfg.B)).all():   # stores the column
+            bases.append(tree)
+    model = benchmark(fit_model, bases, X, y, ref, cfg)
+    assert model.valid and model.coeffs.shape == (16,)
+
+
+def test_nsga2_generation_population_200_pm_like(benchmark, pm81):
+    X, y, ref = pm81
+    cfg = RunConfig(population=200, generations=1, seed=3)
+    g = load_default_grammar()
+    pop = init_population(g, 4, X, y, ref, cfg, np.random.default_rng(cfg.seed))
+
+    def generation():
+        rng = np.random.default_rng(cfg.seed)
+        return nsga2_generation(pop, X, y, ref, g, cfg, rng, ParetoArchive())
+
+    assert len(benchmark(generation)) == cfg.population

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import OPERATOR_NAMES, ConfigError, RunConfig
-from .dataset import (DataError, DoePlan, doe_full_factorial,
-                      doe_latin_hypercube, load_csv, oracle_dataset,
+from .dataset import (DataError, DoePlan, columns_by_name, doe_full_factorial,
+                      doe_latin_hypercube, load_centers_csv, load_csv, oracle_dataset,
                       scale_target_log10, write_points_csv, ORACLE_DIMS)
 from .expr import eval_model_matrix, to_canonical_text
 from .fit import nmse
@@ -153,8 +153,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .dataset import load_centers_csv
-
     names, centers = load_centers_csv(args.centers)
     plan = DoePlan(centers=centers, dx=args.dx, budget=args.budget)
     if args.mode == "factorial":
@@ -174,12 +172,7 @@ def cmd_eval(args) -> int:
     payload = load_model_json(args.model)
     model = payload["model"]
     ds = load_csv(args.data, payload["target_name"])
-    if set(ds.var_names) != set(payload["var_names"]):
-        raise DataError(
-            f"data variables {sorted(ds.var_names)} do not match the model's "
-            f"variables {sorted(payload['var_names'])}")
-    order = [ds.var_names.index(name) for name in payload["var_names"]]
-    X = ds.X[:, order]
+    X = columns_by_name(ds, payload["var_names"])
 
     pred = eval_model_matrix(model, X, payload["B"])
 

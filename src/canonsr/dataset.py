@@ -64,6 +64,14 @@ class Dataset:
         return self.X.shape[1]
 
 
+def columns_by_name(ds: Dataset, var_names: Sequence[str]) -> np.ndarray:
+    """ds.X with its columns in the order of `var_names`, which must name them all."""
+    if set(ds.var_names) != set(var_names):
+        raise DataError(f"data variables {sorted(ds.var_names)} do not match the "
+                        f"model's variables {sorted(var_names)}")
+    return ds.X[:, [ds.var_names.index(name) for name in var_names]]
+
+
 def _parse_cell(cell: str, row: int, col_name: str) -> float:
     try:
         value = float(cell)
@@ -82,11 +90,17 @@ def _read_cells(path: str) -> Tuple[List[str], List[str], List[int]]:
     """
     cells: List[str] = []
     widths: List[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if any(map(str.strip, row)):
-                cells += row
-                widths.append(len(row))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for row in csv.reader(fh):
+                if any(map(str.strip, row)):
+                    cells += row
+                    widths.append(len(row))
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not from the file's start
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not widths:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in cells[:widths[0]]]

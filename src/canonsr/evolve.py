@@ -12,20 +12,18 @@ offspring reuses the stored columns and complexities of unchanged bases.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import OPERATOR_NAMES, RunConfig
 from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
-                   basis_column, complexity_of_bases, repair_all_zero_vc,
-                   replace_at, tree_depth, walk)
-from .fit import RegressionProblem, fit_weights, nmse
-from .grammar import Grammar, crossover_sites, random_tree, validate
-
-# validate every produced individual against the grammar (slow; used by tests)
-VALIDATE_EVERY_GENERATION = False
+                   complexity_of_bases, repair_all_zero_vc, replace_at,
+                   stored_column, tree_depth, walk)
+from .fit import _error, _solve
+from .grammar import Grammar, crossover_sites, random_tree
 
 Objectives = Tuple[float, float]   # (train error %, complexity), both minimized
 
@@ -146,20 +144,19 @@ def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
               reference: float, cfg: RunConfig) -> Model:
     """Least-squares fit of the linear weights; non-finite bases invalidate.
 
-    Each basis column is read from the tree when it was already evaluated on
-    this X (see basis_column).
-    """
+    Columns are read from the trees (see stored_column).  The coefficients
+    are read-only, so models with the same bases may share them."""
     cpx = complexity_of_bases(bases, cfg.wb, cfg.wvc)
-    columns = []
-    for tree in bases:
-        col = basis_column(tree, X, cfg.B)
-        if not np.all(np.isfinite(col)):
+    Phi = np.ones((X.shape[0], len(bases) + 1))    # offset column first
+    for j, tree in enumerate(bases, start=1):
+        col, finite = stored_column(tree, X, cfg.B)
+        if not finite:
             return Model(bases=list(bases), coeffs=None, train_error=INF,
                          complexity=cpx, valid=False)
-        columns.append(col)
-    Phi = np.column_stack([np.ones(X.shape[0])] + columns)
-    coeffs = fit_weights(RegressionProblem(Phi, y))
-    error = nmse(Phi @ coeffs, y, reference)
+        Phi[:, j] = col
+    coeffs = _solve(Phi, y)
+    coeffs.flags.writeable = False
+    error = _error(Phi @ coeffs, y, reference)
     valid = bool(np.isfinite(error))
     return Model(bases=list(bases), coeffs=coeffs,
                  train_error=error if valid else INF,
@@ -339,35 +336,25 @@ def op_vc_onepoint_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
             for p, site, c in ((p1, site1, c1), (p2, site2, c2))]
 
 
-_TWO_PARENT_OPS = {"basis_set_crossover", "basis_copy_in",
-                   "subtree_crossover", "vc_onepoint_crossover"}
+# operator name -> (function of (parents, grammar, n_vars, cfg, rng), parent count)
+OPERATORS = {
+    # a parent without bases falls back to growing the first parent
+    "basis_set_crossover": (lambda ps, g, n, c, r: op_basis_set_crossover(*ps, c, r)
+                            or op_basis_add(ps[0], g, n, c, r), 2),
+    "basis_delete": (lambda ps, g, n, c, r: op_basis_delete(ps[0], c, r), 1),
+    "basis_add": (lambda ps, g, n, c, r: op_basis_add(ps[0], g, n, c, r), 1),
+    "basis_copy_in": (lambda ps, g, n, c, r: op_basis_copy_in(*ps, c, r), 2),
+    "subtree_crossover": (lambda ps, g, n, c, r: op_subtree_crossover(*ps, c, r), 2),
+    "subtree_mutate": (lambda ps, g, n, c, r: op_subtree_mutate(ps[0], g, n, c, r), 1),
+    "weight_cauchy_mutate": (lambda ps, g, n, c, r: op_weight_cauchy_mutate(ps[0], c, r), 1),
+    "vc_onepoint_crossover": (lambda ps, g, n, c, r: op_vc_onepoint_crossover(*ps, c, r), 2),
+    "vc_exponent_mutate": (lambda ps, g, n, c, r: op_vc_exponent_mutate(ps[0], c, r), 1),
+}
 
 
 def apply_operator(name: str, parents: Sequence[Model], g: Grammar, n_vars: int,
                    cfg: RunConfig, rng):
-    if name == "basis_set_crossover":
-        result = op_basis_set_crossover(parents[0], parents[1], cfg, rng)
-        if result is None:
-            # fallback for a parent without bases
-            result = op_basis_add(parents[0], g, n_vars, cfg, rng)
-        return result
-    if name == "basis_delete":
-        return op_basis_delete(parents[0], cfg, rng)
-    if name == "basis_add":
-        return op_basis_add(parents[0], g, n_vars, cfg, rng)
-    if name == "basis_copy_in":
-        return op_basis_copy_in(parents[0], parents[1], cfg, rng)
-    if name == "subtree_crossover":
-        return op_subtree_crossover(parents[0], parents[1], cfg, rng)
-    if name == "subtree_mutate":
-        return op_subtree_mutate(parents[0], g, n_vars, cfg, rng)
-    if name == "weight_cauchy_mutate":
-        return op_weight_cauchy_mutate(parents[0], cfg, rng)
-    if name == "vc_onepoint_crossover":
-        return op_vc_onepoint_crossover(parents[0], parents[1], cfg, rng)
-    if name == "vc_exponent_mutate":
-        return op_vc_exponent_mutate(parents[0], cfg, rng)
-    raise ValueError(f"unknown operator {name!r}")
+    return OPERATORS[name][0](parents, g, n_vars, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -451,33 +438,29 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     guard = 0
     while len(offspring_bases) < len(pop):
         name = _weighted_operator_choice(cfg, rng)
-        n_parents = 2 if name in _TWO_PARENT_OPS else 1
-        parents = [pop[_tournament(rank, crowd, rng)] for _ in range(n_parents)]
+        parents = [pop[_tournament(rank, crowd, rng)] for _ in range(OPERATORS[name][1])]
         result = apply_operator(name, parents, g, n_vars, cfg, rng)
+        guard += result is None
+        if result is None and guard > 100 * len(pop):
+            # degenerate population; force growth to make progress
+            result = (apply_operator("basis_add", parents, g, n_vars, cfg, rng)
+                      or apply_operator("basis_delete", parents, g, n_vars, cfg, rng))
         if result is None:
-            guard += 1
-            if guard > 100 * len(pop):
-                # degenerate population; force growth to make progress
-                result = op_basis_add(parents[0], g, n_vars, cfg, rng) or \
-                    op_basis_delete(parents[0], cfg, rng)
-                if result is None:
-                    continue
-            else:
-                continue
+            continue
         offspring_bases.extend(result)
     offspring_bases = offspring_bases[: len(pop)]
 
-    offspring = [fit_model(b, X, y, reference, cfg) for b in offspring_bases]
-
-    if VALIDATE_EVERY_GENERATION:
-        for child in offspring:
-            if len(child.bases) > cfg.max_bases:
-                raise AssertionError("offspring exceeds max_bases")
-            for tree in child.bases:
-                problems = validate(tree, g, max_depth=cfg.max_depth, B=cfg.B,
-                                    exp_cap=cfg.exp_cap, n_vars=n_vars)
-                if problems:
-                    raise AssertionError(f"invalid offspring tree: {problems}")
+    # an offspring with the very bases of a parent or an earlier offspring,
+    # in order, shares that model's fit
+    fitted = {tuple(map(id, m.bases)): m for m in pop}
+    offspring: List[Model] = []
+    for bases in offspring_bases:
+        key = tuple(map(id, bases))
+        if key in fitted:
+            offspring.append(replace(fitted[key], bases=list(bases)))
+        else:
+            offspring.append(fit_model(bases, X, y, reference, cfg))
+            fitted[key] = offspring[-1]
 
     archive.merge_all(offspring)
     combined = pop + offspring

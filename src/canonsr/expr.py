@@ -310,12 +310,17 @@ def basis_column(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
     object X and an equal B, so X must not change in place while the tree
     lives; Dataset arrays are read-only for that reason.
     """
+    return stored_column(tree, X, B)[0]
+
+
+def stored_column(tree: BasisTree, X: np.ndarray, B: float) -> Tuple[np.ndarray, bool]:
+    """basis_column(tree, X, B) and whether it is all finite, kept with it."""
     memo = tree._column
     if memo is None or memo[0] is not X or memo[1] != B:
         col = eval_basis_matrix(tree, X, B)
         col.flags.writeable = False
-        memo = tree._column = (X, B, col)
-    return memo[2]
+        memo = tree._column = (X, B, col, bool(np.isfinite(col).all()))
+    return memo[2], memo[3]
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +375,15 @@ def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
     memo = tree._cpx
     if memo is None or memo[0] != wb or memo[1] != wvc:
         count, cost = 0, 0.0
-        for node, _ in walk(tree):
-            if isinstance(node, VCLeaf):
-                cost += wvc * sum(abs(e) for e in node.exponents)
-            if not isinstance(node, NTNode):
-                count += 1
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if type(node) is NTNode:
+                stack.extend(node.children[::-1])
+                continue
+            count += 1
+            if type(node) is VCLeaf:
+                cost += wvc * sum(map(abs, node.exponents))
         memo = tree._cpx = (wb, wvc, wb + count + cost)
     return memo[2]
 

@@ -40,10 +40,19 @@ class RegressionProblem:
             raise ValueError("regression problem contains non-finite entries")
 
 
+def _solve(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(Phi, y, rcond=None)[0]
+
+
 def fit_weights(p: RegressionProblem) -> np.ndarray:
     """Least-squares coefficients; minimum-norm solution if Phi is rank deficient."""
-    coeffs, _, _, _ = np.linalg.lstsq(p.Phi, p.y, rcond=None)
-    return coeffs
+    return _solve(p.Phi, p.y)
+
+
+def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
+    # non-finite predictions give a non-finite error
+    r = (pred - y) / reference
+    return float(100.0 * np.sqrt(np.mean(r * r)))
 
 
 def nmse(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
@@ -56,8 +65,7 @@ def nmse(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
         raise ValueError("reference must be positive (degenerate all-zero target?)")
     if not np.all(np.isfinite(pred)):
         return INF
-    r = (pred - y) / reference
-    return float(100.0 * np.sqrt(np.mean(r * r)))
+    return _error(pred, y, reference)
 
 
 def press(p: RegressionProblem) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, columns_by_name
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
 from .expr import (Model, basis_column, eval_model_matrix, model_from_dict, model_to_dict,
@@ -105,8 +105,8 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
         if progress is not None:
             progress(gen + 1, cfg.generations, len(archive))
 
-    models = pareto_reduce(archive.tradeoff(), "train")
-    return TradeoffSet(models=models, var_names=train.var_names,
+    # the archive is already nondominated with one model per objective pair
+    return TradeoffSet(models=archive.tradeoff(), var_names=train.var_names,
                        train_reference=reference, target_name=train.target_name,
                        target_log_scaled=train.target_log_scaled)
 
@@ -145,12 +145,7 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
 
 def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:
     """Attach test NMSE (training reference) to every model, binding by name."""
-    if set(test.var_names) != set(ts.var_names):
-        raise DataError(
-            f"test variables {sorted(test.var_names)} != training variables "
-            f"{sorted(ts.var_names)}")
-    order = [test.var_names.index(name) for name in ts.var_names]
-    X = test.X[:, order]
+    X = columns_by_name(test, ts.var_names)
     return ts.replace_models([
         replace(m, test_error=nmse(eval_model_matrix(m, X, cfg.B), test.y, ts.train_reference))
         for m in ts.models])
@@ -224,12 +219,21 @@ def export(ts: TradeoffSet, out_dir: str, cfg: RunConfig,
     return written
 
 
+_MODEL_KEYS = ("model", "var_names", "target_name", "target_log_scaled", "train_reference", "B")
+
+
 def load_model_json(path: str) -> dict:
-    """Reload an exported model file; 'model' is rebuilt as a Model object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload["model"] = model_from_dict(payload["model"])
-    payload["var_names"] = tuple(payload["var_names"])
+    """Reload an exported model file with 'model' rebuilt; DataError if it cannot be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        missing = [key for key in _MODEL_KEYS if key not in payload]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(missing)}")
+        payload["model"] = model_from_dict(payload["model"])
+        payload["var_names"] = tuple(payload["var_names"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
     return payload
 
 

@@ -341,3 +341,60 @@ def test_run_missing_grammar_file_exits_2(pm_files, tmp_path, capsys):
 def test_bench_zero_generations_exits_2(capsys):
     code = main(["bench", "--suite", "offset_like", "--generations", "0", "--quiet"])
     _assert_config_exit(code, capsys, "'generations' must be positive")
+
+
+# ---------------------------------------------------------------------------
+# every unreadable data or model file exits 3 without a traceback
+# ---------------------------------------------------------------------------
+
+CONSTANT_MODEL = ('{"model": {"bases": [], "coeffs": [2.0]}, "var_names": ["x"], '
+                  '"target_name": "y", "target_log_scaled": false, '
+                  '"train_reference": 2.0, "B": 10.0}')
+
+
+def _eval(tmp_path, model_text, data_bytes, model_path=None):
+    if model_path is None:
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model_text)
+    data_path = tmp_path / "data.csv"
+    data_path.write_bytes(data_bytes)
+    return main(["eval", "--model", str(model_path), "--data", str(data_path),
+                 "--out", str(tmp_path / "p.csv")])
+
+
+def _assert_data_exit(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert needle in err
+
+
+def test_eval_hand_written_model_file(tmp_path, capsys):
+    assert _eval(tmp_path, CONSTANT_MODEL, b"x,y\n1,2\n") == 0
+    assert "nmse_pct: 0.0" in capsys.readouterr().out
+
+
+def test_eval_non_utf8_samples_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, CONSTANT_MODEL, b"x,y\n1,\xe9\n")
+    _assert_data_exit(code, capsys, "not UTF-8 text")
+
+
+def test_eval_oversized_cell_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, CONSTANT_MODEL, b"x,y\n1," + b"2" * 140_000 + b"\n")
+    _assert_data_exit(code, capsys, "field larger than field limit")
+
+
+def test_eval_malformed_model_json_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, '{"model": ', b"x,y\n1,2\n")
+    _assert_data_exit(code, capsys, "cannot read model file")
+
+
+def test_eval_model_json_without_var_names_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, CONSTANT_MODEL.replace('"var_names": ["x"], ', ""),
+                 b"x,y\n1,2\n")
+    _assert_data_exit(code, capsys, "missing key(s) var_names")
+
+
+def test_eval_model_path_is_a_directory_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, None, b"x,y\n1,2\n", model_path=tmp_path)
+    _assert_data_exit(code, capsys, "cannot read model file")

@@ -342,19 +342,30 @@ def test_fit_model_invalid_on_nonfinite_basis():
 # generations and archive
 # ---------------------------------------------------------------------------
 
-def test_generation_closure_and_archive_nondominated():
+def test_generation_closure_and_archive_nondominated(monkeypatch):
     cfg = _cfg(population=20)
     rng = np.random.default_rng(cfg.seed)
     X, y, ref = _train_data()
     archive = ParetoArchive()
     pop = init_population(G, 3, X, y, ref, cfg, rng)
     archive.merge_all(pop)
-    evolve.VALIDATE_EVERY_GENERATION = True
-    try:
-        for _ in range(4):
-            pop = nsga2_generation(pop, X, y, ref, G, cfg, rng, archive)
-    finally:
-        evolve.VALIDATE_EVERY_GENERATION = False
+    real_apply = evolve.apply_operator
+    checked = []
+
+    def validating_apply(*args):
+        result = real_apply(*args)
+        for bases in result or []:
+            assert len(bases) <= cfg.max_bases
+            for tree in bases:
+                assert validate(tree, G, max_depth=cfg.max_depth, B=cfg.B,
+                                exp_cap=cfg.exp_cap, n_vars=3) == []
+            checked.append(bases)
+        return result
+
+    monkeypatch.setattr(evolve, "apply_operator", validating_apply)
+    for _ in range(4):
+        pop = nsga2_generation(pop, X, y, ref, G, cfg, rng, archive)
+    assert len(checked) >= 4 * cfg.population              # every offspring validated
     assert len(pop) == cfg.population
     objs = [(m.train_error, m.complexity) for m in archive.models]
     for i, a in enumerate(objs):

@@ -1,5 +1,5 @@
 """Immutable, shared basis trees: operators leave parents alone, stored
-columns and complexities match fresh evaluation bit for bit."""
+columns, complexities and shared fits match fresh evaluation bit for bit."""
 
 import json
 
@@ -8,13 +8,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import canonsr.evolve as evolve
 import canonsr.expr as expr
 from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import Dataset, DoePlan, doe_full_factorial
-from canonsr.evolve import apply_operator, fit_model
-from canonsr.expr import (OpLeaf, VCLeaf, WeightLeaf, basis_column, eval_basis_matrix,
-                          eval_model_matrix, model_from_dict, model_to_dict,
-                          tree_from_dict, tree_to_dict, walk)
+from canonsr.evolve import (OPERATORS, ParetoArchive, apply_operator, fit_model,
+                            init_population, nsga2_generation)
+from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_column,
+                          basis_complexity, eval_basis_matrix, eval_model_matrix,
+                          model_from_dict, model_to_dict, tree_from_dict, tree_to_dict,
+                          walk)
 from canonsr.fit import RegressionProblem, fit_weights, nmse
 from canonsr.grammar import GrammarError, load_default_grammar, random_tree, validate
 
@@ -57,6 +60,13 @@ def test_operator_leaves_parents_unchanged(name, seed):
     for _ in range(5):
         apply_operator(name, parents, g, N_VARS, cfg, rng)
     assert [_snapshot(p) for p in parents] == before
+
+
+def test_operator_table_covers_every_configurable_operator():
+    assert sorted(OPERATORS) == sorted(OPERATOR_NAMES)
+    two_parent = {"basis_set_crossover", "basis_copy_in", "subtree_crossover",
+                  "vc_onepoint_crossover"}
+    assert {name for name, (_, arity) in OPERATORS.items() if arity == 2} == two_parent
 
 
 def _restricted_grammar(rng):
@@ -206,3 +216,120 @@ def test_dataset_arrays_are_read_only():
     with pytest.raises(ValueError):
         ds.X[0, 0] = 1.0
     assert X.flags.writeable                              # the caller's array is untouched
+
+
+# ---------------------------------------------------------------------------
+# one fit per distinct offspring
+# ---------------------------------------------------------------------------
+
+class _RecordingArchive(ParetoArchive):
+    """Keeps every offspring list nsga2_generation hands to the archive."""
+
+    def __init__(self):
+        super().__init__()
+        self.offspring = []
+
+    def merge_all(self, candidates):
+        self.offspring.append(list(candidates))
+        super().merge_all(candidates)
+
+
+def _generations(seed, count, monkeypatch):
+    """Run `count` generations; returns the populations, offspring and fit calls."""
+    g = load_default_grammar()
+    cfg = RunConfig(population=20, generations=count, max_bases=5, seed=seed)
+    rng = np.random.default_rng(seed)
+    calls = []
+    real_fit = evolve.fit_model
+
+    def counted_fit(*args):
+        calls.append(args[0])
+        return real_fit(*args)
+
+    pops = [init_population(g, N_VARS, X, Y, REFERENCE, cfg, rng)]
+    archive = _RecordingArchive()
+    monkeypatch.setattr(evolve, "fit_model", counted_fit)
+    for _ in range(count):
+        pops.append(nsga2_generation(pops[-1], X, Y, REFERENCE, g, cfg, rng, archive))
+    monkeypatch.undo()
+    return cfg, pops, archive.offspring, calls
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_fits_equal_fresh_fits(seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cfg, _, offspring, calls = _generations(seed, 3, monkeypatch)
+    assert len(calls) <= sum(len(batch) for batch in offspring)
+    for child in (m for batch in offspring for m in batch):
+        fresh = fit_model([tree_from_dict(tree_to_dict(t)) for t in child.bases],
+                          X, Y, REFERENCE, cfg)
+        assert child.valid == fresh.valid
+        assert child.train_error == fresh.train_error
+        assert child.complexity == fresh.complexity
+        if fresh.coeffs is None:
+            assert child.coeffs is None
+        else:
+            assert child.coeffs.tobytes() == fresh.coeffs.tobytes()
+
+
+def test_shared_fits_are_distinct_models_with_read_only_coeffs(monkeypatch):
+    _, pops, offspring, calls = _generations(12, 3, monkeypatch)
+    shared = 0
+    for pop, batch in zip(pops, offspring):
+        owners = {tuple(map(id, m.bases)): m for m in pop}
+        for m in batch:
+            first = owners.setdefault(tuple(map(id, m.bases)), m)
+            if first is m:
+                continue
+            shared += 1
+            assert m is not first and m.bases is not first.bases
+            assert m.bases == first.bases
+            assert m.coeffs is first.coeffs
+        for m in pop + batch:
+            if m.coeffs is not None:
+                with pytest.raises(ValueError):
+                    m.coeffs[0] = 0.0
+    assert shared > 0
+    assert len(calls) == sum(map(len, offspring)) - shared   # one fit per distinct offspring
+
+
+def _walk_complexity(tree, wb, wvc):
+    """basis_complexity as it was when it walked (node, path) pairs."""
+    count, cost = 0, 0.0
+    for node, _ in walk(tree):
+        if isinstance(node, VCLeaf):
+            cost += wvc * sum(abs(e) for e in node.exponents)
+        if not isinstance(node, NTNode):
+            count += 1
+    return wb + count + cost
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), wb=st.sampled_from([0.0, 1.0, 2.5]))
+def test_complexity_matches_the_walk_fold_bit_for_bit(seed, wb):
+    g = load_default_grammar()
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        tree = random_tree(g, int(rng.integers(1, 9)), rng, N_VARS)
+        for wvc in (0.1, 1 / 3, 0.25):
+            fresh = tree_from_dict(tree_to_dict(tree))
+            assert basis_complexity(fresh, wb, wvc).hex() == \
+                _walk_complexity(tree, wb, wvc).hex()
+
+
+def test_non_finite_column_still_invalidates():
+    cfg = _cfg()
+    Xz = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+    yz = np.array([1.0, 2.0, 3.0])
+    inverse = NTNode("REPVC", 0, [VCLeaf([-1, 0, 0])])   # 1/x1 is inf at x1 = 0
+    square = NTNode("REPVC", 0, [VCLeaf([2, 0, 0])])
+    for bases in ([inverse], [square, inverse]):
+        for _ in range(2):                               # evaluated, then read back
+            m = fit_model(bases, Xz, yz, 3.0, cfg)
+            assert not m.valid
+            assert m.coeffs is None
+            assert m.train_error == float("inf")
+    shifted = Xz + 1.0                                   # finite on other rows
+    m = fit_model([inverse], shifted, yz, 3.0, cfg)
+    assert m.valid and m.coeffs is not None
