@@ -18,7 +18,7 @@ from .fit import (RegressionProblem, fit_weights, forward_regression_press,
                   nmse, press)
 from .grammar import (Grammar, GrammarError, crossover_sites,
                       default_grammar_text, load_default_grammar,
-                      load_grammar_file, parse_grammar, random_tree, validate)
+                      parse_grammar, random_tree, validate)
 from .evolve import (ParetoArchive, crowding_distance, fit_model,
                      nondominated_sort, nsga2_generation)
 from .pipeline import (TradeoffSet, export, filter_test_tradeoff,
@@ -37,7 +37,7 @@ __all__ = [
     "RegressionProblem", "fit_weights",
     "forward_regression_press", "nmse", "press",
     "Grammar", "GrammarError", "crossover_sites", "default_grammar_text",
-    "load_default_grammar", "load_grammar_file", "parse_grammar",
+    "load_default_grammar", "parse_grammar",
     "random_tree", "validate",
     "ParetoArchive", "crowding_distance", "fit_model", "nondominated_sort",
     "nsga2_generation",

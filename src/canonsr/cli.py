@@ -7,13 +7,14 @@ configuration errors, 3 data errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import OPERATOR_NAMES, ConfigError, RunConfig
+from .config import ConfigError, RunConfig, load_config_values, make_config
 from .dataset import (DataError, DoePlan, columns_by_name, doe_full_factorial,
                       doe_latin_hypercube, load_centers_csv, load_csv, oracle_dataset,
                       scale_target_log10, write_points_csv, ORACLE_DIMS)
@@ -29,84 +30,6 @@ EXIT_DATA = 3
 # acceptance thresholds for the synthetic benchmark suites (percent)
 BENCH_TRAIN_THRESHOLD = 5.0
 BENCH_TEST_THRESHOLD = 5.0
-
-
-# ---------------------------------------------------------------------------
-# config file parsing: flat "key = value" lines with '#' comments
-# ---------------------------------------------------------------------------
-
-_INT_KEYS = {"population", "generations", "max_bases", "max_depth",
-             "exp_cap", "seed", "sig_figs"}
-_FLOAT_KEYS = {"B", "wb", "wvc"}
-_STR_KEYS = {"grammar"}
-
-
-def parse_config_values(text: str, source: str = "<config>") -> dict:
-    """Parse config text into RunConfig keyword arguments, not yet validated."""
-    values = {}
-    op_weights = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith("operator.") and key.endswith(".weight"):
-            op_name = key[len("operator."):-len(".weight")]
-            if op_name not in OPERATOR_NAMES:
-                raise ConfigError(f"{source}:{lineno}: unknown operator {op_name!r}")
-            if op_name in op_weights:
-                raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-            op_weights[op_name] = _parse_value(key, value, float, source, lineno)
-            continue
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            values[key] = _parse_value(key, value, int, source, lineno)
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_value(key, value, float, source, lineno)
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-    if op_weights:
-        values["operator_weights"] = op_weights
-    return values
-
-
-def make_config(values: dict, context: str) -> RunConfig:
-    """Build the RunConfig once all values are known; invalid values are ConfigErrors."""
-    try:
-        return RunConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    return make_config(parse_config_values(text, source), source)
-
-
-def _parse_value(key, value, cast, source, lineno):
-    try:
-        return cast(value)
-    except ValueError:
-        raise ConfigError(
-            f"{source}:{lineno}: key {key!r} needs a {cast.__name__}, got {value!r}") from None
-
-
-def load_config_values(path: Optional[str]) -> dict:
-    """Config file values as RunConfig keyword arguments; {} without a file."""
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_values(text, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +68,10 @@ def cmd_run(args) -> int:
     if args.log_target:
         train = scale_target_log10(train)
         test = scale_target_log10(test)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {args.out}: {exc}") from exc
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)
     _print_front(ts, cfg)

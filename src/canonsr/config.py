@@ -1,10 +1,14 @@
-"""Run configuration shared by the evolution engine, pipeline and CLI."""
+"""Run configuration shared by the evolution engine, pipeline and CLI.
+
+RunConfig's fields are the config-file keys: each value is parsed with its
+field's type and validated once, when the RunConfig is built.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, get_type_hints
 
 # all nine variation operators, in the fixed order used for weighted choice
 OPERATOR_NAMES = (
@@ -62,8 +66,7 @@ class RunConfig:
     operator_weights: Dict[str, float] = field(default_factory=default_operator_weights)
 
     def __post_init__(self) -> None:
-        for name in ("population", "generations", "max_bases", "max_depth",
-                     "B", "wb", "wvc", "exp_cap", "sig_figs"):
+        for name in _POSITIVE_KEYS:
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"config field {name!r} must be positive and finite")
         if not _finite_decades(self.B):
@@ -78,19 +81,84 @@ class RunConfig:
                     f"operator weight for {name!r} must be positive and finite")
 
     def as_dict(self) -> dict:
-        d = {
-            "population": self.population,
-            "generations": self.generations,
-            "max_bases": self.max_bases,
-            "max_depth": self.max_depth,
-            "B": self.B,
-            "wb": self.wb,
-            "wvc": self.wvc,
-            "exp_cap": self.exp_cap,
-            "seed": self.seed,
-            "grammar": self.grammar,
-            "sig_figs": self.sig_figs,
-        }
+        d = {key: getattr(self, key) for key in _KEY_TYPES}
         for name in OPERATOR_NAMES:
             d[f"operator.{name}.weight"] = self.operator_weights[name]
         return d
+
+
+# config-file key -> the type its value is parsed as: one per RunConfig field,
+# except operator_weights, which is set through "operator.<name>.weight" keys
+_KEY_TYPES = {key: hint if hint in (int, float) else str
+              for key, hint in get_type_hints(RunConfig).items()
+              if key != "operator_weights"}
+# every number but the seed must be positive and finite
+_POSITIVE_KEYS = tuple(key for key, cast in _KEY_TYPES.items()
+                       if cast is not str and key != "seed")
+
+
+# ---------------------------------------------------------------------------
+# config files: flat "key = value" lines with '#' comments
+# ---------------------------------------------------------------------------
+
+def parse_config_values(text: str, source: str = "<config>") -> dict:
+    """Parse config text into RunConfig keyword arguments, not yet validated."""
+    values = {}
+    op_weights = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key.startswith("operator.") and key.endswith(".weight"):
+            op_name = key[len("operator."):-len(".weight")]
+            if op_name not in OPERATOR_NAMES:
+                raise ConfigError(f"{source}:{lineno}: unknown operator {op_name!r}")
+            if op_name in op_weights:
+                raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            op_weights[op_name] = _parse_value(key, value, float, source, lineno)
+            continue
+        if key in values:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(key, value, _KEY_TYPES[key], source, lineno)
+    if op_weights:
+        values["operator_weights"] = op_weights
+    return values
+
+
+def _parse_value(key, value, cast, source, lineno):
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(
+            f"{source}:{lineno}: key {key!r} needs a {cast.__name__}, got {value!r}") from None
+
+
+def make_config(values: dict, context: str) -> RunConfig:
+    """Build the RunConfig once all values are known; invalid values are ConfigErrors."""
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    return make_config(parse_config_values(text, source), source)
+
+
+def load_config_values(path: Optional[str]) -> dict:
+    """Config file values as RunConfig keyword arguments; {} without a file."""
+    if path is None:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_values(text, source=path)

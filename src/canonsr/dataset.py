@@ -156,11 +156,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
 
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a Dataset back to CSV (variables first, target last)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.var_names) + [ds.target_name])
-        for i in range(ds.n_samples):
-            writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))])
+    write_points_csv(list(ds.var_names) + [ds.target_name], np.column_stack([ds.X, ds.y]), path)
 
 
 def write_points_csv(var_names: Sequence[str], X: np.ndarray, path: str) -> None:

@@ -124,16 +124,8 @@ def replace_at(tree: NTNode, path: Path, new) -> NTNode:
 
 
 # ---------------------------------------------------------------------------
-# operator registry
+# operator table
 # ---------------------------------------------------------------------------
-
-def _relu(x):
-    return _mask_nonfinite(np.maximum(0.0, x), x)
-
-
-def _negrelu(x):
-    return _mask_nonfinite(np.minimum(0.0, x), x)
-
 
 def _mask_nonfinite(result, *inputs):
     # any non-finite input poisons the output; guards ops like max(0, -inf) -> 0
@@ -148,52 +140,42 @@ def _mask_nonfinite(result, *inputs):
 
 @dataclass(frozen=True)
 class OpSpec:
-    name: str
     arity: int
-    fn: Callable
+    fn: Callable    # raw numpy formula; evaluation masks non-finite inputs
+    text: str       # canonical text, with {0}, {1}, ... standing for the arguments
 
 
-OPS: Dict[str, OpSpec] = {}
-
-
-def _register(name: str, arity: int, fn: Callable) -> None:
-    OPS[name] = OpSpec(name, arity, fn)
-
-
-_register("sqrt", 1, np.sqrt)
-_register("ln", 1, np.log)
-_register("log10", 1, np.log10)
-_register("inv", 1, lambda x: np.divide(1.0, x))
-_register("abs", 1, np.abs)
-_register("sq", 1, np.square)
-_register("sin", 1, np.sin)
-_register("cos", 1, np.cos)
-_register("tan", 1, np.tan)
-_register("relu", 1, _relu)
-_register("negrelu", 1, _negrelu)
-_register("exp2", 1, np.exp2)
-_register("exp10", 1, lambda x: np.power(10.0, x))
-
-_register("add", 2, lambda a, b: a + b)
-_register("mul", 2, lambda a, b: a * b)
-_register("max", 2, lambda a, b: _mask_nonfinite(np.maximum(a, b), a, b))
-_register("min", 2, lambda a, b: _mask_nonfinite(np.minimum(a, b), a, b))
-_register("pow", 2, np.power)
-_register("div", 2, np.divide)
-
-# four-slot conditionals; lte0 tests its first slot against zero
-_register("lte4", 4, None)
-_register("lte0", 4, None)
-
-# grammar-file terminal spellings -> canonical operator names
-GRAMMAR_OP_TOKENS: Dict[str, str] = {
-    "SQRT": "sqrt", "LN": "ln", "LOG10": "log10", "INV": "inv", "ABS": "abs",
-    "SQ": "sq", "SIN": "sin", "COS": "cos", "TAN": "tan", "RELU": "relu",
-    "NEGRELU": "negrelu", "EXP2": "exp2", "EXP10": "exp10",
-    "ADD": "add", "MUL": "mul", "MAX": "max", "MIN": "min", "POW": "pow",
-    "DIVIDE": "div", "DIV": "div",
-    "LTE": "lte4", "LTE0": "lte0",
+OPS: Dict[str, OpSpec] = {
+    "sqrt": OpSpec(1, np.sqrt, "sqrt({0})"),
+    "ln": OpSpec(1, np.log, "ln({0})"),
+    "log10": OpSpec(1, np.log10, "log10({0})"),
+    "inv": OpSpec(1, lambda x: np.divide(1.0, x), "1 / ({0})"),
+    "abs": OpSpec(1, np.abs, "abs({0})"),
+    "sq": OpSpec(1, np.square, "({0})^2"),
+    "sin": OpSpec(1, np.sin, "sin({0})"),
+    "cos": OpSpec(1, np.cos, "cos({0})"),
+    "tan": OpSpec(1, np.tan, "tan({0})"),
+    "relu": OpSpec(1, lambda x: np.maximum(0.0, x), "max(0, {0})"),
+    "negrelu": OpSpec(1, lambda x: np.minimum(0.0, x), "min(0, {0})"),
+    "exp2": OpSpec(1, np.exp2, "2^({0})"),
+    "exp10": OpSpec(1, lambda x: np.power(10.0, x), "10^({0})"),
+    "add": OpSpec(2, np.add, "({0} + {1})"),
+    "mul": OpSpec(2, np.multiply, "({0}) * ({1})"),
+    "max": OpSpec(2, np.maximum, "max({0}, {1})"),
+    "min": OpSpec(2, np.minimum, "min({0}, {1})"),
+    "pow": OpSpec(2, np.power, "pow({0}, {1})"),
+    "div": OpSpec(2, np.divide, "({0}) / ({1})"),
+    # four-slot conditionals: the third slot where the first is below the
+    # second (lte4) or below zero (lte0), else the fourth
+    "lte4": OpSpec(4, lambda t, c, a, b: np.where(t < c, a, b), "lte4({0}, {1}, {2}, {3})"),
+    "lte0": OpSpec(4, lambda t, c, a, b: np.where(t < 0.0, a, b), "lte0({0}, {1}, {2}, {3})"),
 }
+
+# grammar-file terminal spellings -> operator names; an operator is spelled
+# as its upper-cased name unless listed here
+_GRAMMAR_SPELLINGS = {"div": ("DIVIDE", "DIV"), "lte4": ("LTE",)}
+GRAMMAR_OP_TOKENS: Dict[str, str] = {
+    token: name for name in OPS for token in _GRAMMAR_SPELLINGS.get(name, (name.upper(),))}
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +237,17 @@ def _eval(node, X: np.ndarray, B: float):
 
     if sym == "REPOP":
         c0 = ch[0]
-        if isinstance(c0, NTNode) and c0.symbol == "REPOP":
+        if c0.symbol == "REPOP":
             return _eval(c0, X, B) * _eval(ch[1], X, B)
-        opname = c0.children[0].name
         if c0.symbol == "1OP":
-            arg = _eval(ch[1], X, B) + _eval(ch[2], X, B)
-            return _mask_nonfinite(OPS[opname].fn(arg), arg)
-        if c0.symbol == "2OP":
-            a, b = _eval(ch[1], X, B)
-            return _mask_nonfinite(OPS[opname].fn(a, b), a, b)
-        if c0.symbol == "4OP":
-            vals = [_eval(c, X, B) for c in ch[1:]]
-            t, c, a, b = vals
-            test = t < (c if opname == "lte4" else 0.0)
-            return _mask_nonfinite(np.where(test, a, b), *vals)
-        raise ValueError(f"cannot interpret REPOP child {c0!r}")
+            args = (_eval(ch[1], X, B) + _eval(ch[2], X, B),)
+        elif c0.symbol == "2OP":
+            args = _eval(ch[1], X, B)
+        elif c0.symbol == "4OP":
+            args = [_eval(c, X, B) for c in ch[1:]]
+        else:
+            raise ValueError(f"cannot interpret REPOP child {c0!r}")
+        return _mask_nonfinite(OPS[c0.children[0].name].fn(*args), *args)
 
     if sym == "REPADD":
         if isinstance(ch[0], WeightLeaf):
@@ -348,8 +326,9 @@ def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
     if m.coeffs is None:
         raise ValueError("model has no fitted coefficients")
     out = np.full(X.shape[0], float(m.coeffs[0]))
-    for j, tree in enumerate(m.bases):
-        out = out + float(m.coeffs[j + 1]) * eval_basis_matrix(tree, X, B)
+    with np.errstate(all="ignore"):
+        for j, tree in enumerate(m.bases):
+            out = out + float(m.coeffs[j + 1]) * eval_basis_matrix(tree, X, B)
     return out
 
 
@@ -441,18 +420,20 @@ def _render(node, var_names, sig_figs, B) -> str:
 
     if sym == "REPOP":
         c0 = ch[0]
-        if isinstance(c0, NTNode) and c0.symbol == "REPOP":
+        if c0.symbol == "REPOP":
             return " * ".join(_render(c, var_names, sig_figs, B) for c in ch)
-        opname = c0.children[0].name
         if c0.symbol == "1OP":
-            inner = _sum_text(ch[1], ch[2], var_names, sig_figs, B)
-            return _apply_1op_text(opname, inner)
-        if c0.symbol == "2OP":
-            a, b = _two_arg_texts(ch[1], var_names, sig_figs, B)
-            return _apply_2op_text(opname, a, b)
-        if c0.symbol == "4OP":
-            args = ", ".join(_render(c, var_names, sig_figs, B) for c in ch[1:])
-            return f"{opname}({args})"
+            args = (_sum_text(ch[1], ch[2], var_names, sig_figs, B),)
+        elif c0.symbol == "2OP":
+            args = _two_arg_texts(ch[1], var_names, sig_figs, B)
+        elif c0.symbol == "4OP":
+            args = [_render(c, var_names, sig_figs, B) for c in ch[1:]]
+        else:
+            raise ValueError(f"cannot render nonterminal {sym!r}")
+        opname = c0.children[0].name
+        if opname == "add" and args[1].startswith("-"):
+            return f"({args[0]} - {args[1][1:]})"
+        return OPS[opname].text.format(*args)
 
     if sym == "REPADD":
         if isinstance(ch[0], WeightLeaf):
@@ -488,34 +469,6 @@ def _two_arg_texts(two_args_node, var_names, sig_figs, B):
                 _render(ch[2], var_names, sig_figs, B))
     return (_render(ch[0], var_names, sig_figs, B),
             _sum_text(ch[1], ch[2], var_names, sig_figs, B))
-
-
-def _apply_1op_text(opname: str, inner: str) -> str:
-    if opname == "inv":
-        return f"1 / ({inner})"
-    if opname == "sq":
-        return f"({inner})^2"
-    if opname == "exp2":
-        return f"2^({inner})"
-    if opname == "exp10":
-        return f"10^({inner})"
-    if opname == "relu":
-        return f"max(0, {inner})"
-    if opname == "negrelu":
-        return f"min(0, {inner})"
-    return f"{opname}({inner})"
-
-
-def _apply_2op_text(opname: str, a: str, b: str) -> str:
-    if opname == "add":
-        if b.startswith("-"):
-            return f"({a} - {b[1:]})"
-        return f"({a} + {b})"
-    if opname == "mul":
-        return f"({a}) * ({b})"
-    if opname == "div":
-        return f"({a}) / ({b})"
-    return f"{opname}({a}, {b})"
 
 
 def _is_pure_vc(tree: BasisTree) -> Optional[VCLeaf]:

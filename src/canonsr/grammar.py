@@ -261,11 +261,6 @@ def load_default_grammar() -> Grammar:
     return parse_grammar(default_grammar_text())
 
 
-def load_grammar_file(path: str) -> Grammar:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # random generation
 # ---------------------------------------------------------------------------

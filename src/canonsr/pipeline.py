@@ -42,12 +42,6 @@ class TradeoffSet:
     def __len__(self) -> int:
         return len(self.models)
 
-    def replace_models(self, models: List[Model]) -> "TradeoffSet":
-        return TradeoffSet(models=models, var_names=self.var_names,
-                           train_reference=self.train_reference,
-                           target_name=self.target_name,
-                           target_log_scaled=self.target_log_scaled)
-
 
 def _objective(m: Model, which: str) -> Tuple[float, float]:
     err = m.train_error if which == "train" else m.test_error
@@ -65,13 +59,14 @@ def pareto_reduce(models: Sequence[Model], which: str = "train") -> List[Model]:
 
 
 def _resolve_grammar(cfg: RunConfig) -> Tuple[Grammar, str]:
+    """The run's grammar and its text; the one place a grammar file is read."""
     if cfg.grammar is None:
         text = default_grammar_text()
     else:
         try:
             with open(cfg.grammar, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read grammar file {cfg.grammar}: {exc}") from exc
     return parse_grammar(text), text
 
@@ -140,13 +135,13 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         pruned = fit_model([m.bases[j] for j in selected], X, y, reference, cfg)
         pruned.test_error = m.test_error
         out.append(pruned)
-    return ts.replace_models(pareto_reduce(out, "train"))
+    return replace(ts, models=pareto_reduce(out, "train"))
 
 
 def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:
     """Attach test NMSE (training reference) to every model, binding by name."""
     X = columns_by_name(test, ts.var_names)
-    return ts.replace_models([
+    return replace(ts, models=[
         replace(m, test_error=nmse(eval_model_matrix(m, X, cfg.B), test.y, ts.train_reference))
         for m in ts.models])
 
@@ -154,7 +149,7 @@ def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> Tradeof
 def filter_test_tradeoff(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:
     """Keep only models nondominated in (test error, complexity)."""
     scored = score_test_errors(ts, test, cfg)
-    return scored.replace_models(pareto_reduce(scored.models, "test"))
+    return replace(scored, models=pareto_reduce(scored.models, "test"))
 
 
 # ---------------------------------------------------------------------------

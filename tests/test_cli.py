@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from canonsr.cli import ConfigError, main, parse_config_text
+from canonsr.cli import main
+from canonsr.config import ConfigError, parse_config_text
 from canonsr.dataset import DoePlan, doe_full_factorial, load_csv, oracle_dataset, save_csv
+from canonsr.grammar import default_grammar_text
 
 NAMES4 = ("x1", "x2", "x3", "x4")
 
@@ -336,6 +338,36 @@ def test_run_missing_grammar_file_exits_2(pm_files, tmp_path, capsys):
     missing = str(tmp_path / "no_such.grammar")
     code = _run_with_config(pm_files, tmp_path, f"grammar = {missing}\n")
     _assert_config_exit(code, capsys, "cannot read grammar file")
+
+
+def test_run_non_utf8_config_file_exits_2(pm_files, tmp_path, capsys):
+    train_path, test_path, _ = pm_files
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"seed = 1 # \xe9\n")
+    code = main(["run", "--config", str(cfg_path), "--train", train_path,
+                 "--test", test_path, "--target", "pm_like",
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    _assert_config_exit(code, capsys, "cannot read config file")
+
+
+def test_run_non_utf8_grammar_file_exits_2(pm_files, tmp_path, capsys):
+    grammar_path = tmp_path / "latin1.grammar"
+    grammar_path.write_bytes(default_grammar_text().encode("utf-8") + b"# \xe9\n")
+    code = _run_with_config(pm_files, tmp_path, f"grammar = {grammar_path}\n")
+    _assert_config_exit(code, capsys, "cannot read grammar file")
+
+
+def test_run_unusable_out_exits_3_before_evolution(pm_files, tmp_path, capsys):
+    train_path, test_path, cfg_path = pm_files
+    (tmp_path / "afile").write_text("")
+    code = main(["run", "--config", cfg_path, "--train", train_path,
+                 "--test", test_path, "--target", "pm_like",
+                 "--out", str(tmp_path / "afile" / "sub")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err
+    assert "cannot create output directory" in captured.err
+    assert "generation" not in captured.out
 
 
 def test_bench_zero_generations_exits_2(capsys):

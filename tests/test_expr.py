@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from canonsr.expr import (Model, NTNode, OpLeaf, VCLeaf, WeightLeaf, complexity,
-                          eval_basis, eval_basis_matrix, eval_model,
+                          eval_basis, eval_basis_matrix, eval_model, eval_model_matrix,
                           interpret_weight, model_from_dict, model_to_dict,
                           nnodes, to_canonical_text, tree_from_dict,
                           tree_to_dict, vc_value)
@@ -127,6 +128,15 @@ def test_eval_basis_nonfinite_subresult_poisons_even_through_relu():
     # relu(0 + 1 * (1/x)) at x=0: inner inf, so the whole result is non-finite
     tree = one_op_basis("relu", 0.0, 1.0, [-1])
     assert not np.isfinite(eval_basis(tree, [0.0], B))
+
+
+def test_eval_model_matrix_zero_times_infinite_column_is_silent():
+    # coefficient 0 on 1/x at x = 0 gives nan, with no RuntimeWarning
+    m = Model(bases=[vc_basis([-1])], coeffs=np.array([2.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = eval_model_matrix(m, np.array([[0.0], [2.0]]), B)
+    assert np.isnan(pred[0]) and pred[1] == 2.0
 
 
 def two_op_basis(opname, base_w, base_term_w, base_exponents, const_w):

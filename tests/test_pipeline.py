@@ -1,6 +1,7 @@
 """Pipeline stages: evolution fronts, simplification, test filtering, export."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_sag_never_increases_press():
         if not m.bases:
             continue
         before = press_of(m)
-        single = simplify_after_generation(ts.replace_models([m]), train, cfg).models[0]
+        single = simplify_after_generation(replace(ts, models=[m]), train, cfg).models[0]
         after = press_of(single)
         if np.isfinite(before):
             assert after <= before * (1 + 1e-9)
