@@ -10,14 +10,19 @@ plus one target column.  The search layers use the 81-row pm_like factorial
 of the `pm81` workload.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+from canonsr.cli import main
 from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, save_csv)
 from canonsr.evolve import ParetoArchive, fit_model, init_population, nsga2_generation
-from canonsr.expr import Model, basis_column, eval_model_matrix
+from canonsr.expr import Model, basis_column, eval_model_matrix, model_to_dict
 from canonsr.grammar import load_default_grammar, random_tree
 
 ROWS = 20000
@@ -44,13 +49,33 @@ def test_load_csv_20000_rows_6_columns(benchmark, sweep_csv):
     assert ds.X.shape == (ROWS, N_VARS)
 
 
-def test_eval_model_matrix_8_bases_20000_rows(benchmark):
+def _model_8_bases() -> Model:
     rng = np.random.default_rng(1)
     g = load_default_grammar()
     bases = [random_tree(g, 8, rng, N_VARS) for _ in range(8)]
-    model = Model(bases=bases, coeffs=np.ones(len(bases) + 1))
-    pred = benchmark(eval_model_matrix, model, _sweep(1), 10.0)
+    return Model(bases=bases, coeffs=np.ones(len(bases) + 1))
+
+
+def test_eval_model_matrix_8_bases_20000_rows(benchmark):
+    pred = benchmark(eval_model_matrix, _model_8_bases(), _sweep(1), 10.0)
     assert pred.shape == (ROWS,)
+
+
+def test_cmd_eval_8_bases_20000_rows(benchmark, sweep_csv, tmp_path):
+    """`canonsr eval` end to end: model JSON, CSV, prediction and write."""
+    model_path, out_path = str(tmp_path / "model.json"), str(tmp_path / "p.csv")
+    with open(model_path, "w", encoding="utf-8") as fh:
+        json.dump({"model": model_to_dict(_model_8_bases()),
+                   "var_names": [f"x{i + 1}" for i in range(N_VARS)],
+                   "target_name": "y", "target_log_scaled": False,
+                   "train_reference": 1.0, "B": 10.0}, fh)
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["eval", "--model", model_path, "--data", sweep_csv,
+                         "--out", out_path])
+
+    assert benchmark(run) == 0
 
 
 @pytest.fixture(scope="module")

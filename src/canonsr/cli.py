@@ -1,7 +1,8 @@
 """Command-line interface: run, sample, eval and bench subcommands.
 
 Exit codes are a stable contract for scripting: 0 success, 2 usage or
-configuration errors, 3 data errors.
+configuration errors, 3 data errors, which include a data or model file that
+cannot be read and an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _progress_printer(every: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _make_out_dir(path: str) -> None:
+    """Create an output directory before any work is spent on filling it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     values = load_config_values(args.config)
     if args.seed is not None:
@@ -68,10 +77,7 @@ def cmd_run(args) -> int:
     if args.log_target:
         train = scale_target_log10(train)
         test = scale_target_log10(test)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {args.out}: {exc}") from exc
+    _make_out_dir(args.out)
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)
     _print_front(ts, cfg)
@@ -115,9 +121,7 @@ def cmd_eval(args) -> int:
     print(f"stored_train_error_pct: {model.train_error!r}")
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("prediction\n")
-        for v in reported:
-            fh.write(repr(float(v)) + "\n")
+        fh.write("prediction\n" + "".join([repr(v) + "\n" for v in reported.tolist()]))
     print(f"wrote {len(reported)} predictions to {args.out}")
     return EXIT_OK
 
@@ -135,6 +139,8 @@ def cmd_bench(args) -> int:
     cfg = make_config(dict(population=200, generations=args.generations,
                            seed=args.seed),
                       "invalid configuration")
+    if args.out is not None:
+        _make_out_dir(args.out)
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     started = time.perf_counter()
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)
@@ -214,10 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

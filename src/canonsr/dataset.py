@@ -9,9 +9,11 @@ with a relative perturbation dx.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,23 +116,13 @@ def _read_cells(path: str) -> Tuple[List[str], List[str], List[int]]:
 
 def _cell_values(path: str, header: List[str], cells: List[str],
                  widths: List[int]) -> np.ndarray:
-    """Parse the data cells into a rows x columns array.
+    """Parse the data cells row by row into a rows x columns array.
 
-    One numpy conversion parses every cell as float() does. Only a ragged
-    row, a cell it rejects or a non-finite value falls back to a row-by-row
-    scan, which raises for the first bad row in file order. The scan strips
-    each cell first, so it also accepts a number that float() rejects only
-    for an edge character str.strip removes (the separators U+001C-U+001F).
+    Raises for the first bad row in file order. Each cell is stripped first,
+    so a number that float() rejects only for an edge character str.strip
+    removes (the separators U+001C-U+001F) is accepted.
     """
     n_cols = len(header)
-    if widths.count(n_cols) == len(widths):
-        try:
-            values = np.array(cells, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values.reshape(-1, n_cols)
     parsed: List[float] = []
     for r, width in enumerate(widths, start=1):
         if width != n_cols:
@@ -140,14 +132,48 @@ def _cell_values(path: str, header: List[str], cells: List[str],
     return np.array(parsed).reshape(-1, n_cols)
 
 
+def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
+    """Header and values of a file, read by csv.reader and then numpy's text
+    reader on the same handle; None for any file that numpy might read
+    differently from _read_cells and _cell_values: a quoted, blank or '1_0'
+    cell, a '#', a ragged row, a non-finite value, bad header names, no data
+    rows, text that is not UTF-8 or a line over the csv field limit.
+    """
+    with open(path, "rb") as fb:
+        if max(map(len, fb), default=0) > csv.field_size_limit():
+            return None
+        fb.seek(0)
+        fh = io.TextIOWrapper(fb, encoding="utf-8", newline="")
+        try:
+            rows = (row for row in csv.reader(fh) if any(map(str.strip, row)))
+            header = [h.strip() for h in next(rows, [])]
+            if not header or not all(header) or len(set(header)) != len(header):
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, csv.Error):
+            return None
+    if values.shape[0] == 0 or values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return header, values
+
+
 def load_csv(path: str, target_column: str) -> Dataset:
-    """Read a samples CSV; the named column becomes y, the rest become X."""
-    header, cells, widths = _read_cells(path)
-    if target_column not in header:
-        raise DataError(f"{path}: target column {target_column!r} not in header")
-    if not widths:
-        raise DataError(f"{path}: no data rows")
-    values = _cell_values(path, header, cells, widths)
+    """Read a samples CSV; the named column becomes y, the rest become X.
+
+    Clean files take numpy's text reader; every other file, and every error
+    message, comes from the csv module path.
+    """
+    table = _load_clean(path)
+    if table is None or target_column not in table[0]:
+        header, cells, widths = _read_cells(path)
+        if target_column not in header:
+            raise DataError(f"{path}: target column {target_column!r} not in header")
+        if not widths:
+            raise DataError(f"{path}: no data rows")
+        table = header, _cell_values(path, header, cells, widths)
+    header, values = table
     t_idx = header.index(target_column)
     var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
     return Dataset(var_names=var_names, X=np.delete(values, t_idx, axis=1),

@@ -376,7 +376,8 @@ def test_bench_zero_generations_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
-# every unreadable data or model file exits 3 without a traceback
+# every unreadable data or model file, and every unwritable output, exits 3
+# without a traceback
 # ---------------------------------------------------------------------------
 
 CONSTANT_MODEL = ('{"model": {"bases": [], "coeffs": [2.0]}, "var_names": ["x"], '
@@ -395,10 +396,11 @@ def _eval(tmp_path, model_text, data_bytes, model_path=None):
 
 
 def _assert_data_exit(code, capsys, needle):
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 3
-    assert "Traceback" not in err
-    assert needle in err
+    assert "Traceback" not in captured.err
+    assert needle in captured.err
+    return captured
 
 
 def test_eval_hand_written_model_file(tmp_path, capsys):
@@ -416,6 +418,38 @@ def test_eval_oversized_cell_exits_3(tmp_path, capsys):
     _assert_data_exit(code, capsys, "field larger than field limit")
 
 
+def test_eval_data_path_is_a_directory_exits_3(tmp_path, capsys):
+    (tmp_path / "model.json").write_text(CONSTANT_MODEL)
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "p.csv")])
+    _assert_data_exit(code, capsys, "Is a directory")
+
+
+def test_bench_unusable_out_exits_3_before_evolution(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    code = main(["bench", "--suite", "offset_like", "--generations", "3",
+                 "--out", str(tmp_path / "afile" / "sub")])
+    captured = _assert_data_exit(code, capsys, "cannot create output directory")
+    assert "generation" not in captured.out
+
+
+def test_sample_unwritable_out_exits_3(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    code = main(["sample", "--centers", _centers_csv(tmp_path, 2),
+                 "--out", str(tmp_path / "afile" / "x.csv")])
+    _assert_data_exit(code, capsys, "Not a directory")
+
+
+def test_eval_unwritable_out_exits_3(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "model.json").write_text(CONSTANT_MODEL)
+    (tmp_path / "data.csv").write_text("x,y\n1,2\n")
+    code = main(["eval", "--model", str(tmp_path / "model.json"),
+                 "--data", str(tmp_path / "data.csv"),
+                 "--out", str(tmp_path / "afile" / "p.csv")])
+    _assert_data_exit(code, capsys, "Not a directory")
+
+
 def test_eval_malformed_model_json_exits_3(tmp_path, capsys):
     code = _eval(tmp_path, '{"model": ', b"x,y\n1,2\n")
     _assert_data_exit(code, capsys, "cannot read model file")
@@ -430,3 +464,22 @@ def test_eval_model_json_without_var_names_exits_3(tmp_path, capsys):
 def test_eval_model_path_is_a_directory_exits_3(tmp_path, capsys):
     code = _eval(tmp_path, None, b"x,y\n1,2\n", model_path=tmp_path)
     _assert_data_exit(code, capsys, "cannot read model file")
+
+
+# x * z^-1 with offset -0.0: row by row it gives x exactly, 1/0 and 0/0
+RATIO_MODEL = ('{"model": {"bases": [{"kind": "nt", "symbol": "REPVC", "alt": 0, '
+               '"children": [{"kind": "vc", "exponents": [1, -1]}]}], '
+               '"coeffs": [-0.0, 1.0]}, "var_names": ["x", "z"], "target_name": "y", '
+               '"target_log_scaled": false, "train_reference": 1.0, "B": 10.0}')
+
+
+def test_eval_predictions_match_the_per_line_repr_format(tmp_path, capsys):
+    xs = ["-0.0", "5e-324", "1e16", "1e-05", "1", "0"]
+    zs = ["1", "1", "1", "1", "0", "0"]
+    rows = "".join(f"{x},{z},1\n" for x, z in zip(xs, zs))
+    assert _eval(tmp_path, RATIO_MODEL, ("x,z,y\n" + rows).encode()) == 0
+    written = (tmp_path / "p.csv").read_bytes()
+    expected = [-0.0, 5e-324, 1e16, 1e-05, float("inf"), float("nan")]
+    per_line = "prediction\n" + "".join(repr(float(v)) + "\n" for v in np.array(expected))
+    assert written == per_line.encode()
+    assert written == b"prediction\n-0.0\n5e-324\n1e+16\n1e-05\ninf\nnan\n"

@@ -1,5 +1,9 @@
 """Differential fuzz of the samples CSV reader against the cell-by-cell reader
-it replaced: same names and bit-identical X and y, or the same error."""
+it replaced: same names and bit-identical X and y, or the same error.
+
+load_csv reads clean files with numpy's text reader and every other file with
+the csv module; the clean-file strategy and the named guard cases check which
+of the two paths each file takes."""
 
 import csv
 from typing import List
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from canonsr.dataset import DataError, Dataset, load_csv
+from canonsr.dataset import DataError, Dataset, _load_clean, load_csv
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +112,27 @@ def csv_texts(draw):
     return text, target
 
 
+CLEAN_NUMBERS = ["-0", "+7", "1E5", ".5", "1.", "1e-320", "0", "-12"]
+
+
+@st.composite
+def clean_csv_texts(draw):
+    """Unquoted, finite, rectangular files: what numpy's reader must take."""
+    n_cols = draw(st.integers(1, 4))
+    header = draw(st.permutations(NAMES))[:n_cols]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    number = st.one_of(finite.map(repr), finite.map(lambda v: f"{v:.6e}"),
+                       st.integers(-10 ** 20, 10 ** 20).map(str),
+                       st.sampled_from(CLEAN_NUMBERS))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        lines.append(",".join(draw(PADDING) + draw(number) + draw(PADDING)
+                              for _ in range(n_cols)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, draw(st.sampled_from([h.strip() for h in header]))
+
+
 def _outcome(loader, path, target):
     try:
         ds = loader(path, target)
@@ -121,6 +146,7 @@ def _assert_same(path, text, target):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     assert _outcome(load_csv, path, target) == _outcome(reference_load_csv, path, target)
+    return _load_clean(path) is not None
 
 
 @settings(max_examples=400, deadline=None,
@@ -129,6 +155,46 @@ def _assert_same(path, text, target):
 def test_reader_matches_reference(tmp_path_factory, case):
     text, target = case
     _assert_same(str(tmp_path_factory.getbasetemp() / "fuzz.csv"), text, target)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=clean_csv_texts())
+def test_clean_files_take_numpy_reader_and_match_reference(tmp_path_factory, case):
+    text, target = case
+    assert _assert_same(str(tmp_path_factory.getbasetemp() / "clean.csv"), text, target)
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("x,y\r1,2\r3,4\r", True),                      # CR-only line ends
+    ("x,y\r" + "1.25,2.5\r" * 20000, False),        # ... one binary line over the limit
+    ("\n  \n,\nx,y\n1,2\n", True),                  # blank rows before the header
+    ('"x"," y"\n1,2\n3,4\n', True),                 # quoted header, clean body
+    ("\ufeffx,y\n1,2\n", True),                     # UTF-8 BOM stays in the first name
+    ("x,y\n1,2,3\n4,5,6\n", False),                 # one cell too many on every row
+    ("x,y\n1\n2\n", False),                         # one cell too few on every row
+    ("x,y\n1,2,3\n4,5\n", False),                   # one row too wide
+    ("x,y\n1,2\n4\n", False),                       # one row too narrow
+    ("x,y\n1,2#3\n", False),                        # '#' inside a cell
+    ("x,y\n1,2\n#4,5\n", False),                    # '#' starting a row
+    ("x,y\n1,2\n\n3,4\n", True),                    # empty line in the body
+    ("x,y\n1,2\n  \n3,4\n", False),                 # spaces-only row
+    ("x,y\n1,2\n,\n3,4\n", False),                  # ',,'-style blank row
+    ("x,y\n\n\n", False),                           # only blank rows after the header
+    ("x,y\n1,inf\n", False),                        # non-finite value
+    ("x,x\n1,2\n", False),                          # duplicate header names
+    ("x,y\n1_0,2\n", False),                        # underscore accepted by float()
+])
+def test_reader_guards_match_reference(tmp_path, text, bulk):
+    assert _assert_same(str(tmp_path / "case.csv"), text, "y") == bulk
+
+
+def test_oversized_cell_keeps_the_field_limit_message(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,y\n1,0." + "0" * 140000 + "1\n", encoding="utf-8")
+    assert _load_clean(str(path)) is None
+    with pytest.raises(DataError, match=r"field larger than field limit \(131072\)"):
+        load_csv(str(path), "y")
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,7 @@
 """CSV ingestion, DOE sampling, target scaling and synthetic oracle tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ def test_load_csv_errors(tmp_path):
         load_csv(_write(tmp_path, "e.csv", "x,y\n1,nan\n"), "y")
     with pytest.raises(DataError, match="no data rows"):
         load_csv(_write(tmp_path, "f.csv", "x,y\n"), "y")
+
+
+def test_load_csv_without_data_rows_warns_nothing(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("x,y\n", "x,y\n\n  \n,\n"):
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(_write(tmp_path, "h.csv", text), "y")
 
 
 def test_load_centers_csv_follows_the_samples_rules(tmp_path):
