@@ -87,15 +87,14 @@ def cmd_run(args) -> int:
 
 def cmd_sample(args) -> int:
     names, centers = load_centers_csv(args.centers)
-    plan = DoePlan(centers=centers, dx=args.dx, budget=args.budget)
-    if args.mode == "factorial":
-        try:
+    try:
+        plan = DoePlan(centers=centers, dx=args.dx, budget=args.budget)
+        if args.mode == "factorial":
             points = doe_full_factorial(plan)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        rng = np.random.default_rng(args.seed)
-        points = doe_latin_hypercube(plan, args.n, rng)
+        else:
+            points = doe_latin_hypercube(plan, args.n, np.random.default_rng(args.seed))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_points_csv(names, points, args.out)
     print(f"wrote {points.shape[0]} design points ({points.shape[1]} variables) to {args.out}")
     return EXIT_OK

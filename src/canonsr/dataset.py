@@ -213,19 +213,16 @@ class DoePlan:
 
     centers: np.ndarray
     dx: float = 0.1
-    levels_per_var: int = 3
     budget: int = 10000
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
         if self.centers.ndim != 1 or self.centers.size < 1:
             raise ValueError("centers must be a non-empty vector")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not 0 < self.dx < np.inf:
+            raise ValueError("dx must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.levels_per_var != 3:
-            raise ValueError("only 3 levels per variable are supported")
 
     @property
     def n_vars(self) -> int:

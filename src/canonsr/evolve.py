@@ -167,9 +167,9 @@ def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
 # leaf-level operators
 # ---------------------------------------------------------------------------
 
-def weight_cauchy_mutate(w: WeightLeaf, scale: float, B: float, rng) -> WeightLeaf:
-    """Add a zero-mean Cauchy step to the stored value, clamped to [-2B, 2B]."""
-    step = scale * rng.standard_cauchy()
+def weight_cauchy_mutate(w: WeightLeaf, B: float, rng) -> WeightLeaf:
+    """Add a standard Cauchy step to the stored value, clamped to [-2B, 2B]."""
+    step = rng.standard_cauchy()
     return WeightLeaf(float(np.clip(w.stored + step, -2.0 * B, 2.0 * B)))
 
 
@@ -305,12 +305,12 @@ def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTr
     return out
 
 
-def op_weight_cauchy_mutate(p: Model, cfg: RunConfig, rng, scale: float = 1.0):
+def op_weight_cauchy_mutate(p: Model, cfg: RunConfig, rng):
     sites = _leaf_sites(p.bases, WeightLeaf)
     if not sites:
         return None
     site = sites[int(rng.integers(len(sites)))]
-    return [_with_leaf(p.bases, site, weight_cauchy_mutate(site[2], scale, cfg.B, rng))]
+    return [_with_leaf(p.bases, site, weight_cauchy_mutate(site[2], cfg.B, rng))]
 
 
 def op_vc_exponent_mutate(p: Model, cfg: RunConfig, rng):

@@ -92,13 +92,14 @@ def _improves(candidate: float, current: float) -> bool:
 
 
 def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
-                             ) -> Tuple[List[int], np.ndarray]:
+                             ) -> Tuple[List[int], float]:
     """Greedy forward selection of basis columns by PRESS.
 
     Starts from the offset-only model and, at each step, adds the candidate
     column whose augmented problem has the lowest PRESS, stopping when no
     addition strictly decreases it.  Ties go to the lowest candidate index.
-    Returns (selected indices in selection order, final coefficients).
+    Returns (selected indices in selection order, PRESS of the offset plus
+    the selected columns in that order).
     """
     y = np.asarray(y, dtype=float)
     N = y.shape[0]
@@ -128,6 +129,4 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
         current = best_press
         selected.append(best_idx)
         remaining.remove(best_idx)
-
-    coeffs = fit_weights(RegressionProblem(Phi, y))
-    return selected, coeffs
+    return selected, current

@@ -2,35 +2,40 @@
 
 The grammar format follows the canonical-form production style: one rule per
 logical line ("LHS => alt | alt | ..."), single-quoted terminals, '#'
-comments, continuation lines, and per-alternative enable flags.  Generated
-trees are guaranteed to respect the productions and a depth bound.
+comments and continuation lines.  The text is the one switch over the search
+space: every alternative must be one of the canonical form's, and a parsed
+Grammar never changes.  Generated trees respect the productions and a depth
+bound.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .expr import (GRAMMAR_OP_TOKENS, OPS, BasisTree, NTNode, OpLeaf, VCLeaf,
                    WeightLeaf, walk)
 
 START_SYMBOL = "REPVC"
 _PUNCTUATION = {"(", ")", "+", "*", ","}
+_OP_ARITY = {"1OP": 1, "2OP": 2, "4OP": 4}
 _INF = float("inf")
 
 
 class GrammarError(ValueError):
-    """Raised for malformed grammar text or non-terminating rule sets."""
+    """Raised for malformed grammar text, non-terminating rule sets and
+    alternatives outside the canonical form."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Alternative:
-    """One right-hand-side alternative: ('nt'|'t', token) pairs plus metadata."""
+    """One right-hand-side alternative: ('nt'|'t', token) pairs and its line."""
 
     symbols: Tuple[Tuple[str, str], ...]
-    enabled: bool = True
+    line: int = 0
 
     @cached_property
     def struct(self) -> Tuple[Tuple[str, str], ...]:
@@ -43,57 +48,30 @@ class Alternative:
 
 
 class Grammar:
-    """Production rules keyed by nonterminal, with per-alternative enable flags."""
+    """Canonical-form production rules keyed by nonterminal, fixed once built."""
 
-    def __init__(self, rules: Dict[str, List[Alternative]], start: str = START_SYMBOL):
-        self.rules = rules
-        self.start = start
-        self._min_depth: Dict[str, float] = {}
-        self._alt_min_depths: Dict[str, Tuple[float, ...]] = {}
+    start = START_SYMBOL
+
+    def __init__(self, rules: Dict[str, Sequence[Alternative]]):
+        self.rules = {lhs: tuple(alts) for lhs, alts in rules.items()}
         self._check()
-        self._recompute_min_depths()
+        self._min_depth, self._alt_min_depths = self._min_depths()
+        for lhs, alts in self.rules.items():
+            for alt in alts:
+                if not _canonical(lhs, alt.struct):
+                    raise GrammarError(
+                        f"line {alt.line}: {lhs} => {_text(alt.symbols)} is not "
+                        f"a canonical-form alternative")
 
     @property
     def nonterminals(self) -> List[str]:
         return list(self.rules)
 
-    def set_enabled(self, lhs: str, alt_index: int, enabled: bool) -> None:
-        self._set_flags([self.rules[lhs][alt_index]], enabled)
-
-    def disable_operator(self, op_token: str) -> None:
-        """Disable every single-terminal alternative for this operator.
-
-        Accepts either the grammar spelling ('SIN') or the canonical name.
-        """
-        names = {op_token, op_token.lower()}
-        canon = GRAMMAR_OP_TOKENS.get(op_token.upper())
-        if canon is not None:
-            names.add(canon)
-        hits = [alt for alts in self.rules.values() for alt in alts
-                if len(alt.symbols) == 1 and alt.symbols[0][0] == "t"
-                and alt.symbols[0][1] in names]
-        if not hits:
-            raise GrammarError(f"no alternative consists of terminal {op_token!r}")
-        self._set_flags(hits, False)
-
-    def _set_flags(self, alts: List[Alternative], enabled: bool) -> None:
-        """Set the enable flags; if that leaves a nonterminal without a
-        terminating derivation, put the old flags back and raise."""
-        before = [alt.enabled for alt in alts]
-        for alt in alts:
-            alt.enabled = enabled
-        try:
-            self._recompute_min_depths()
-        except GrammarError:
-            for alt, flag in zip(alts, before):
-                alt.enabled = flag
-            raise
-
     def min_depth(self, symbol: str) -> float:
         return self._min_depth[symbol]
 
     def alt_min_depths(self, symbol: str) -> Tuple[float, ...]:
-        """Minimum derivation depth through each alternative; inf if disabled."""
+        """Minimum derivation depth through each alternative."""
         return self._alt_min_depths[symbol]
 
     def _check(self) -> None:
@@ -103,19 +81,16 @@ class Grammar:
             for alt in alts:
                 for ref in alt.nt_refs():
                     if ref not in self.rules:
-                        raise GrammarError(
-                            f"undefined nonterminal {ref!r} referenced from {lhs!r}")
+                        raise GrammarError(f"line {alt.line}: undefined nonterminal "
+                                           f"{ref!r} referenced from {lhs!r}")
         if self.start not in self.rules:
             raise GrammarError(f"start symbol {self.start!r} is not defined")
 
-    def _recompute_min_depths(self) -> None:
+    def _min_depths(self):
         md = {nt: _INF for nt in self.rules}
 
         def through(alt: Alternative) -> float:
-            if not alt.enabled:
-                return _INF
-            refs = alt.nt_refs()
-            return 1.0 if not refs else 1.0 + max(md[r] for r in refs)
+            return 1.0 + max((md[r] for r in alt.nt_refs()), default=0.0)
 
         changed = True
         while changed:
@@ -130,86 +105,94 @@ class Grammar:
         if dead:
             raise GrammarError(
                 f"no terminating derivation for nonterminal(s): {', '.join(dead)}")
-        self._min_depth = md
-        self._alt_min_depths = {nt: tuple(through(alt) for alt in alts)
-                                for nt, alts in self.rules.items()}
+        return md, {nt: tuple(through(alt) for alt in alts)
+                    for nt, alts in self.rules.items()}
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == "'":
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out)
+# a line up to its comment: '#' starts one outside single quotes only
+_UNCOMMENTED = re.compile(r"(?:'[^']*'?|[^'#])*")
+_TOKEN = re.compile(r"'([^']*)'|(\w+)|(\|)|(\S)")
 
 
-def _tokenize_alt(text: str, lineno: int) -> Tuple[Tuple[str, str], ...]:
+def _tokenize_rhs(text: str, lineno: int) -> List[Tuple[Tuple[str, str], ...]]:
+    """A rule's right-hand side as alternatives of ('nt'|'t', token) pairs."""
+    alts: List[Tuple[Tuple[str, str], ...]] = []
     tokens: List[Tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise GrammarError(f"line {lineno}: unterminated quote")
-            tokens.append(("t", text[i + 1:j]))
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("nt", text[i:j]))
-            i = j
-            continue
-        raise GrammarError(f"line {lineno}: unexpected character {ch!r}")
-    if not tokens:
+    for quoted, name, bar, other in _TOKEN.findall(text):
+        if bar:
+            alts.append(tuple(tokens))
+            tokens = []
+        elif other == "'":
+            raise GrammarError(f"line {lineno}: unterminated quote")
+        elif other:
+            raise GrammarError(f"line {lineno}: unexpected character {other!r}")
+        else:
+            tokens.append(("nt", name) if name else ("t", quoted))
+    alts.append(tuple(tokens))
+    if not all(alts):
         raise GrammarError(f"line {lineno}: empty alternative")
-    return tuple(tokens)
+    return alts
 
 
 def _canonicalize_ops(lhs: str, symbols, lineno: int):
-    """Map operator terminal spellings to canonical names; check arity context.
-
-    Only 1OP/2OP/4OP rules must carry known operators of the right arity;
-    other rules keep unrecognized terminals as-is.
-    """
-    expected = {"1OP": 1, "2OP": 2, "4OP": 4}.get(lhs)
+    """Map the terminals of a 1OP/2OP/4OP rule to operator names, checking
+    that each is a known operator of the rule's arity."""
+    expected = _OP_ARITY.get(lhs)
+    if expected is None:
+        return symbols
     out = []
     for kind, tok in symbols:
-        if kind == "t" and tok not in ("VC", "W") and tok not in _PUNCTUATION:
+        if kind == "t" and tok not in _PUNCTUATION:
             canon = GRAMMAR_OP_TOKENS.get(tok.upper())
             if canon is None:
-                if expected is not None:
-                    raise GrammarError(f"line {lineno}: unknown operator terminal {tok!r}")
-                out.append((kind, tok))
-                continue
-            if expected is not None and OPS[canon].arity != expected:
+                raise GrammarError(f"line {lineno}: unknown operator terminal {tok!r}")
+            if OPS[canon].arity != expected:
                 raise GrammarError(
                     f"line {lineno}: operator {tok!r} has arity {OPS[canon].arity}, "
                     f"but rule {lhs} requires arity {expected}")
-            out.append((kind, canon))
-        else:
-            out.append((kind, tok))
+            tok = canon
+        out.append((kind, tok))
     return tuple(out)
+
+
+# The canonical form: the structural tokens of every alternative of the
+# packaged grammar file, its commented 4OP rule included.  An alternative of
+# 1OP, 2OP or 4OP is one operator of that arity instead.
+_CANONICAL = {lhs: set(_tokenize_rhs(rhs, 0)) for lhs, rhs in {
+    "REPVC": "'VC' | REPVC REPOP | REPOP",
+    "REPOP": "REPOP REPOP | 1OP 'W' REPADD | 2OP 2ARGS | 4OP MAYBEW MAYBEW MAYBEW MAYBEW",
+    "2ARGS": "'W' REPADD MAYBEW | MAYBEW 'W' REPADD",
+    "MAYBEW": "'W' | 'W' REPADD",
+    "REPADD": "'W' REPVC | REPADD REPADD",
+}.items()}
+
+
+def _canonical(lhs: str, struct) -> bool:
+    """Whether structural tokens are a canonical-form alternative of `lhs`.
+
+    Tree checks pass operator leaves as ('op', name), so they never match a
+    grammar token of the table.
+    """
+    arity = _OP_ARITY.get(lhs)
+    if arity is None:
+        return struct in _CANONICAL.get(lhs, ())
+    return (len(struct) == 1 and struct[0][0] != "nt" and struct[0][1] in OPS
+            and OPS[struct[0][1]].arity == arity)
+
+
+def _text(symbols) -> str:
+    return " ".join(tok if kind == "nt" else f"'{tok}'" for kind, tok in symbols)
 
 
 def parse_grammar(text: str) -> Grammar:
     """Parse grammar text into a Grammar; raises GrammarError on any defect."""
     logical: List[Tuple[int, str]] = []       # (first line number, joined text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if "=>" in line:
@@ -229,26 +212,11 @@ def parse_grammar(text: str) -> Grammar:
     for lineno, line in logical:
         lhs_text, rhs_text = line.split("=>", 1)
         lhs = lhs_text.strip()
-        if not lhs or not all(c.isalnum() or c == "_" for c in lhs):
+        if not re.fullmatch(r"\w+", lhs):
             raise GrammarError(f"line {lineno}: bad rule name {lhs!r}")
-        # split alternatives on '|' outside quotes
-        alts_text: List[str] = []
-        buf: List[str] = []
-        in_quote = False
-        for ch in rhs_text:
-            if ch == "'":
-                in_quote = not in_quote
-            if ch == "|" and not in_quote:
-                alts_text.append("".join(buf))
-                buf = []
-            else:
-                buf.append(ch)
-        alts_text.append("".join(buf))
         bucket = rules.setdefault(lhs, [])
-        for alt_text in alts_text:
-            symbols = _tokenize_alt(alt_text, lineno)
-            symbols = _canonicalize_ops(lhs, symbols, lineno)
-            bucket.append(Alternative(symbols=symbols))
+        for symbols in _tokenize_rhs(rhs_text, lineno):
+            bucket.append(Alternative(_canonicalize_ops(lhs, symbols, lineno), lineno))
 
     return Grammar(rules)
 
@@ -315,13 +283,12 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 # ---------------------------------------------------------------------------
 
 def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
-             exp_cap: int = 5, n_vars: Optional[int] = None,
-             check_root: bool = True) -> List[str]:
+             exp_cap: int = 5, n_vars: Optional[int] = None) -> List[str]:
     """Return a list of violations (empty list means the tree is valid)."""
     violations: List[str] = []
     if not isinstance(tree, NTNode):
         return [f"root is not a nonterminal node: {tree!r}"]
-    if check_root and tree.symbol != g.start:
+    if tree.symbol != g.start:
         violations.append(f"root symbol {tree.symbol!r} != start {g.start!r}")
 
     for node, path in walk(tree):
@@ -336,29 +303,11 @@ def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
             if not (0 <= node.alt < len(alts)):
                 violations.append(f"{node.symbol}: alternative index {node.alt} out of range")
                 continue
-            alt = alts[node.alt]
-            if not alt.enabled:
-                violations.append(f"{node.symbol}: alternative {node.alt} is disabled")
-            struct = alt.struct
-            if len(struct) != len(node.children):
-                violations.append(
-                    f"{node.symbol}: expected {len(struct)} children, has {len(node.children)}")
-                continue
-            for (kind, tok), child in zip(struct, node.children):
-                if kind == "nt":
-                    if not isinstance(child, NTNode) or child.symbol != tok:
-                        violations.append(
-                            f"{node.symbol}: child should derive {tok!r}, got {child!r}")
-                elif tok == "VC":
-                    if not isinstance(child, VCLeaf):
-                        violations.append(f"{node.symbol}: expected VC leaf, got {child!r}")
-                elif tok == "W":
-                    if not isinstance(child, WeightLeaf):
-                        violations.append(f"{node.symbol}: expected weight leaf, got {child!r}")
-                else:
-                    if not isinstance(child, OpLeaf) or child.name != tok:
-                        violations.append(
-                            f"{node.symbol}: expected operator {tok!r}, got {child!r}")
+            want = tuple(("op" if node.symbol in _OP_ARITY else kind, tok)
+                         for kind, tok in alts[node.alt].struct)
+            got = tuple(_token(child) for child in node.children)
+            if got != want:
+                violations.append(f"{node.symbol}: expected {_text(want)}, got {_text(got)}")
         elif isinstance(node, WeightLeaf):
             if abs(node.stored) > 2.0 * B:
                 violations.append(f"weight bound: |{node.stored}| > 2B with B={B}")
@@ -371,6 +320,39 @@ def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
                 violations.append(
                     f"variable combo length {len(node.exponents)} != {n_vars} variables")
     return violations
+
+
+def check_basis(tree, n_vars: int, B: float) -> None:
+    """Raise ValueError unless `tree` is a canonical-form basis that can be
+    evaluated: children as in _CANONICAL, n_vars exponents per variable combo
+    and stored weights in [-2B, 2B].  Alternative indices depend on the grammar
+    a model was evolved under and are not checked; evaluation never reads them.
+    """
+    if not isinstance(tree, NTNode) or tree.symbol != START_SYMBOL:
+        raise ValueError(f"a basis must be a {START_SYMBOL} node, got {tree!r}")
+    for node, _ in walk(tree):
+        if isinstance(node, NTNode):
+            struct = tuple(_token(child) for child in node.children)
+            if not _canonical(node.symbol, struct):
+                raise ValueError(f"{node.symbol} => {_text(struct)} is not canonical form")
+        elif isinstance(node, VCLeaf):
+            if len(node.exponents) != n_vars or any(abs(e) > 1e308 for e in node.exponents):
+                raise ValueError(f"variable combo {list(node.exponents)} is not "
+                                 f"{n_vars} exponents within float range")
+        elif isinstance(node, WeightLeaf) and not abs(node.stored) <= 2.0 * B:
+            raise ValueError(f"stored weight {node.stored} outside [-2B, 2B] for B={B}")
+
+
+_LEAF_TOKENS = {VCLeaf: ("t", "VC"), WeightLeaf: ("t", "W")}
+
+
+def _token(node) -> Tuple[str, str]:
+    """A tree node as the structural token it stands for."""
+    if isinstance(node, NTNode):
+        return ("nt", node.symbol)
+    if isinstance(node, OpLeaf):
+        return ("op", node.name)
+    return _LEAF_TOKENS.get(type(node), ("?", repr(node)))
 
 
 def crossover_sites(tree: BasisTree, symbol: str) -> List[NTNode]:

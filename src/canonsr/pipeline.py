@@ -24,7 +24,7 @@ from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation
 from .expr import (Model, basis_column, eval_model_matrix, model_from_dict, model_to_dict,
                    to_canonical_text)
 from .fit import RegressionProblem, forward_regression_press, nmse, press
-from .grammar import Grammar, default_grammar_text, parse_grammar
+from .grammar import Grammar, check_basis, default_grammar_text, parse_grammar
 
 ProgressFn = Callable[[int, int, int], None]   # (generation, total, archive size)
 
@@ -86,6 +86,9 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
                   progress: Optional[ProgressFn] = None) -> TradeoffSet:
     """Evolve models on the training set; returns the archived tradeoff."""
     g = grammar if grammar is not None else _resolve_grammar(cfg)[0]
+    if cfg.max_depth < g.min_depth(g.start):
+        raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "
+                          f"derivation depth {g.min_depth(g.start):.0f}")
     rng = np.random.default_rng(cfg.seed)
     reference = _reference(train)
     X, y = train.X, train.y
@@ -121,14 +124,12 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
             out.append(m)
             continue
         columns = [basis_column(t, X, cfg.B) for t in m.bases]
-        selected, _ = forward_regression_press(columns, y)
+        selected, pruned_press = forward_regression_press(columns, y)
         if sorted(selected) == list(range(len(m.bases))):
             out.append(m)
             continue
         original_press = press(RegressionProblem(
             np.column_stack([np.ones(len(y))] + columns), y))
-        pruned_press = press(RegressionProblem(
-            np.column_stack([np.ones(len(y))] + [columns[j] for j in selected]), y))
         if original_press < pruned_press:
             out.append(m)
             continue
@@ -218,16 +219,27 @@ _MODEL_KEYS = ("model", "var_names", "target_name", "target_log_scaled", "train_
 
 
 def load_model_json(path: str) -> dict:
-    """Reload an exported model file with 'model' rebuilt; DataError if it cannot be."""
+    """Reload an exported model file with 'model' rebuilt and checked to be
+    one that evaluates; DataError if it cannot be read or is not."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         missing = [key for key in _MODEL_KEYS if key not in payload]
         if missing:
             raise ValueError(f"missing key(s) {', '.join(missing)}")
-        payload["model"] = model_from_dict(payload["model"])
-        payload["var_names"] = tuple(payload["var_names"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        model = payload["model"] = model_from_dict(payload["model"])
+        names = payload["var_names"] = tuple(payload["var_names"])
+        if not all(isinstance(name, str) for name in names + (payload["target_name"],)):
+            raise ValueError("variable and target names must be strings")
+        reference = payload["train_reference"] = float(payload["train_reference"])
+        if not reference > 0:
+            raise ValueError("train_reference must be positive")
+        B = payload["B"] = float(payload["B"])
+        if np.shape(model.coeffs) != (model.n_bases + 1,):
+            raise ValueError(f"{model.n_bases} bases need {model.n_bases + 1} coefficients")
+        for tree in model.bases:
+            check_basis(tree, len(names), B)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     return payload
 

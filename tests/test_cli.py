@@ -1,5 +1,8 @@
 """Command-line interface tests: exit codes, file formats, determinism."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,8 +117,8 @@ def test_run_seed_flag_repeats_identically(pm_files, tmp_path):
                      "--test", test_path, "--target", "pm_like",
                      "--out", d, "--seed", "11", "--quiet"])
         assert code == 0
-    a = open(dirs[0] + "/front.csv", "rb").read()
-    b = open(dirs[1] + "/front.csv", "rb").read()
+    a = Path(dirs[0] + "/front.csv").read_bytes()
+    b = Path(dirs[1] + "/front.csv").read_bytes()
     assert a == b
 
 
@@ -126,7 +129,7 @@ def test_run_log_target_wraps_model_text(pm_files, tmp_path):
                  "--test", test_path, "--target", "pm_like",
                  "--out", out_dir, "--log-target", "--quiet"])
     assert code == 0
-    text = open(out_dir + "/model_0.txt").read().strip()
+    text = Path(out_dir + "/model_0.txt").read_text().strip()
     assert text.startswith("10^(") and text.endswith(")")
 
 
@@ -146,7 +149,7 @@ def test_sample_factorial_five_vars_243_rows(tmp_path):
     centers = _centers_csv(tmp_path, 5)
     out = str(tmp_path / "doe.csv")
     assert main(["sample", "--centers", centers, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 244          # header + 243 points
     assert lines[0] == "v0,v1,v2,v3,v4"
 
@@ -164,7 +167,7 @@ def test_sample_lhs_mode(tmp_path):
     code = main(["sample", "--centers", centers, "--mode", "lhs", "--n", "40",
                  "--out", out, "--seed", "3"])
     assert code == 0
-    assert len(open(out).read().splitlines()) == 41
+    assert len(Path(out).read_text().splitlines()) == 41
 
 
 def test_sample_narrower_dx_narrower_ranges(tmp_path):
@@ -173,8 +176,8 @@ def test_sample_narrower_dx_narrower_ranges(tmp_path):
     main(["sample", "--centers", centers, "--dx", "0.1", "--out", wide])
     main(["sample", "--centers", centers, "--dx", "0.03", "--out", narrow])
     for col in range(3):
-        w = [float(r.split(",")[col]) for r in open(wide).read().splitlines()[1:]]
-        n = [float(r.split(",")[col]) for r in open(narrow).read().splitlines()[1:]]
+        w = [float(r.split(",")[col]) for r in Path(wide).read_text().splitlines()[1:]]
+        n = [float(r.split(",")[col]) for r in Path(narrow).read_text().splitlines()[1:]]
         assert (max(n) - min(n)) < (max(w) - min(w))
 
 
@@ -182,6 +185,20 @@ def _sample_exit(tmp_path, centers_text):
     path = tmp_path / "centers.csv"
     path.write_text(centers_text, encoding="utf-8")
     return main(["sample", "--centers", str(path), "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dx", "-1"], "dx must be positive"),
+    (["--dx", "nan"], "dx must be positive"),
+    (["--budget", "0"], "budget must be >= 1"),
+    (["--mode", "lhs", "--n", "0"], "n must be >= 1"),
+    (["--mode", "lhs", "--seed", "-1"], "non-negative"),
+])
+def test_sample_invalid_plan_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    code = main(["sample", "--centers", _centers_csv(tmp_path, 2), "--out", str(out), *flags])
+    _assert_config_exit(code, capsys, message)
+    assert not out.exists()
 
 
 def test_sample_centers_ragged_row_exits_3(tmp_path, capsys):
@@ -216,7 +233,7 @@ def test_eval_reproduces_stored_train_error(pm_files, tmp_path, capsys):
     printed = capsys.readouterr().out
     reported = float(printed.split("nmse_pct:")[1].split()[0])
     assert abs(reported - float(rows[1]["train_error_pct"])) <= 1e-10
-    assert len(open(preds).read().splitlines()) == 82     # header + 81 rows
+    assert len(Path(preds).read_text().splitlines()) == 82     # header + 81 rows
 
 
 def test_eval_constant_model_predictions(pm_files, tmp_path, capsys):
@@ -227,7 +244,7 @@ def test_eval_constant_model_predictions(pm_files, tmp_path, capsys):
     preds = str(tmp_path / "p.csv")
     main(["eval", "--model", out_dir + "/model_0.json", "--data", train_path,
           "--out", preds])
-    values = {v for v in open(preds).read().splitlines()[1:]}
+    values = {v for v in Path(preds).read_text().splitlines()[1:]}
     assert len(values) == 1           # a constant model predicts one value
 
 
@@ -249,7 +266,7 @@ def test_eval_shuffled_columns_same_predictions(pm_files, tmp_path, capsys):
     p1, p2 = str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")
     main(["eval", "--model", out_dir + "/model_1.json", "--data", train_path, "--out", p1])
     main(["eval", "--model", out_dir + "/model_1.json", "--data", shuffled_path, "--out", p2])
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
 
 
 def test_eval_name_mismatch_exits_3(pm_files, tmp_path, capsys):
@@ -355,6 +372,30 @@ def test_run_non_utf8_grammar_file_exits_2(pm_files, tmp_path, capsys):
     grammar_path.write_bytes(default_grammar_text().encode("utf-8") + b"# \xe9\n")
     code = _run_with_config(pm_files, tmp_path, f"grammar = {grammar_path}\n")
     _assert_config_exit(code, capsys, "cannot read grammar file")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("REPVC => 'VC' | 'FOO'\n", "line 1: REPVC => 'FOO'"),
+    ("REPVC => 'VC' | REPOP\nREPOP => 1OP '(' REPVC ')'\n1OP => 'SIN'\n", "line 2: REPOP"),
+    ("REPVC => 'VC' | FOO\nFOO => 'VC'\n", "line 1: REPVC => FOO"),
+])
+def test_run_non_canonical_grammar_exits_2(pm_files, tmp_path, capsys, text, message):
+    grammar_path = tmp_path / "odd.grammar"
+    grammar_path.write_text(text)
+    code = _run_with_config(pm_files, tmp_path,
+                            f"population = 10\ngenerations = 2\ngrammar = {grammar_path}\n")
+    _assert_config_exit(code, capsys, f"error: {message}")
+
+
+def test_run_max_depth_below_the_grammar_minimum_exits_2(pm_files, tmp_path, capsys):
+    # without 'VC', REPVC derives nothing shorter than REPVC -> REPOP -> MAYBEW
+    grammar_path = tmp_path / "lte.grammar"
+    grammar_path.write_text("REPVC => REPOP\n"
+                            "REPOP => 4OP '(' MAYBEW ',' MAYBEW ',' MAYBEW ',' MAYBEW ')'\n"
+                            "MAYBEW => 'W'\n4OP => 'LTE'\n")
+    code = _run_with_config(pm_files, tmp_path,
+                            f"max_depth = 2\npopulation = 4\ngrammar = {grammar_path}\n")
+    _assert_config_exit(code, capsys, "below the grammar's minimum derivation depth 3")
 
 
 def test_run_unusable_out_exits_3_before_evolution(pm_files, tmp_path, capsys):
@@ -483,3 +524,43 @@ def test_eval_predictions_match_the_per_line_repr_format(tmp_path, capsys):
     per_line = "prediction\n" + "".join(repr(float(v)) + "\n" for v in np.array(expected))
     assert written == per_line.encode()
     assert written == b"prediction\n-0.0\n5e-324\n1e+16\n1e-05\ninf\nnan\n"
+
+
+def _nt(symbol, *children):
+    return {"kind": "nt", "symbol": symbol, "alt": 0, "children": list(children)}
+
+
+def _model_text(bases, coeffs, B=10.0):
+    return json.dumps({"model": {"bases": bases, "coeffs": coeffs}, "var_names": ["x", "z"],
+                       "target_name": "y", "target_log_scaled": False,
+                       "train_reference": 1.0, "B": B})
+
+
+def _sin_basis(stored):
+    # sin(w + w * x / z)
+    weight = {"kind": "w", "stored": stored}
+    ratio = _nt("REPVC", {"kind": "vc", "exponents": [1, -1]})
+    return _nt("REPVC", _nt("REPOP", _nt("1OP", {"kind": "op", "name": "sin"}),
+                            weight, _nt("REPADD", weight, ratio)))
+
+
+def test_eval_checked_model_with_an_operator_evaluates(tmp_path, capsys):
+    assert _eval(tmp_path, _model_text([_sin_basis(10.0)], [0.0, 1.0]), b"x,z,y\n1,2,0\n") == 0
+    assert (tmp_path / "p.csv").read_text() == f"prediction\n{float(np.sin(1.5))!r}\n"
+
+
+@pytest.mark.parametrize("bases, coeffs, message", [
+    ([_nt("FOO", {"kind": "vc", "exponents": [1, 0]})], [0.0, 1.0],
+     "a basis must be a REPVC node"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1, 0]})], [0.0], "1 bases need 2 coefficients"),
+    ([_nt("REPVC")], [0.0, 1.0], "REPVC =>  is not canonical form"),
+    ([_sin_basis(1e9)], [0.0, 1.0], "stored weight 1000000000.0 outside [-2B, 2B] for B=10.0"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1]})], [0.0, 1.0],
+     "variable combo [1] is not 2 exponents"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [10 ** 400, 0]})], [0.0, 1.0],
+     "is not 2 exponents within float range"),
+])
+def test_eval_model_that_cannot_be_evaluated_exits_3(tmp_path, capsys, bases, coeffs, message):
+    code = _eval(tmp_path, _model_text(bases, coeffs), b"x,z,y\n1,2,0\n")
+    captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert message in captured.err

@@ -111,15 +111,15 @@ def test_cauchy_mutation_stays_in_bounds():
     rng = np.random.default_rng(22)
     for _ in range(2000):
         w = WeightLeaf(float(rng.uniform(-20, 20)))
-        out = weight_cauchy_mutate(w, 1.0, 10.0, rng)
+        out = weight_cauchy_mutate(w, 10.0, rng)
         assert abs(out.stored) <= 20.0
 
 
 def test_cauchy_mutation_step_statistics():
-    # standard Cauchy: median |step| = scale, signs split evenly
+    # standard Cauchy: median |step| = 1, signs split evenly
     rng = np.random.default_rng(23)
     w = WeightLeaf(0.0)
-    steps = np.array([weight_cauchy_mutate(w, 1.0, 1e9, rng).stored
+    steps = np.array([weight_cauchy_mutate(w, 1e9, rng).stored
                       for _ in range(100000)])
     assert abs(np.median(np.abs(steps)) - 1.0) < 0.1
     positive = float(np.mean(steps > 0))

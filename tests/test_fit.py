@@ -180,20 +180,21 @@ def test_duplicate_candidate_selected_once():
     rng = np.random.default_rng(17)
     signal = rng.standard_normal(25)
     y = 3.0 + 2.0 * signal + 0.01 * rng.standard_normal(25)
-    selected, coeffs = forward_regression_press([signal, signal.copy()], y)
+    selected, final_press = forward_regression_press([signal, signal.copy()], y)
     assert selected == [0]                      # tie broken by lower index
-    assert len(coeffs) == 2
     # oracle confirmation: adding the copy cannot improve leave-one-out error
     Phi1 = np.column_stack([np.ones(25), signal])
     Phi2 = np.column_stack([np.ones(25), signal, signal])
-    assert press(RegressionProblem(Phi2, y)) >= press(RegressionProblem(Phi1, y))
+    assert final_press == press(RegressionProblem(Phi1, y))
+    assert press(RegressionProblem(Phi2, y)) >= final_press
 
 
 def test_zero_candidates_gives_offset_only():
     y = np.array([1.0, 2.0, 3.0])
-    selected, coeffs = forward_regression_press([], y)
+    selected, final_press = forward_regression_press([], y)
     assert selected == []
-    assert coeffs == pytest.approx([2.0])
+    # leave-one-out residuals of the mean: -1.5, 0, 1.5
+    assert final_press == pytest.approx(4.5)
 
 
 def test_noise_column_excluded():

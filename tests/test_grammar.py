@@ -5,7 +5,7 @@ import pytest
 
 from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_depth, tree_from_dict,
                           tree_to_dict, walk)
-from canonsr.grammar import (GrammarError, crossover_sites,
+from canonsr.grammar import (_CANONICAL, GrammarError, crossover_sites,
                              default_grammar_text, load_default_grammar,
                              parse_grammar, random_tree, validate)
 
@@ -33,6 +33,8 @@ def test_default_grammar_shape():
 def test_undefined_nonterminal_error_names_it():
     with pytest.raises(GrammarError, match="'B'"):
         parse_grammar("A => 'x' | B\n")
+    with pytest.raises(GrammarError, match="^line 3: undefined nonterminal 'B'"):
+        parse_grammar("REPVC => 'VC'\n\nREPVC => B\n")
 
 
 def test_unterminated_quote():
@@ -68,12 +70,15 @@ def test_wrapped_alternative_joins_mid_alternative():
     assert [s for s in struct] == [("nt", "1OP"), ("t", "W"), ("nt", "REPADD")]
 
 
-def test_restated_lhs_appends_alternatives():
-    text = default_grammar_text().replace(
+def _with_4op(text):
+    return text.replace(
         "# REPOP  => 4OP '(' MAYBEW ',' MAYBEW ',' MAYBEW ',' MAYBEW ')'",
         "REPOP  => 4OP '(' MAYBEW ',' MAYBEW ',' MAYBEW ',' MAYBEW ')'").replace(
         "# 4OP    => 'LTE' | 'LTE0'", "4OP    => 'LTE' | 'LTE0'")
-    g = parse_grammar(text)
+
+
+def test_restated_lhs_appends_alternatives():
+    g = parse_grammar(_with_4op(default_grammar_text()))
     assert "4OP" in g.nonterminals
     assert len(g.rules["REPOP"]) == 4
     # generation through the extended rule stays sound
@@ -114,55 +119,50 @@ def test_commenting_out_operators_removes_them_from_derivations():
         assert "sin" not in used and "cos" not in used
 
 
-def test_disable_operator_api():
-    g = load_default_grammar()
-    g.disable_operator("TAN")
-    rng = np.random.default_rng(1)
-    for _ in range(2000):
-        assert "tan" not in _op_names_used(random_tree(g, 8, rng, n_vars=N_VARS))
-    with pytest.raises(GrammarError):
-        g.disable_operator("NOPE")
-
-
 def test_alternative_min_depths_follow_enable_flags():
+    # the enable flags are the text: an alternative is enabled by being in it
     g = load_default_grammar()
     assert g.alt_min_depths("REPVC") == (1.0, 4.0, 4.0)
     assert g.alt_min_depths("REPOP") == (4.0, 3.0, 4.0)
-    g.set_enabled("REPOP", 1, False)          # no 1OP: REPOP needs 2OP, one level deeper
-    assert g.alt_min_depths("REPOP") == (5.0, float("inf"), 4.0)
+    # without 1OP, REPOP needs 2OP, one level deeper
+    g = parse_grammar(default_grammar_text().replace(
+        "        | 1OP '(' 'W' '+' REPADD ')'\n", ""))
+    assert g.alt_min_depths("REPOP") == (5.0, 4.0)
     assert g.alt_min_depths("REPVC") == (1.0, 5.0, 5.0)
-    g.set_enabled("REPOP", 1, True)
-    assert g.alt_min_depths("REPVC") == (1.0, 4.0, 4.0)
-    tan = [i for i, alt in enumerate(g.rules["1OP"]) if alt.symbols == (("t", "tan"),)]
-    g.disable_operator("TAN")
-    assert [i for i, d in enumerate(g.alt_min_depths("1OP")) if d == float("inf")] == tan
 
 
-def _assert_trees_validate(g, n=200):
-    for seed in range(n):
-        tree = random_tree(g, 8, np.random.default_rng(seed), n_vars=N_VARS)
-        assert validate(tree, g, n_vars=N_VARS) == []
+def test_shape_table_matches_the_packaged_file():
+    g = parse_grammar(_with_4op(default_grammar_text()))
+    assert set(g.rules) == set(_CANONICAL) | {"1OP", "2OP", "4OP"}
+    for lhs, shapes in _CANONICAL.items():
+        structs = [alt.struct for alt in g.rules[lhs]]
+        assert len(set(structs)) == len(structs)
+        assert set(structs) == shapes
 
 
-def test_refused_set_enabled_restores_the_flag():
-    g = load_default_grammar()
-    depths = g.alt_min_depths("REPVC")
-    with pytest.raises(GrammarError, match="no terminating derivation"):
-        g.set_enabled("REPVC", 0, False)      # 'VC' is the only way out of REPVC
-    assert g.rules["REPVC"][0].enabled
-    assert g.alt_min_depths("REPVC") == depths
-    _assert_trees_validate(g)
+@pytest.mark.parametrize("text, message", [
+    ("REPVC => 'VC' | 'FOO'\n", "line 1: REPVC => 'FOO'"),
+    ("REPVC => 'VC' | REPOP\nREPOP => 1OP '(' REPVC ')'\n1OP => 'SIN'\n",
+     "line 2: REPOP => 1OP '\\(' REPVC '\\)'"),
+    ("REPVC => 'VC' | FOO\nFOO => 'VC'\n", "line 1: REPVC => FOO"),
+    ("REPVC => 'VC' | 'W'\n", "line 1: REPVC => 'W'"),
+    ("REPVC => 'VC' | REPVC '*' REPVC\n", "line 1: REPVC => REPVC '\\*' REPVC"),
+    ("REPVC => 'VC'\nSTART => 'VC'\n", "line 2: START => 'VC'"),
+    ("REPVC => 'VC' | REPOP\nREPOP => 1OP '(' 'W' '+' REPADD ')'\n"
+     "REPADD => 'W' '*' REPVC\n1OP => 'SIN' | REPVC\n", "line 4: 1OP => REPVC"),
+])
+def test_non_canonical_alternative_is_refused_with_its_line(text, message):
+    with pytest.raises(GrammarError, match=f"^{message} is not a canonical-form alternative$"):
+        parse_grammar(text)
 
 
-def test_refused_disable_operator_restores_the_flags():
-    g = parse_grammar("REPVC => 'VC' | REPOP\n"
-                      "REPOP => 1OP '(' 'W' '+' REPADD ')'\n"
-                      "REPADD => 'W' '*' REPVC\n"
-                      "1OP => 'SIN'\n")
-    with pytest.raises(GrammarError, match="no terminating derivation"):
-        g.disable_operator("SIN")
-    assert g.rules["1OP"][0].enabled
-    _assert_trees_validate(g)
+def test_operator_rule_refuses_payload_terminals():
+    text = ("REPVC => 'VC' | REPOP\n"
+            "REPOP => 1OP '(' 'W' '+' REPADD ')'\n"
+            "REPADD => 'W' '*' REPVC\n"
+            "1OP => 'SIN' | 'W'\n")
+    with pytest.raises(GrammarError, match="line 4: unknown operator terminal 'W'"):
+        parse_grammar(text)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +261,6 @@ def test_all_zero_vc_and_exp_cap_violations():
                for v in validate(NTNode("REPVC", 0, [VCLeaf([0, 0])]), g, n_vars=2))
     assert any("exponent cap" in v
                for v in validate(NTNode("REPVC", 0, [VCLeaf([9, 0])]), g, n_vars=2))
-
-
-def test_disabled_alternative_is_flagged():
-    g = load_default_grammar()
-    tree = NTNode("REPVC", 0, [VCLeaf([1])])
-    g.rules["REPVC"][0].enabled = False
-    try:
-        assert any("disabled" in v for v in validate(tree, g, n_vars=1))
-    finally:
-        g.rules["REPVC"][0].enabled = True
 
 
 # ---------------------------------------------------------------------------

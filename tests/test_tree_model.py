@@ -2,6 +2,7 @@
 columns, complexities and shared fits match fresh evaluation bit for bit."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_column,
                           model_from_dict, model_to_dict, tree_from_dict, tree_to_dict,
                           walk)
 from canonsr.fit import RegressionProblem, fit_weights, nmse
-from canonsr.grammar import GrammarError, load_default_grammar, random_tree, validate
+from canonsr.grammar import (GrammarError, default_grammar_text, load_default_grammar,
+                             parse_grammar, random_tree, validate)
 
 N_VARS = 3
 X = doe_full_factorial(DoePlan(centers=np.array([1.0, 2.0, 0.5]), dx=0.1))
@@ -70,15 +72,21 @@ def test_operator_table_covers_every_configurable_operator():
 
 
 def _restricted_grammar(rng):
-    """The default grammar with random alternatives disabled, still terminating."""
-    g = load_default_grammar()
-    pairs = [(lhs, i) for lhs, alts in g.rules.items() for i in range(len(alts))]
+    """The packaged grammar text with random alternatives dropped, each drop
+    skipped where it would leave a nonterminal without a derivation."""
+    pairs = [(lhs, alt.strip()) for lhs, rhs in re.findall(
+        r"^(\w+)\s*=>(.*(?:\n\s+\|.*)*)", default_grammar_text(), re.M) for alt in rhs.split("|")]
+    kept = set(range(len(pairs)))
+    g = parse_grammar(default_grammar_text())
     for k in rng.permutation(len(pairs))[: len(pairs) // 2]:
-        lhs, i = pairs[int(k)]
+        text = "\n".join(f"{lhs} => {alt}" for i, (lhs, alt) in enumerate(pairs)
+                         if i in kept and i != k)
         try:
-            g.set_enabled(lhs, i, False)
-        except GrammarError:
-            g.set_enabled(lhs, i, True)
+            g = parse_grammar(text)
+        except GrammarError as exc:
+            assert "no terminating derivation" in str(exc) or "undefined" in str(exc)
+            continue
+        kept.discard(int(k))
     return g
 
 
