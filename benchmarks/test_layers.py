@@ -21,8 +21,10 @@ from canonsr.cli import main
 from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, save_csv)
+from canonsr.draws import Draws
 from canonsr.evolve import ParetoArchive, fit_model, init_population, nsga2_generation
-from canonsr.expr import Model, basis_column, eval_model_matrix, model_to_dict
+from canonsr.expr import (Model, basis_column, eval_model_matrix, model_to_dict,
+                          tree_to_dict)
 from canonsr.grammar import load_default_grammar, random_tree
 
 ROWS = 20000
@@ -97,6 +99,22 @@ def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
             bases.append(tree)
     model = benchmark(fit_model, bases, X, y, ref, cfg)
     assert model.valid and model.coeffs.shape == (16,)
+
+
+def _grow_trees(make_rng, count=200, seed=4):
+    g = load_default_grammar()
+    rng = make_rng(seed)
+    return [random_tree(g, 8, rng, 4) for _ in range(count)]
+
+
+@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
+                         ids=["Draws", "default_rng"])
+def test_random_tree_200_trees_depth_8_4_vars(benchmark, make_rng):
+    """Tree growth, the largest search layer, under either generator: the
+    trees are the same, only the cost of the draws differs."""
+    trees = benchmark(_grow_trees, make_rng)
+    expected = _grow_trees(np.random.default_rng)
+    assert [tree_to_dict(t) for t in trees] == [tree_to_dict(t) for t in expected]
 
 
 def test_nsga2_generation_population_200_pm_like(benchmark, pm81):

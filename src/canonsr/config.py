@@ -35,8 +35,15 @@ class ConfigError(ValueError):
     """Raised for malformed config files, bad flag combinations or unreadable grammars."""
 
 
+# a double holds at most 17 significant decimal digits
+_MAX_SIG_FIGS = 17
+
+
 def _positive_finite(value: float) -> bool:
-    return value > 0 and math.isfinite(value)
+    try:
+        return value > 0 and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def _finite_decades(B: float) -> bool:
@@ -71,6 +78,10 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} must be positive and finite")
         if not _finite_decades(self.B):
             raise ValueError("config field 'B' is too large: 10**B must be finite")
+        if self.seed < 0:
+            raise ValueError("config field 'seed' must be zero or positive")
+        if self.sig_figs > _MAX_SIG_FIGS:
+            raise ValueError(f"config field 'sig_figs' must be at most {_MAX_SIG_FIGS}")
         unknown = set(self.operator_weights) - set(OPERATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")

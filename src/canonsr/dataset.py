@@ -139,9 +139,13 @@ def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
     cell, a '#', a ragged row, a non-finite value, bad header names, no data
     rows, text that is not UTF-8 or a line over the csv field limit.
     """
+    limit = csv.field_size_limit()
     with open(path, "rb") as fb:
-        if max(map(len, fb), default=0) > csv.field_size_limit():
-            return None
+        if max(map(len, fb), default=0) > limit:
+            # binary lines end at '\n' only: count a lone '\r' as a line end too
+            fb.seek(0)
+            if max(map(len, fb.read().splitlines()), default=0) > limit:
+                return None
         fb.seek(0)
         fh = io.TextIOWrapper(fb, encoding="utf-8", newline="")
         try:

@@ -20,7 +20,9 @@ from .expr import (GRAMMAR_OP_TOKENS, OPS, BasisTree, NTNode, OpLeaf, VCLeaf,
                    WeightLeaf, walk)
 
 START_SYMBOL = "REPVC"
-_PUNCTUATION = {"(", ")", "+", "*", ","}
+_LAYOUT = {"(", ")", ","}        # grouping only
+_ARITHMETIC = {"+", "*"}         # how a node's children combine
+_PUNCTUATION = _LAYOUT | _ARITHMETIC
 _OP_ARITY = {"1OP": 1, "2OP": 2, "4OP": 4}
 _INF = float("inf")
 
@@ -38,13 +40,21 @@ class Alternative:
     line: int = 0
 
     @cached_property
+    def signature(self) -> Tuple[Tuple[str, str], ...]:
+        # symbols without layout terminals: what the canonical-form check compares
+        return _without(self.symbols, _LAYOUT)
+
+    @cached_property
     def struct(self) -> Tuple[Tuple[str, str], ...]:
         # structural symbols only: punctuation terminals carry no tree content
-        return tuple((k, v) for k, v in self.symbols
-                     if not (k == "t" and v in _PUNCTUATION))
+        return _without(self.symbols, _PUNCTUATION)
 
     def nt_refs(self) -> List[str]:
         return [v for k, v in self.symbols if k == "nt"]
+
+
+def _without(symbols, terminals) -> Tuple[Tuple[str, str], ...]:
+    return tuple((k, v) for k, v in symbols if not (k == "t" and v in terminals))
 
 
 class Grammar:
@@ -58,7 +68,7 @@ class Grammar:
         self._min_depth, self._alt_min_depths = self._min_depths()
         for lhs, alts in self.rules.items():
             for alt in alts:
-                if not _canonical(lhs, alt.struct):
+                if not _canonical(lhs, alt.signature, _SIGNATURES):
                     raise GrammarError(
                         f"line {alt.line}: {lhs} => {_text(alt.symbols)} is not "
                         f"a canonical-form alternative")
@@ -159,29 +169,34 @@ def _canonicalize_ops(lhs: str, symbols, lineno: int):
     return tuple(out)
 
 
-# The canonical form: the structural tokens of every alternative of the
-# packaged grammar file, its commented 4OP rule included.  An alternative of
+# The canonical form: every alternative of the packaged grammar file, its
+# commented 4OP rule included, without layout terminals.  An alternative of
 # 1OP, 2OP or 4OP is one operator of that arity instead.
-_CANONICAL = {lhs: set(_tokenize_rhs(rhs, 0)) for lhs, rhs in {
-    "REPVC": "'VC' | REPVC REPOP | REPOP",
-    "REPOP": "REPOP REPOP | 1OP 'W' REPADD | 2OP 2ARGS | 4OP MAYBEW MAYBEW MAYBEW MAYBEW",
-    "2ARGS": "'W' REPADD MAYBEW | MAYBEW 'W' REPADD",
-    "MAYBEW": "'W' | 'W' REPADD",
-    "REPADD": "'W' REPVC | REPADD REPADD",
+_SIGNATURES = {lhs: set(_tokenize_rhs(rhs, 0)) for lhs, rhs in {
+    "REPVC": "'VC' | REPVC '*' REPOP | REPOP",
+    "REPOP": "REPOP '*' REPOP | 1OP 'W' '+' REPADD | 2OP 2ARGS"
+             " | 4OP MAYBEW MAYBEW MAYBEW MAYBEW",
+    "2ARGS": "'W' '+' REPADD MAYBEW | MAYBEW 'W' '+' REPADD",
+    "MAYBEW": "'W' | 'W' '+' REPADD",
+    "REPADD": "'W' '*' REPVC | REPADD '+' REPADD",
 }.items()}
+# the same alternatives as the children a tree node holds
+_CANONICAL = {lhs: {_without(sig, _ARITHMETIC) for sig in sigs}
+              for lhs, sigs in _SIGNATURES.items()}
 
 
-def _canonical(lhs: str, struct) -> bool:
-    """Whether structural tokens are a canonical-form alternative of `lhs`.
+def _canonical(lhs: str, tokens, table) -> bool:
+    """Whether tokens are a canonical-form alternative of `lhs` in `table`:
+    _SIGNATURES for grammar alternatives, _CANONICAL for tree nodes.
 
     Tree checks pass operator leaves as ('op', name), so they never match a
     grammar token of the table.
     """
     arity = _OP_ARITY.get(lhs)
     if arity is None:
-        return struct in _CANONICAL.get(lhs, ())
-    return (len(struct) == 1 and struct[0][0] != "nt" and struct[0][1] in OPS
-            and OPS[struct[0][1]].arity == arity)
+        return tokens in table.get(lhs, ())
+    return (len(tokens) == 1 and tokens[0][0] != "nt" and tokens[0][1] in OPS
+            and OPS[tokens[0][1]].arity == arity)
 
 
 def _text(symbols) -> str:
@@ -333,7 +348,7 @@ def check_basis(tree, n_vars: int, B: float) -> None:
     for node, _ in walk(tree):
         if isinstance(node, NTNode):
             struct = tuple(_token(child) for child in node.children)
-            if not _canonical(node.symbol, struct):
+            if not _canonical(node.symbol, struct, _CANONICAL):
                 raise ValueError(f"{node.symbol} => {_text(struct)} is not canonical form")
         elif isinstance(node, VCLeaf):
             if len(node.exponents) != n_vars or any(abs(e) > 1e308 for e in node.exponents):

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig
 from .dataset import DataError, Dataset, columns_by_name
+from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
 from .expr import (Model, basis_column, eval_model_matrix, model_from_dict, model_to_dict,
@@ -89,7 +90,7 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
     if cfg.max_depth < g.min_depth(g.start):
         raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "
                           f"derivation depth {g.min_depth(g.start):.0f}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     reference = _reference(train)
     X, y = train.X, train.y
 

@@ -378,6 +378,8 @@ def test_run_non_utf8_grammar_file_exits_2(pm_files, tmp_path, capsys):
     ("REPVC => 'VC' | 'FOO'\n", "line 1: REPVC => 'FOO'"),
     ("REPVC => 'VC' | REPOP\nREPOP => 1OP '(' REPVC ')'\n1OP => 'SIN'\n", "line 2: REPOP"),
     ("REPVC => 'VC' | FOO\nFOO => 'VC'\n", "line 1: REPVC => FOO"),
+    ("REPVC => 'VC' | REPVC '+' REPOP | REPOP\nREPOP => 1OP '(' 'W' '+' REPADD ')'\n"
+     "REPADD => 'W' '*' REPVC\n1OP => 'SIN'\n", "line 1: REPVC => REPVC '+' REPOP"),
 ])
 def test_run_non_canonical_grammar_exits_2(pm_files, tmp_path, capsys, text, message):
     grammar_path = tmp_path / "odd.grammar"
@@ -414,6 +416,30 @@ def test_run_unusable_out_exits_3_before_evolution(pm_files, tmp_path, capsys):
 def test_bench_zero_generations_exits_2(capsys):
     code = main(["bench", "--suite", "offset_like", "--generations", "0", "--quiet"])
     _assert_config_exit(code, capsys, "'generations' must be positive")
+
+
+@pytest.mark.parametrize("text, flags", [("seed = -1\n", ()), ("", ("--seed", "-1"))])
+def test_run_negative_seed_exits_2(pm_files, tmp_path, capsys, text, flags):
+    code = _run_with_config(pm_files, tmp_path, text, *flags)
+    _assert_config_exit(code, capsys, "'seed' must be zero or positive")
+
+
+def test_bench_negative_seed_exits_2(capsys):
+    code = main(["bench", "--suite", "offset_like", "--seed", "-1", "--quiet"])
+    _assert_config_exit(code, capsys, "'seed' must be zero or positive")
+
+
+def test_run_sig_figs_beyond_17_exits_2_before_evolution(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path, "sig_figs = 10000000000000000000\n")
+    _assert_config_exit(code, capsys, "'sig_figs' must be at most 17")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_sig_figs_17_runs(pm_files, tmp_path, capsys):
+    code = _run_with_config(pm_files, tmp_path,
+                            "population = 10\ngenerations = 2\nsig_figs = 17\n")
+    assert code == 0
+    assert (tmp_path / "o" / "model_0.txt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_clean_files_take_numpy_reader_and_match_reference(tmp_path_factory, cas
 
 @pytest.mark.parametrize("text, bulk", [
     ("x,y\r1,2\r3,4\r", True),                      # CR-only line ends
-    ("x,y\r" + "1.25,2.5\r" * 20000, False),        # ... one binary line over the limit
+    ("x,y\r" + "1.25,2.5\r" * 20000, True),         # ... and longer than the field limit
     ("\n  \n,\nx,y\n1,2\n", True),                  # blank rows before the header
     ('"x"," y"\n1,2\n3,4\n', True),                 # quoted header, clean body
     ("\ufeffx,y\n1,2\n", True),                     # UTF-8 BOM stays in the first name

@@ -156,6 +156,30 @@ def test_non_canonical_alternative_is_refused_with_its_line(text, message):
         parse_grammar(text)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("REPVC '*' REPOP", "REPVC '+' REPOP", "line 9: REPVC => REPVC '\\+' REPOP"),
+    ("REPOP  => REPOP '*' REPOP", "REPOP  => REPOP '+' REPOP",
+     "line 11: REPOP => REPOP '\\+' REPOP"),
+    ("REPADD => 'W' '*' REPVC", "REPADD => 'W' '+' REPVC",
+     "line 20: REPADD => 'W' '\\+' REPVC"),
+    ("MAYBEW => 'W' | 'W' '+' REPADD", "MAYBEW => 'W' | 'W' REPADD",
+     "line 18: MAYBEW => 'W' REPADD"),
+])
+def test_arithmetic_terminals_are_part_of_the_canonical_form(old, new, message):
+    text = default_grammar_text()
+    assert old in text
+    with pytest.raises(GrammarError, match=f"^{message} is not a canonical-form alternative$"):
+        parse_grammar(text.replace(old, new))
+
+
+def test_layout_terminals_are_not_part_of_the_canonical_form():
+    text = default_grammar_text()
+    bare = parse_grammar(text.replace("'('", "").replace("')'", "").replace("','", ""))
+    packaged = parse_grammar(text)
+    for lhs, alts in packaged.rules.items():
+        assert [a.signature for a in bare.rules[lhs]] == [a.signature for a in alts]
+
+
 def test_operator_rule_refuses_payload_terminals():
     text = ("REPVC => 'VC' | REPOP\n"
             "REPOP => 1OP '(' 'W' '+' REPADD ')'\n"

@@ -223,6 +223,22 @@ def test_numeric_field_rejects_zero(key):
     assert str(exc.value) == f"config field {key!r} must be positive and finite"
 
 
-def test_seed_may_be_zero_or_negative():
+def test_seed_may_be_zero_but_not_negative():
     assert RunConfig(seed=0).seed == 0
-    assert RunConfig(seed=-3).seed == -3
+    with pytest.raises(ValueError, match="'seed' must be zero or positive"):
+        RunConfig(seed=-3)
+
+
+@pytest.mark.parametrize("sig_figs", [1, 17])
+def test_sig_figs_from_1_to_17(sig_figs):
+    assert RunConfig(sig_figs=sig_figs).sig_figs == sig_figs
+
+
+def test_sig_figs_above_17_rejected():
+    with pytest.raises(ValueError, match="'sig_figs' must be at most 17"):
+        RunConfig(sig_figs=18)
+
+
+def test_int_beyond_float_range_rejected():
+    with pytest.raises(ValueError, match="'population' must be positive and finite"):
+        RunConfig(population=10 ** 400)
