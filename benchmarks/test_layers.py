@@ -23,9 +23,9 @@ from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, save_csv)
 from canonsr.draws import Draws
 from canonsr.evolve import ParetoArchive, fit_model, init_population, nsga2_generation
-from canonsr.expr import (Model, basis_column, eval_model_matrix, model_to_dict,
-                          tree_to_dict)
-from canonsr.grammar import load_default_grammar, random_tree
+from canonsr.expr import (Model, basis_column, eval_basis_matrix, eval_model_matrix,
+                          model_to_dict, tree_to_dict)
+from canonsr.grammar import load_default_grammar, random_tree, validate
 
 ROWS = 20000
 CENTERS = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
@@ -115,6 +115,21 @@ def test_random_tree_200_trees_depth_8_4_vars(benchmark, make_rng):
     trees = benchmark(_grow_trees, make_rng)
     expected = _grow_trees(np.random.default_rng)
     assert [tree_to_dict(t) for t in trees] == [tree_to_dict(t) for t in expected]
+
+
+def test_eval_basis_matrix_200_trees_81_rows(benchmark, pm81):
+    """Basis evaluation without the kept columns, where per-node dispatch shows."""
+    X = pm81[0]
+    trees = _grow_trees(np.random.default_rng)
+    columns = benchmark(lambda: [eval_basis_matrix(t, X, 10.0) for t in trees])
+    assert all(col.shape == (81,) for col in columns)
+
+
+def test_validate_200_trees_depth_8_4_vars(benchmark):
+    g = load_default_grammar()
+    trees = _grow_trees(np.random.default_rng)
+    violations = benchmark(lambda: [validate(t, g, max_depth=8, n_vars=4) for t in trees])
+    assert not any(violations)
 
 
 def test_nsga2_generation_population_200_pm_like(benchmark, pm81):
