@@ -11,9 +11,8 @@ from .dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
                       doe_latin_hypercube, load_csv, oracle_dataset,
                       oracle_targets, save_csv, scale_target_log10,
                       synthetic_oracle, write_points_csv)
-from .expr import (Model, complexity, eval_basis, eval_model, interpret_weight,
-                   model_from_dict, model_to_dict, nnodes, to_canonical_text,
-                   tree_from_dict, tree_to_dict, vc_value)
+from .expr import (Model, interpret_weight, model_from_dict, model_to_dict,
+                   to_canonical_text, tree_from_dict, tree_to_dict)
 from .fit import (RegressionProblem, fit_weights, forward_regression_press,
                   nmse, press)
 from .grammar import (Grammar, GrammarError, crossover_sites,
@@ -31,9 +30,8 @@ __all__ = [
     "DataError", "Dataset", "DoePlan", "doe_full_factorial",
     "doe_latin_hypercube", "load_csv", "oracle_dataset", "oracle_targets",
     "save_csv", "scale_target_log10", "synthetic_oracle", "write_points_csv",
-    "Model", "complexity", "eval_basis", "eval_model", "interpret_weight",
-    "model_from_dict", "model_to_dict", "nnodes", "to_canonical_text",
-    "tree_from_dict", "tree_to_dict", "vc_value",
+    "Model", "interpret_weight", "model_from_dict", "model_to_dict",
+    "to_canonical_text", "tree_from_dict", "tree_to_dict",
     "RegressionProblem", "fit_weights",
     "forward_regression_press", "nmse", "press",
     "Grammar", "GrammarError", "crossover_sites", "default_grammar_text",

@@ -6,12 +6,18 @@ payload leaves are variable combos (integer-exponent products of inputs),
 weight nodes (an evolved real, interpreted into a signed decade range) and
 operator names.  Evaluation is vectorized over sample matrices, and any
 non-finite sub-result poisons the whole basis value at that sample.
+
+SHAPES, built from CANONICAL_FORM, is the one table of the canonical form: the
+grammar checks its alternatives in it, and every node keeps its entry, which
+evaluation, rendering and check_tree read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +33,7 @@ class VCLeaf:
     """Variable combo: one integer exponent per design variable (0 = absent)."""
 
     __slots__ = ("exponents",)
+    token = ("t", "VC")
 
     def __init__(self, exponents: Sequence[int]):
         self.exponents = tuple(int(e) for e in exponents)
@@ -39,6 +46,7 @@ class WeightLeaf:
     """Evolved weight; stored value lives in [-2B, 2B], interpreted at eval time."""
 
     __slots__ = ("stored",)
+    token = ("t", "W")
 
     def __init__(self, stored: float):
         self.stored = float(stored)
@@ -55,6 +63,10 @@ class OpLeaf:
     def __init__(self, name: str):
         self.name = name
 
+    @property
+    def token(self) -> Tuple[str, str]:
+        return ("op", self.name)
+
     def __repr__(self) -> str:
         return f"OpLeaf({self.name!r})"
 
@@ -63,19 +75,27 @@ class NTNode:
     """Nonterminal node: grammar symbol, chosen alternative index, children.
 
     Nodes never change once built, so trees share subtrees freely.  A node
-    used as a basis also keeps two values derived from it: its complexity
-    (see basis_complexity) and its column on one sample matrix (see
-    basis_column).  Both die with the node.
+    keeps its canonical-form shape, looked up by its children's tokens when
+    it is built (None outside the form) unless the builder passes the one
+    its children were made from.  A node used as a basis also keeps two
+    values derived from it: its complexity (see basis_complexity) and its
+    column on one sample matrix (see basis_column).  Both die with the node.
     """
 
-    __slots__ = ("symbol", "alt", "children", "_cpx", "_column")
+    __slots__ = ("symbol", "alt", "children", "shape", "_cpx", "_column")
 
-    def __init__(self, symbol: str, alt: int, children: Sequence):
+    def __init__(self, symbol: str, alt: int, children: Sequence,
+                 shape: Optional[Shape] = None):
         self.symbol = symbol
         self.alt = alt
         self.children = tuple(children)
+        self.shape = shape or _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
         self._cpx = None
         self._column = None
+
+    @property
+    def token(self) -> Tuple[str, str]:
+        return ("nt", self.symbol)
 
     def __repr__(self) -> str:
         return f"NTNode({self.symbol}, alt={self.alt}, n={len(self.children)})"
@@ -105,8 +125,7 @@ def walk(tree: NTNode) -> Iterator[Tuple[object, Path]]:
 
 def tree_depth(tree: NTNode) -> int:
     """Depth in nonterminal levels; a bare REPVC -> 'VC' tree has depth 1."""
-    return max((len(path) + 1 for node, path in walk(tree) if isinstance(node, NTNode)),
-               default=0)
+    return check_tree(tree)[0]
 
 
 def replace_at(tree: NTNode, path: Path, new) -> NTNode:
@@ -179,6 +198,124 @@ GRAMMAR_OP_TOKENS: Dict[str, str] = {
 
 
 # ---------------------------------------------------------------------------
+# the canonical form
+# ---------------------------------------------------------------------------
+
+# Every alternative of the canonical form, in grammar text: the packaged
+# grammar file, its commented 4OP rule included, without layout terminals.
+# '+' or '*' joins the children on either side into one term.  A node whose
+# first child is an operator nonterminal applies that operator to its other
+# terms; 2ARGS hands its two terms on as the operator's arguments.
+CANONICAL_FORM = {
+    "REPVC": "'VC' | REPVC '*' REPOP | REPOP",
+    "REPOP": "REPOP '*' REPOP | 1OP 'W' '+' REPADD | 2OP 2ARGS"
+             " | 4OP MAYBEW MAYBEW MAYBEW MAYBEW",
+    "2ARGS": "'W' '+' REPADD MAYBEW | MAYBEW 'W' '+' REPADD",
+    "MAYBEW": "'W' | 'W' '+' REPADD",
+    "REPADD": "'W' '*' REPVC | REPADD '+' REPADD",
+}
+# an operator nonterminal holds one operator of its arity
+OP_ARITY = {"1OP": 1, "2OP": 2, "4OP": 4}
+
+Token = Tuple[str, str]   # ('nt', symbol) | ('t', 'VC' | 'W' | '+' | '*') | ('op', name)
+ARITHMETIC = {("t", "+"), ("t", "*")}
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """One canonical-form alternative and how its children combine.
+
+    A node of this shape evaluates (or renders) each term: one child, or two
+    joined by '+' or '*'.  It applies the operator of child 0 to the terms if
+    `applies`; otherwise it gives its one term, or its terms as arguments.
+    """
+
+    symbol: str
+    signature: Tuple[Token, ...]         # its grammar tokens, arithmetic included
+    struct: Tuple[Token, ...]            # the tokens of its children
+    terms: Tuple[Tuple[int, str], ...]   # (child index, '+' or '*' joining the next child, or '')
+    applies: bool = False                # child 0 is an operator nonterminal
+    op: Optional[OpSpec] = None          # the operator an operator nonterminal holds
+
+
+def _shape(symbol: str, signature: Tuple[Token, ...], op: Optional[OpSpec] = None) -> Shape:
+    struct = tuple(t for t in signature if t not in ARITHMETIC)
+    # per child, the arithmetic terminal joining it to the next child, or ''
+    joins = [b[1] if b in ARITHMETIC else "" for a, b in zip(signature, signature[1:] + (None,))
+             if a not in ARITHMETIC]
+    # a term starts at every child that is not joined to the one before it
+    terms = tuple((i, join) for i, join in enumerate(joins) if i == 0 or not joins[i - 1])
+    applies = struct[0][1] in OP_ARITY
+    return Shape(symbol, signature, struct, terms[applies:], applies, op)
+
+
+def _signature(text: str) -> Tuple[Token, ...]:
+    return tuple(("t", w.strip("'")) if w.startswith("'") else ("nt", w) for w in text.split())
+
+
+_ENTRIES = ([_shape(symbol, _signature(alt)) for symbol, text in CANONICAL_FORM.items()
+             for alt in text.split("|")]
+            + [_shape(symbol, (("op", name),), spec) for symbol, arity in OP_ARITY.items()
+               for name, spec in OPS.items() if spec.arity == arity])
+# (symbol, signature) -> shape, operator choices included
+SHAPES = {(shape.symbol, shape.signature): shape for shape in _ENTRIES}
+# the same shapes by (symbol, child tokens), which is what a node holds
+_BY_CHILDREN = {(shape.symbol, shape.struct): shape for shape in SHAPES.values()}
+_PURE_VC = _BY_CHILDREN[("REPVC", (VCLeaf.token,))]
+_ADD = OPS["add"]
+_token = attrgetter("token")
+
+
+def token_text(tokens) -> str:
+    """Tokens as grammar text: nonterminals bare, everything else quoted."""
+    return " ".join(tok if kind == "nt" else f"'{tok}'" for kind, tok in tokens)
+
+
+def _children_text(node: NTNode) -> str:
+    return token_text(map(_token, node.children))
+
+
+def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
+               alternatives: Optional[Dict[str, Sequence[Shape]]] = None
+               ) -> Tuple[int, List[str], List[VCLeaf]]:
+    """(depth, defects, variable combos) of `tree`, in one preorder pass.
+
+    Defects are nodes outside the canonical form (given `alternatives`, a
+    grammar's shapes by symbol and alternative index: off their alternative's
+    shape), variable combos that are not n_vars exponents within float range
+    (given n_vars) and stored weights outside [-2B, 2B].
+    """
+    depth, defects, vcs = 0, [], []
+    stack = [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        kind = type(node)
+        if kind is NTNode:
+            if level > depth:
+                depth = level
+            if alternatives is None:
+                if node.shape is None:
+                    defects.append(f"{node.symbol} => {_children_text(node)} is not canonical form")
+            else:
+                alts = alternatives.get(node.symbol, ())
+                want = alts[node.alt] if 0 <= node.alt < len(alts) else None
+                if want is None or want is not node.shape:
+                    want = token_text(want.struct) if want else f"alternative {node.alt}"
+                    defects.append(f"{node.symbol}: expected {want}, got {_children_text(node)}")
+            stack.extend(zip(reversed(node.children), repeat(level + 1)))
+        elif kind is VCLeaf:
+            vcs.append(node)
+            e = node.exponents
+            if n_vars is not None and (len(e) != n_vars or max(map(abs, e), default=0) > 1e308):
+                defects.append(f"variable combo {list(e)} is not {n_vars} exponents "
+                               f"within float range")
+        elif kind is WeightLeaf and not abs(node.stored) <= 2.0 * B:
+            defects.append(f"weight bound: stored weight {node.stored} outside [-2B, 2B] "
+                           f"for B={B}")
+    return depth, defects, vcs
+
+
+# ---------------------------------------------------------------------------
 # weight interpretation and variable combos
 # ---------------------------------------------------------------------------
 
@@ -201,11 +338,6 @@ def vc_column(exponents: Sequence[int], X: np.ndarray) -> np.ndarray:
     return out
 
 
-def vc_value(vc: VCLeaf, x: Sequence[float]) -> float:
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(vc_column(vc.exponents, X)[0])
-
-
 def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
     """If every exponent is zero, re-add a random +/-1 exponent on a random dim."""
     if any(exponents):
@@ -221,50 +353,27 @@ def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def _eval(node, X: np.ndarray, B: float):
-    if isinstance(node, VCLeaf):
+    kind = type(node)
+    if kind is VCLeaf:
         return vc_column(node.exponents, X)
-    if isinstance(node, WeightLeaf):
+    if kind is WeightLeaf:
         return np.float64(interpret_weight(node.stored, B))
-
-    sym = node.symbol
     ch = node.children
-
-    if sym == "REPVC":
-        val = _eval(ch[0], X, B)
-        for c in ch[1:]:
-            val = val * _eval(c, X, B)
-        return val
-
-    if sym == "REPOP":
-        c0 = ch[0]
-        if c0.symbol == "REPOP":
-            return _eval(c0, X, B) * _eval(ch[1], X, B)
-        if c0.symbol == "1OP":
-            args = (_eval(ch[1], X, B) + _eval(ch[2], X, B),)
-        elif c0.symbol == "2OP":
-            args = _eval(ch[1], X, B)
-        elif c0.symbol == "4OP":
-            args = [_eval(c, X, B) for c in ch[1:]]
+    shape = node.shape
+    args = []
+    for i, join in shape.terms:
+        val = _eval(ch[i], X, B)
+        if join == "*":
+            val = val * _eval(ch[i + 1], X, B)
+        elif join == "+":
+            val = val + _eval(ch[i + 1], X, B)
+        if type(val) is tuple:
+            args.extend(val)
         else:
-            raise ValueError(f"cannot interpret REPOP child {c0!r}")
-        return _mask_nonfinite(OPS[c0.children[0].name].fn(*args), *args)
-
-    if sym == "REPADD":
-        if isinstance(ch[0], WeightLeaf):
-            return _eval(ch[0], X, B) * _eval(ch[1], X, B)
-        return _eval(ch[0], X, B) + _eval(ch[1], X, B)
-
-    if sym == "MAYBEW":
-        if len(ch) == 1:
-            return _eval(ch[0], X, B)
-        return _eval(ch[0], X, B) + _eval(ch[1], X, B)
-
-    if sym == "2ARGS":
-        if isinstance(ch[0], WeightLeaf):
-            return (_eval(ch[0], X, B) + _eval(ch[1], X, B), _eval(ch[2], X, B))
-        return (_eval(ch[0], X, B), _eval(ch[1], X, B) + _eval(ch[2], X, B))
-
-    raise ValueError(f"cannot interpret nonterminal {sym!r}")
+            args.append(val)
+    if shape.applies:
+        return _mask_nonfinite(ch[0].shape.op.fn(*args), *args)
+    return args[0] if len(args) == 1 else tuple(args)
 
 
 def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
@@ -274,11 +383,6 @@ def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
     if np.ndim(val) == 0:
         return np.full(X.shape[0], float(val))
     return val
-
-
-def eval_basis(tree: BasisTree, x: Sequence[float], B: float) -> float:
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(eval_basis_matrix(tree, X, B)[0])
 
 
 def basis_column(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
@@ -332,22 +436,8 @@ def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
     return out
 
 
-def eval_model(m: Model, x: Sequence[float], B: float = 10.0) -> float:
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(eval_model_matrix(m, X, B)[0])
-
-
-def nnodes(tree: BasisTree) -> int:
-    """Expression-node count: payload leaves only (VCs, weights, operators)."""
-    count = 0
-    for node, _ in walk(tree):
-        if isinstance(node, (VCLeaf, WeightLeaf, OpLeaf)):
-            count += 1
-    return count
-
-
 def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
-    """wb + nnodes + exponent cost of one basis, kept on the tree per (wb, wvc).
+    """wb + payload-leaf count + exponent cost of one basis, kept on the tree per (wb, wvc).
 
     The exponent cost adds wvc * sum|e| over the variable combos in preorder.
     """
@@ -369,11 +459,6 @@ def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
 
 def complexity_of_bases(bases: Sequence[BasisTree], wb: float, wvc: float) -> float:
     return float(sum(basis_complexity(t, wb, wvc) for t in bases))
-
-
-def complexity(m: Model, wb: float, wvc: float) -> float:
-    """Basis-count, node-count and exponent cost of a model; 0 for a constant."""
-    return complexity_of_bases(m.bases, wb, wvc)
 
 
 # ---------------------------------------------------------------------------
@@ -401,97 +486,48 @@ def _vc_text(exponents: Sequence[int], var_names: Sequence[str]) -> Tuple[str, s
     return group(num), group(den)
 
 
-def _render(node, var_names, sig_figs, B) -> str:
-    if isinstance(node, VCLeaf):
+def _render(node, var_names, sig_figs, B):
+    kind = type(node)
+    if kind is VCLeaf:
         num, den = _vc_text(node.exponents, var_names)
         if num and den:
             return f"{num} / {den}"
         if num:
             return num
         return f"1 / {den}"
-    if isinstance(node, WeightLeaf):
+    if kind is WeightLeaf:
         return _fmt(interpret_weight(node.stored, B), sig_figs)
-
-    sym = node.symbol
     ch = node.children
-
-    if sym == "REPVC":
-        return " * ".join(_render(c, var_names, sig_figs, B) for c in ch)
-
-    if sym == "REPOP":
-        c0 = ch[0]
-        if c0.symbol == "REPOP":
-            return " * ".join(_render(c, var_names, sig_figs, B) for c in ch)
-        if c0.symbol == "1OP":
-            args = (_sum_text(ch[1], ch[2], var_names, sig_figs, B),)
-        elif c0.symbol == "2OP":
-            args = _two_arg_texts(ch[1], var_names, sig_figs, B)
-        elif c0.symbol == "4OP":
-            args = [_render(c, var_names, sig_figs, B) for c in ch[1:]]
+    shape = node.shape
+    texts = []
+    for i, join in shape.terms:
+        text = _render(ch[i], var_names, sig_figs, B)
+        if join:
+            right = _render(ch[i + 1], var_names, sig_figs, B)
+            text = _plus(text, right) if join == "+" else _times(text, ch[i + 1], right)
+        if type(text) is tuple:
+            texts.extend(text)
         else:
-            raise ValueError(f"cannot render nonterminal {sym!r}")
-        opname = c0.children[0].name
-        if opname == "add" and args[1].startswith("-"):
-            return f"({args[0]} - {args[1][1:]})"
-        return OPS[opname].text.format(*args)
-
-    if sym == "REPADD":
-        if isinstance(ch[0], WeightLeaf):
-            w = interpret_weight(ch[0].stored, B)
-            return _weighted_term_text(w, ch[1], var_names, sig_figs, B)
-        left = _render(ch[0], var_names, sig_figs, B)
-        right = _render(ch[1], var_names, sig_figs, B)
-        if right.startswith("-"):
-            return f"{left} - {right[1:]}"
-        return f"{left} + {right}"
-
-    if sym == "MAYBEW":
-        if len(ch) == 1:
-            return _render(ch[0], var_names, sig_figs, B)
-        return _sum_text(ch[0], ch[1], var_names, sig_figs, B)
-
-    raise ValueError(f"cannot render nonterminal {sym!r}")
+            texts.append(text)
+    if shape.applies:
+        op = ch[0].shape.op
+        return f"({_plus(*texts)})" if op is _ADD else op.text.format(*texts)
+    return texts[0] if len(texts) == 1 else tuple(texts)
 
 
-def _sum_text(w_leaf, repadd, var_names, sig_figs, B) -> str:
-    """Text for 'W + REPADD' groups."""
-    lead = _fmt(interpret_weight(w_leaf.stored, B), sig_figs)
-    rest = _render(repadd, var_names, sig_figs, B)
-    if rest.startswith("-"):
-        return f"{lead} - {rest[1:]}"
-    return f"{lead} + {rest}"
+def _plus(left: str, right: str) -> str:
+    """'left + right', folding a leading '-' of right into ' - '."""
+    if right.startswith("-"):
+        return f"{left} - {right[1:]}"
+    return f"{left} + {right}"
 
 
-def _two_arg_texts(two_args_node, var_names, sig_figs, B):
-    ch = two_args_node.children
-    if isinstance(ch[0], WeightLeaf):
-        return (_sum_text(ch[0], ch[1], var_names, sig_figs, B),
-                _render(ch[2], var_names, sig_figs, B))
-    return (_render(ch[0], var_names, sig_figs, B),
-            _sum_text(ch[1], ch[2], var_names, sig_figs, B))
-
-
-def _is_pure_vc(tree: BasisTree) -> Optional[VCLeaf]:
-    if (isinstance(tree, NTNode) and tree.symbol == "REPVC"
-            and len(tree.children) == 1 and isinstance(tree.children[0], VCLeaf)):
-        return tree.children[0]
-    return None
-
-
-def _weighted_term_text(coeff: float, body, var_names, sig_figs, B) -> str:
-    """Render 'coeff * body', folding pure variable-combo ratios into the coefficient."""
-    c_txt = _fmt(coeff, sig_figs)
-    vc = body if isinstance(body, VCLeaf) else None
-    if vc is None and isinstance(body, NTNode):
-        vc = _is_pure_vc(body) if body.symbol == "REPVC" else None
-    if vc is not None:
-        num, den = _vc_text(vc.exponents, var_names)
-        if num and den:
-            return f"{c_txt} * {num} / {den}"
-        if num:
-            return f"{c_txt} * {num}"
-        return f"{c_txt} / {den}"
-    return f"{c_txt} * {_render(body, var_names, sig_figs, B)}"
+def _times(left: str, body: NTNode, right: str) -> str:
+    """'left * right' for the text `right` of `body`; a pure variable combo
+    without numerator folds its '1 / den' into 'left / den'."""
+    if body.shape is _PURE_VC and not any(e > 0 for e in body.children[0].exponents):
+        return f"{left} / {right[4:]}"
+    return f"{left} * {right}"
 
 
 def to_canonical_text(m: Model, var_names: Sequence[str], sig_figs: int = 3,
@@ -503,7 +539,7 @@ def to_canonical_text(m: Model, var_names: Sequence[str], sig_figs: int = 3,
     for j, tree in enumerate(m.bases):
         c = float(m.coeffs[j + 1])
         sign = "-" if c < 0 else "+"
-        body = _weighted_term_text(abs(c), tree, var_names, sig_figs, B)
+        body = _times(_fmt(abs(c), sig_figs), tree, _render(tree, var_names, sig_figs, B))
         parts.append(f"{sign} {body}")
     text = " ".join(parts)
     if log_scaled:
@@ -535,7 +571,7 @@ def tree_from_dict(d: dict):
     if kind == "op":
         return OpLeaf(d["name"])
     if kind == "nt":
-        return NTNode(d["symbol"], int(d["alt"]), [tree_from_dict(c) for c in d["children"]])
+        return NTNode(d["symbol"], int(d["alt"]), list(map(tree_from_dict, d["children"])))
     raise ValueError(f"unknown tree node kind {kind!r}")
 
 

@@ -3,27 +3,25 @@
 The grammar format follows the canonical-form production style: one rule per
 logical line ("LHS => alt | alt | ..."), single-quoted terminals, '#'
 comments and continuation lines.  The text is the one switch over the search
-space: every alternative must be one of the canonical form's, and a parsed
-Grammar never changes.  Generated trees respect the productions and a depth
-bound.
+space: every alternative must be one of the canonical form's, looked up in
+expr.SHAPES, and a parsed Grammar never changes.  Generated trees respect the
+productions and a depth bound; validate and check_basis check trees through
+expr.check_tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import (GRAMMAR_OP_TOKENS, OPS, BasisTree, NTNode, OpLeaf, VCLeaf,
-                   WeightLeaf, walk)
+from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
+                   NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, token_text,
+                   walk)
 
 START_SYMBOL = "REPVC"
-_LAYOUT = {"(", ")", ","}        # grouping only
-_ARITHMETIC = {"+", "*"}         # how a node's children combine
-_PUNCTUATION = _LAYOUT | _ARITHMETIC
-_OP_ARITY = {"1OP": 1, "2OP": 2, "4OP": 4}
+_LAYOUT = {("t", "("), ("t", ")"), ("t", ",")}        # grouping only
+_PUNCTUATION = _LAYOUT | ARITHMETIC
 _INF = float("inf")
 
 
@@ -32,46 +30,15 @@ class GrammarError(ValueError):
     alternatives outside the canonical form."""
 
 
-@dataclass(frozen=True)
-class Alternative:
-    """One right-hand-side alternative: ('nt'|'t', token) pairs and its line."""
-
-    symbols: Tuple[Tuple[str, str], ...]
-    line: int = 0
-
-    @cached_property
-    def signature(self) -> Tuple[Tuple[str, str], ...]:
-        # symbols without layout terminals: what the canonical-form check compares
-        return _without(self.symbols, _LAYOUT)
-
-    @cached_property
-    def struct(self) -> Tuple[Tuple[str, str], ...]:
-        # structural symbols only: punctuation terminals carry no tree content
-        return _without(self.symbols, _PUNCTUATION)
-
-    def nt_refs(self) -> List[str]:
-        return [v for k, v in self.symbols if k == "nt"]
-
-
-def _without(symbols, terminals) -> Tuple[Tuple[str, str], ...]:
-    return tuple((k, v) for k, v in symbols if not (k == "t" and v in terminals))
-
-
 class Grammar:
-    """Canonical-form production rules keyed by nonterminal, fixed once built."""
+    """Production rules keyed by nonterminal, each alternative an entry of
+    expr.SHAPES, fixed once built."""
 
     start = START_SYMBOL
 
-    def __init__(self, rules: Dict[str, Sequence[Alternative]]):
+    def __init__(self, rules: Dict[str, Sequence[Shape]]):
         self.rules = {lhs: tuple(alts) for lhs, alts in rules.items()}
-        self._check()
         self._min_depth, self._alt_min_depths = self._min_depths()
-        for lhs, alts in self.rules.items():
-            for alt in alts:
-                if not _canonical(lhs, alt.signature, _SIGNATURES):
-                    raise GrammarError(
-                        f"line {alt.line}: {lhs} => {_text(alt.symbols)} is not "
-                        f"a canonical-form alternative")
 
     @property
     def nonterminals(self) -> List[str]:
@@ -84,23 +51,11 @@ class Grammar:
         """Minimum derivation depth through each alternative."""
         return self._alt_min_depths[symbol]
 
-    def _check(self) -> None:
-        if not self.rules:
-            raise GrammarError("grammar defines no rules")
-        for lhs, alts in self.rules.items():
-            for alt in alts:
-                for ref in alt.nt_refs():
-                    if ref not in self.rules:
-                        raise GrammarError(f"line {alt.line}: undefined nonterminal "
-                                           f"{ref!r} referenced from {lhs!r}")
-        if self.start not in self.rules:
-            raise GrammarError(f"start symbol {self.start!r} is not defined")
-
     def _min_depths(self):
         md = {nt: _INF for nt in self.rules}
 
-        def through(alt: Alternative) -> float:
-            return 1.0 + max((md[r] for r in alt.nt_refs()), default=0.0)
+        def through(alt: Shape) -> float:
+            return 1.0 + max((md[r] for k, r in alt.struct if k == "nt"), default=0.0)
 
         changed = True
         while changed:
@@ -149,14 +104,14 @@ def _tokenize_rhs(text: str, lineno: int) -> List[Tuple[Tuple[str, str], ...]]:
 
 
 def _canonicalize_ops(lhs: str, symbols, lineno: int):
-    """Map the terminals of a 1OP/2OP/4OP rule to operator names, checking
-    that each is a known operator of the rule's arity."""
-    expected = _OP_ARITY.get(lhs)
+    """Map the terminals of a 1OP/2OP/4OP rule to ('op', name) tokens,
+    checking that each is a known operator of the rule's arity."""
+    expected = OP_ARITY.get(lhs)
     if expected is None:
         return symbols
     out = []
     for kind, tok in symbols:
-        if kind == "t" and tok not in _PUNCTUATION:
+        if kind == "t" and (kind, tok) not in _PUNCTUATION:
             canon = GRAMMAR_OP_TOKENS.get(tok.upper())
             if canon is None:
                 raise GrammarError(f"line {lineno}: unknown operator terminal {tok!r}")
@@ -164,43 +119,9 @@ def _canonicalize_ops(lhs: str, symbols, lineno: int):
                 raise GrammarError(
                     f"line {lineno}: operator {tok!r} has arity {OPS[canon].arity}, "
                     f"but rule {lhs} requires arity {expected}")
-            tok = canon
+            kind, tok = "op", canon
         out.append((kind, tok))
     return tuple(out)
-
-
-# The canonical form: every alternative of the packaged grammar file, its
-# commented 4OP rule included, without layout terminals.  An alternative of
-# 1OP, 2OP or 4OP is one operator of that arity instead.
-_SIGNATURES = {lhs: set(_tokenize_rhs(rhs, 0)) for lhs, rhs in {
-    "REPVC": "'VC' | REPVC '*' REPOP | REPOP",
-    "REPOP": "REPOP '*' REPOP | 1OP 'W' '+' REPADD | 2OP 2ARGS"
-             " | 4OP MAYBEW MAYBEW MAYBEW MAYBEW",
-    "2ARGS": "'W' '+' REPADD MAYBEW | MAYBEW 'W' '+' REPADD",
-    "MAYBEW": "'W' | 'W' '+' REPADD",
-    "REPADD": "'W' '*' REPVC | REPADD '+' REPADD",
-}.items()}
-# the same alternatives as the children a tree node holds
-_CANONICAL = {lhs: {_without(sig, _ARITHMETIC) for sig in sigs}
-              for lhs, sigs in _SIGNATURES.items()}
-
-
-def _canonical(lhs: str, tokens, table) -> bool:
-    """Whether tokens are a canonical-form alternative of `lhs` in `table`:
-    _SIGNATURES for grammar alternatives, _CANONICAL for tree nodes.
-
-    Tree checks pass operator leaves as ('op', name), so they never match a
-    grammar token of the table.
-    """
-    arity = _OP_ARITY.get(lhs)
-    if arity is None:
-        return tokens in table.get(lhs, ())
-    return (len(tokens) == 1 and tokens[0][0] != "nt" and tokens[0][1] in OPS
-            and OPS[tokens[0][1]].arity == arity)
-
-
-def _text(symbols) -> str:
-    return " ".join(tok if kind == "nt" else f"'{tok}'" for kind, tok in symbols)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -223,17 +144,35 @@ def parse_grammar(text: str) -> Grammar:
     if not logical:
         raise GrammarError("empty grammar file")
 
-    rules: Dict[str, List[Alternative]] = {}
+    alternatives: Dict[str, List[Tuple[int, Tuple[Token, ...]]]] = {}
     for lineno, line in logical:
         lhs_text, rhs_text = line.split("=>", 1)
         lhs = lhs_text.strip()
         if not re.fullmatch(r"\w+", lhs):
             raise GrammarError(f"line {lineno}: bad rule name {lhs!r}")
-        bucket = rules.setdefault(lhs, [])
-        for symbols in _tokenize_rhs(rhs_text, lineno):
-            bucket.append(Alternative(_canonicalize_ops(lhs, symbols, lineno), lineno))
+        alternatives.setdefault(lhs, []).extend(
+            (lineno, _canonicalize_ops(lhs, symbols, lineno))
+            for symbols in _tokenize_rhs(rhs_text, lineno))
 
-    return Grammar(rules)
+    for lhs, alts in alternatives.items():
+        for lineno, symbols in alts:
+            for kind, ref in symbols:
+                if kind == "nt" and ref not in alternatives:
+                    raise GrammarError(f"line {lineno}: undefined nonterminal "
+                                       f"{ref!r} referenced from {lhs!r}")
+    if START_SYMBOL not in alternatives:
+        raise GrammarError(f"start symbol {START_SYMBOL!r} is not defined")
+    return Grammar({lhs: [_shape_of(lhs, lineno, symbols) for lineno, symbols in alts]
+                    for lhs, alts in alternatives.items()})
+
+
+def _shape_of(lhs: str, lineno: int, symbols: Tuple[Token, ...]) -> Shape:
+    """The canonical-form shape of an alternative; GrammarError if it has none."""
+    shape = SHAPES.get((lhs, tuple(t for t in symbols if t not in _LAYOUT)))
+    if shape is None:
+        raise GrammarError(f"line {lineno}: {lhs} => {token_text(symbols)} is not "
+                           f"a canonical-form alternative")
+    return shape
 
 
 def default_grammar_text() -> str:
@@ -288,7 +227,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
                 children.append(WeightLeaf(float(rng.uniform(-2.0 * B, 2.0 * B))))
             else:
                 children.append(OpLeaf(tok))
-        return NTNode(sym, pick, children)
+        return NTNode(sym, pick, children, alts[pick])
 
     return gen(symbol, max_depth)
 
@@ -299,75 +238,36 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 
 def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
              exp_cap: int = 5, n_vars: Optional[int] = None) -> List[str]:
-    """Return a list of violations (empty list means the tree is valid)."""
-    violations: List[str] = []
+    """Return a list of violations (empty list means the tree is valid): the
+    defects check_tree finds against the grammar's alternatives, then the
+    root symbol, the depth bound, the exponent cap and all-zero variable
+    combos."""
     if not isinstance(tree, NTNode):
         return [f"root is not a nonterminal node: {tree!r}"]
+    depth, violations, vcs = check_tree(tree, n_vars, B, g.rules)
     if tree.symbol != g.start:
         violations.append(f"root symbol {tree.symbol!r} != start {g.start!r}")
-
-    for node, path in walk(tree):
-        if isinstance(node, NTNode):
-            level = len(path) + 1
-            if level > max_depth:
-                violations.append(f"depth {level} exceeds max_depth {max_depth}")
-            alts = g.rules.get(node.symbol)
-            if alts is None:
-                violations.append(f"unknown nonterminal {node.symbol!r}")
-                continue
-            if not (0 <= node.alt < len(alts)):
-                violations.append(f"{node.symbol}: alternative index {node.alt} out of range")
-                continue
-            want = tuple(("op" if node.symbol in _OP_ARITY else kind, tok)
-                         for kind, tok in alts[node.alt].struct)
-            got = tuple(_token(child) for child in node.children)
-            if got != want:
-                violations.append(f"{node.symbol}: expected {_text(want)}, got {_text(got)}")
-        elif isinstance(node, WeightLeaf):
-            if abs(node.stored) > 2.0 * B:
-                violations.append(f"weight bound: |{node.stored}| > 2B with B={B}")
-        elif isinstance(node, VCLeaf):
-            if not any(node.exponents):
-                violations.append("all-zero variable combo")
-            if any(abs(e) > exp_cap for e in node.exponents):
-                violations.append(f"exponent cap {exp_cap} exceeded: {node.exponents}")
-            if n_vars is not None and len(node.exponents) != n_vars:
-                violations.append(
-                    f"variable combo length {len(node.exponents)} != {n_vars} variables")
+    if depth > max_depth:
+        violations.append(f"depth {depth} exceeds max_depth {max_depth}")
+    for vc in vcs:
+        if not any(vc.exponents):
+            violations.append("all-zero variable combo")
+        if any(abs(e) > exp_cap for e in vc.exponents):
+            violations.append(f"exponent cap {exp_cap} exceeded: {vc.exponents}")
     return violations
 
 
 def check_basis(tree, n_vars: int, B: float) -> None:
-    """Raise ValueError unless `tree` is a canonical-form basis that can be
-    evaluated: children as in _CANONICAL, n_vars exponents per variable combo
-    and stored weights in [-2B, 2B].  Alternative indices depend on the grammar
-    a model was evolved under and are not checked; evaluation never reads them.
+    """Raise ValueError unless `tree` is a basis that can be evaluated: a
+    START_SYMBOL root and no check_tree defect.  Alternative indices depend
+    on the grammar a model was evolved under and are not checked; evaluation
+    never reads them.
     """
     if not isinstance(tree, NTNode) or tree.symbol != START_SYMBOL:
         raise ValueError(f"a basis must be a {START_SYMBOL} node, got {tree!r}")
-    for node, _ in walk(tree):
-        if isinstance(node, NTNode):
-            struct = tuple(_token(child) for child in node.children)
-            if not _canonical(node.symbol, struct, _CANONICAL):
-                raise ValueError(f"{node.symbol} => {_text(struct)} is not canonical form")
-        elif isinstance(node, VCLeaf):
-            if len(node.exponents) != n_vars or any(abs(e) > 1e308 for e in node.exponents):
-                raise ValueError(f"variable combo {list(node.exponents)} is not "
-                                 f"{n_vars} exponents within float range")
-        elif isinstance(node, WeightLeaf) and not abs(node.stored) <= 2.0 * B:
-            raise ValueError(f"stored weight {node.stored} outside [-2B, 2B] for B={B}")
-
-
-_LEAF_TOKENS = {VCLeaf: ("t", "VC"), WeightLeaf: ("t", "W")}
-
-
-def _token(node) -> Tuple[str, str]:
-    """A tree node as the structural token it stands for."""
-    if isinstance(node, NTNode):
-        return ("nt", node.symbol)
-    if isinstance(node, OpLeaf):
-        return ("op", node.name)
-    return _LEAF_TOKENS.get(type(node), ("?", repr(node)))
+    defects = check_tree(tree, n_vars, B)[1]
+    if defects:
+        raise ValueError(defects[0])
 
 
 def crossover_sites(tree: BasisTree, symbol: str) -> List[NTNode]:

@@ -240,7 +240,8 @@ def load_model_json(path: str) -> dict:
             raise ValueError(f"{model.n_bases} bases need {model.n_bases + 1} coefficients")
         for tree in model.bases:
             check_basis(tree, len(names), B)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     return payload
 

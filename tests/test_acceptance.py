@@ -12,7 +12,7 @@ import pytest
 from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
 from canonsr.evolve import apply_operator, dominates, fit_model, nondominated_sort
-from canonsr.expr import Model, NTNode, VCLeaf, complexity, tree_depth
+from canonsr.expr import Model, NTNode, VCLeaf, complexity_of_bases, tree_depth
 from canonsr.fit import RegressionProblem, fit_weights, press
 from canonsr.grammar import load_default_grammar, random_tree, validate
 from canonsr.pipeline import (TradeoffSet, filter_test_tradeoff, run_evolution,
@@ -173,8 +173,8 @@ def test_criterion_5_complexity_spot_checks():
     constant = Model(bases=[], coeffs=np.array([1.0]), valid=True)
     single_vc = Model(bases=[NTNode("REPVC", 0, [VCLeaf([1, 0, -2, 1])])],
                       coeffs=np.array([0.0, 1.0]), valid=True)
-    ok = (complexity(constant, 10.0, 0.25) == 0.0
-          and complexity(single_vc, 10.0, 0.25) == 12.0)
+    ok = (complexity_of_bases(constant.bases, 10.0, 0.25) == 0.0
+          and complexity_of_bases(single_vc.bases, 10.0, 0.25) == 12.0)
     _report("criterion 5: complexity of constant = 0 and of [1,0,-2,1] basis = 12", ok)
 
 

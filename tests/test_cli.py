@@ -590,3 +590,33 @@ def test_eval_model_that_cannot_be_evaluated_exits_3(tmp_path, capsys, bases, co
     code = _eval(tmp_path, _model_text(bases, coeffs), b"x,z,y\n1,2,0\n")
     captured = _assert_data_exit(code, capsys, "cannot read model file")
     assert message in captured.err
+
+
+def _nested_model_text(levels):
+    """A model whose basis nests `levels` REPVC '*' REPOP nodes around x / z,
+    written as JSON text by hand: the json module's own encoder would refuse
+    the nesting."""
+    repop = json.dumps(_sin_basis(10.0)["children"][0])
+    tree = json.dumps(_nt("REPVC", {"kind": "vc", "exponents": [1, -1]}))
+    for _ in range(levels):
+        tree = f'{{"kind": "nt", "symbol": "REPVC", "alt": 1, "children": [{tree}, {repop}]}}'
+    return _model_text(["BASIS"], [0.0, 1.0]).replace('"BASIS"', tree)
+
+
+def test_eval_model_nested_too_deep_to_read_exits_3(tmp_path, capsys):
+    code = _eval(tmp_path, _nested_model_text(2000), b"x,z,y\n1,2,0\n")
+    _assert_data_exit(code, capsys, "maximum recursion depth exceeded")
+
+
+def test_eval_model_nested_400_levels_evaluates_and_renders(tmp_path, capsys):
+    from canonsr.expr import to_canonical_text
+    from canonsr.pipeline import load_model_json
+
+    assert _eval(tmp_path, _nested_model_text(400), b"x,z,y\n1,2,0\n") == 0
+    expected = 0.5
+    for _ in range(400):
+        expected *= float(np.sin(1.5))
+    assert (tmp_path / "p.csv").read_text() == f"prediction\n{expected!r}\n"
+    model = load_model_json(str(tmp_path / "model.json"))["model"]
+    assert (to_canonical_text(model, ("x", "z"))
+            == "0 + 1 * x / z" + " * sin(1 + 1 * x / z)" * 400)

@@ -7,11 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from canonsr.expr import (Model, NTNode, OpLeaf, VCLeaf, WeightLeaf, complexity,
-                          eval_basis, eval_basis_matrix, eval_model, eval_model_matrix,
+from canonsr.expr import (Model, NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_complexity,
+                          complexity_of_bases, eval_basis_matrix, eval_model_matrix,
                           interpret_weight, model_from_dict, model_to_dict,
-                          nnodes, to_canonical_text, tree_from_dict,
-                          tree_to_dict, vc_value)
+                          to_canonical_text, tree_from_dict, tree_to_dict)
 
 B = 10.0
 
@@ -23,6 +22,11 @@ B = 10.0
 def vc_basis(exponents):
     """REPVC -> 'VC'."""
     return NTNode("REPVC", 0, [VCLeaf(exponents)])
+
+
+def row(x):
+    """One sample as a one-row sample matrix."""
+    return np.asarray(x, dtype=float).reshape(1, -1)
 
 
 def stored_for(value):
@@ -77,20 +81,21 @@ def test_interpret_weight_range():
 
 
 # ---------------------------------------------------------------------------
-# vc_value
+# variable combos
 # ---------------------------------------------------------------------------
 
 def test_vc_value_worked_example():
     # (x1 * x4) / x3^2 at (2, 5, 2, 3) = 6 / 4
-    assert vc_value(VCLeaf([1, 0, -2, 1]), [2, 5, 2, 3]) == pytest.approx(1.5)
+    X = row([2, 5, 2, 3])
+    assert eval_basis_matrix(vc_basis([1, 0, -2, 1]), X, B)[0] == pytest.approx(1.5)
 
 
 def test_vc_value_identity_exponent():
-    assert vc_value(VCLeaf([1]), [7.0]) == 7.0
+    assert eval_basis_matrix(vc_basis([1]), row([7.0]), B)[0] == 7.0
 
 
 def test_vc_value_division_by_zero_is_nonfinite():
-    assert not np.isfinite(vc_value(VCLeaf([-1]), [0.0]))
+    assert not np.isfinite(eval_basis_matrix(vc_basis([-1]), row([0.0]), B)[0])
 
 
 def test_vc_reciprocal_property():
@@ -99,35 +104,36 @@ def test_vc_reciprocal_property():
         d = int(rng.integers(1, 5))
         exps = rng.integers(-3, 4, size=d)
         x = rng.uniform(0.2, 3.0, size=d)
-        a = vc_value(VCLeaf(exps), x)
-        b = vc_value(VCLeaf(-exps), x)
+        a = eval_basis_matrix(vc_basis(exps), row(x), B)[0]
+        b = eval_basis_matrix(vc_basis(-exps), row(x), B)[0]
         if np.isfinite(a) and np.isfinite(b) and a != 0 and b != 0:
             assert a * b == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# eval_basis
+# basis evaluation
 # ---------------------------------------------------------------------------
 
 def test_eval_basis_single_vc():
-    assert eval_basis(vc_basis([1, 0, -2, 1]), [2, 5, 2, 3], B) == pytest.approx(1.5)
+    X = row([2, 5, 2, 3])
+    assert eval_basis_matrix(vc_basis([1, 0, -2, 1]), X, B)[0] == pytest.approx(1.5)
 
 
 def test_eval_basis_relu_clamps_negative():
     tree = one_op_basis("relu", 0.0, 1.0, [1])
-    assert eval_basis(tree, [-3.0], B) == 0.0
-    assert eval_basis(tree, [4.0], B) == 4.0
+    assert eval_basis_matrix(tree, row([-3.0]), B)[0] == 0.0
+    assert eval_basis_matrix(tree, row([4.0]), B)[0] == 4.0
 
 
 def test_eval_basis_sqrt_of_negative_is_nonfinite():
     tree = one_op_basis("sqrt", 0.0, 1.0, [1])
-    assert not np.isfinite(eval_basis(tree, [-1.0], B))
+    assert not np.isfinite(eval_basis_matrix(tree, row([-1.0]), B)[0])
 
 
 def test_eval_basis_nonfinite_subresult_poisons_even_through_relu():
     # relu(0 + 1 * (1/x)) at x=0: inner inf, so the whole result is non-finite
     tree = one_op_basis("relu", 0.0, 1.0, [-1])
-    assert not np.isfinite(eval_basis(tree, [0.0], B))
+    assert not np.isfinite(eval_basis_matrix(tree, row([0.0]), B)[0])
 
 
 def test_eval_model_matrix_zero_times_infinite_column_is_silent():
@@ -152,10 +158,10 @@ def two_op_basis(opname, base_w, base_term_w, base_exponents, const_w):
 def test_eval_pow_with_constant_exponent():
     # pow(0 + 1*x1, 2) = x1^2
     tree = two_op_basis("pow", 0.0, 1.0, [1], 2.0)
-    assert eval_basis(tree, [3.0], B) == pytest.approx(9.0)
+    assert eval_basis_matrix(tree, row([3.0]), B)[0] == pytest.approx(9.0)
     # negative base with non-integer exponent is non-finite, not complex
     tree_frac = two_op_basis("pow", 0.0, 1.0, [1], 0.5)
-    assert not np.isfinite(eval_basis(tree_frac, [-2.0], B))
+    assert not np.isfinite(eval_basis_matrix(tree_frac, row([-2.0]), B)[0])
 
 
 def test_eval_div_and_constant_side_order():
@@ -165,8 +171,8 @@ def test_eval_div_and_constant_side_order():
                                    WeightLeaf(stored_for(0.0)), repadd])
     repop = NTNode("REPOP", 2, [NTNode("2OP", 0, [OpLeaf("div")]), two_args])
     tree = NTNode("REPVC", 2, [repop])
-    assert eval_basis(tree, [2.0], B) == pytest.approx(3.0)     # 6 / (0 + x1)
-    assert not np.isfinite(eval_basis(tree, [0.0], B))
+    assert eval_basis_matrix(tree, row([2.0]), B)[0] == pytest.approx(3.0)     # 6 / (0 + x1)
+    assert not np.isfinite(eval_basis_matrix(tree, row([0.0]), B)[0])
 
 
 def _maybew(value):
@@ -180,11 +186,14 @@ def _lte_tree(opname, t, c, a, b):
 
 
 def test_eval_lte_selects_by_comparison():
-    assert eval_basis(_lte_tree("lte4", 1.0, 2.0, 10.0, 20.0), [1.0], B) == pytest.approx(10.0)
-    assert eval_basis(_lte_tree("lte4", 3.0, 2.0, 10.0, 20.0), [1.0], B) == pytest.approx(20.0)
+    def at_one(tree):
+        return eval_basis_matrix(tree, row([1.0]), B)[0]
+
+    assert at_one(_lte_tree("lte4", 1.0, 2.0, 10.0, 20.0)) == pytest.approx(10.0)
+    assert at_one(_lte_tree("lte4", 3.0, 2.0, 10.0, 20.0)) == pytest.approx(20.0)
     # the zero-test variant compares its first slot against 0
-    assert eval_basis(_lte_tree("lte0", -1.0, 99.0, 10.0, 20.0), [1.0], B) == pytest.approx(10.0)
-    assert eval_basis(_lte_tree("lte0", 1.0, -99.0, 10.0, 20.0), [1.0], B) == pytest.approx(20.0)
+    assert at_one(_lte_tree("lte0", -1.0, 99.0, 10.0, 20.0)) == pytest.approx(10.0)
+    assert at_one(_lte_tree("lte0", 1.0, -99.0, 10.0, 20.0)) == pytest.approx(20.0)
 
 
 def test_eval_basis_never_raises_on_any_random_tree():
@@ -199,23 +208,23 @@ def test_eval_basis_never_raises_on_any_random_tree():
 
 
 # ---------------------------------------------------------------------------
-# eval_model
+# model evaluation
 # ---------------------------------------------------------------------------
 
 def test_constant_model_evaluates_to_offset():
     m = Model(bases=[], coeffs=np.array([-2.00e-3]), train_error=0.0, valid=True)
-    assert eval_model(m, [0.4, 0.5]) == -2.00e-3
-    assert eval_model(m, [100.0, -3.0]) == -2.00e-3
+    assert eval_model_matrix(m, row([0.4, 0.5]), B)[0] == -2.00e-3
+    assert eval_model_matrix(m, row([100.0, -3.0]), B)[0] == -2.00e-3
 
 
 def test_linear_form():
     m = Model(bases=[vc_basis([1])], coeffs=np.array([1.0, 2.0]), valid=True)
-    assert eval_model(m, [3.0]) == 7.0
+    assert eval_model_matrix(m, row([3.0]), B)[0] == 7.0
 
 
 def test_nonfinite_basis_propagates():
     m = Model(bases=[vc_basis([-1])], coeffs=np.array([0.0, 1.0]), valid=True)
-    assert not np.isfinite(eval_model(m, [0.0]))
+    assert not np.isfinite(eval_model_matrix(m, row([0.0]), B)[0])
 
 
 def test_eval_model_linear_in_coeffs():
@@ -228,41 +237,43 @@ def test_eval_model_linear_in_coeffs():
         m1 = Model(bases=bases, coeffs=c1, valid=True)
         m2 = Model(bases=bases, coeffs=c2, valid=True)
         m12 = Model(bases=bases, coeffs=c1 + c2, valid=True)
-        assert eval_model(m12, x) == pytest.approx(eval_model(m1, x) + eval_model(m2, x))
+        assert eval_model_matrix(m12, row(x), B)[0] == pytest.approx(
+            eval_model_matrix(m1, row(x), B)[0] + eval_model_matrix(m2, row(x), B)[0])
 
 
 # ---------------------------------------------------------------------------
-# nnodes / complexity
+# node count / complexity
 # ---------------------------------------------------------------------------
 
 def test_nnodes_single_vc():
-    assert nnodes(vc_basis([1, 0, -2, 1])) == 1
+    assert basis_complexity(vc_basis([1, 0, -2, 1]), 0.0, 0.0) == 1
 
 
 def test_nnodes_one_op_with_weighted_term():
     # op + two weights + one VC = 4 expression nodes
-    assert nnodes(one_op_basis("ln", 1.0, 2.0, [1])) == 4
+    assert basis_complexity(one_op_basis("ln", 1.0, 2.0, [1]), 0.0, 0.0) == 4
 
 
 def test_nnodes_copy_equal():
     tree = one_op_basis("sqrt", 1.0, 2.0, [1, -1])
-    assert nnodes(tree) == nnodes(tree_from_dict(tree_to_dict(tree)))
+    assert (basis_complexity(tree, 0.0, 0.0)
+            == basis_complexity(tree_from_dict(tree_to_dict(tree)), 0.0, 0.0))
 
 
 def test_complexity_constant_model_is_zero():
     m = Model(bases=[], coeffs=np.array([1.0]), valid=True)
-    assert complexity(m, 10.0, 0.25) == 0.0
+    assert complexity_of_bases(m.bases, 10.0, 0.25) == 0.0
 
 
 def test_complexity_single_vc_worked_example():
     m = Model(bases=[vc_basis([1, 0, -2, 1])], coeffs=np.array([0.0, 1.0]), valid=True)
-    assert complexity(m, 10.0, 0.25) == 12.0
+    assert complexity_of_bases(m.bases, 10.0, 0.25) == 12.0
 
 
 def test_complexity_two_identical_bases():
     tree = vc_basis([1, 0, -2, 1])
     m = Model(bases=[tree, vc_basis([1, 0, -2, 1])], coeffs=np.array([0.0, 1.0, 1.0]), valid=True)
-    assert complexity(m, 10.0, 0.25) == 24.0
+    assert complexity_of_bases(m.bases, 10.0, 0.25) == 24.0
 
 
 def test_complexity_invariant_under_reordering():
@@ -270,7 +281,7 @@ def test_complexity_invariant_under_reordering():
     b = one_op_basis("ln", 1.0, 2.0, [1, 1])
     m1 = Model(bases=[a, b], coeffs=np.zeros(3), valid=True)
     m2 = Model(bases=[b, a], coeffs=np.zeros(3), valid=True)
-    assert complexity(m1, 10.0, 0.25) == complexity(m2, 10.0, 0.25)
+    assert complexity_of_bases(m1.bases, 10.0, 0.25) == complexity_of_bases(m2.bases, 10.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,7 @@ def test_tree_round_trip_bit_exact():
     back = tree_from_dict(json.loads(blob))
     assert tree_to_dict(back) == tree_to_dict(tree)
     x = [0.3, 1.1, 0.7, 2.2]
-    assert eval_basis(back, x, B) == eval_basis(tree, x, B)
+    assert eval_basis_matrix(back, row(x), B)[0] == eval_basis_matrix(tree, row(x), B)[0]
 
 
 def test_model_round_trip_bit_exact():
@@ -336,4 +347,4 @@ def test_model_round_trip_bit_exact():
     assert model_to_dict(back) == model_to_dict(m)
     assert np.array_equal(back.coeffs, m.coeffs)
     x = [0.5, 1.5]
-    assert eval_model(back, x) == eval_model(m, x)
+    assert eval_model_matrix(back, row(x), B)[0] == eval_model_matrix(m, row(x), B)[0]

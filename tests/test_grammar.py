@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_depth, tree_from_dict,
-                          tree_to_dict, walk)
-from canonsr.grammar import (_CANONICAL, GrammarError, crossover_sites,
+from canonsr.expr import (GRAMMAR_OP_TOKENS, SHAPES, Model, NTNode, OpLeaf,
+                          VCLeaf, WeightLeaf, eval_basis_matrix, replace_at, to_canonical_text,
+                          token_text, tree_depth, tree_from_dict, tree_to_dict, walk)
+from canonsr.grammar import (GrammarError, check_basis, crossover_sites,
                              default_grammar_text, load_default_grammar,
                              parse_grammar, random_tree, validate)
 
@@ -133,11 +134,74 @@ def test_alternative_min_depths_follow_enable_flags():
 
 def test_shape_table_matches_the_packaged_file():
     g = parse_grammar(_with_4op(default_grammar_text()))
-    assert set(g.rules) == set(_CANONICAL) | {"1OP", "2OP", "4OP"}
-    for lhs, shapes in _CANONICAL.items():
+    shapes = {}
+    for shape in SHAPES.values():
+        shapes.setdefault(shape.symbol, set()).add(shape.struct)
+    assert set(g.rules) == set(shapes)
+    assert {"1OP", "2OP", "4OP"} <= set(shapes)
+    for lhs in set(shapes) - {"1OP", "2OP", "4OP"}:
         structs = [alt.struct for alt in g.rules[lhs]]
         assert len(set(structs)) == len(structs)
-        assert set(structs) == shapes
+        assert set(structs) == shapes[lhs]
+
+
+_SPELLING = {name: token for token, name in GRAMMAR_OP_TOKENS.items()}
+
+
+def _alternative_text(signature):
+    """A table signature as grammar text, operators in a grammar spelling."""
+    return token_text((kind, _SPELLING[tok]) if kind == "op" else (kind, tok)
+                      for kind, tok in signature)
+
+
+def _table_text(*extra):
+    """Grammar text with one rule line per table entry, plus `extra` lines."""
+    lines = [f"{shape.symbol} => {_alternative_text(shape.signature)}"
+             for shape in SHAPES.values()]
+    return "\n".join(lines + list(extra)) + "\n"
+
+
+def test_every_table_entry_parses_checks_evaluates_and_renders():
+    g = parse_grammar(_table_text())
+    assert {id(alt) for alts in g.rules.values() for alt in alts} == set(map(id, SHAPES.values()))
+    rng = np.random.default_rng(21)
+    X = rng.uniform(0.5, 1.5, size=(5, 3))
+    uses = {}                                   # shape -> (a tree using it, path to the node)
+    for _ in range(2000):
+        tree = random_tree(g, 8, rng, n_vars=3)
+        for node, path in walk(tree):
+            if isinstance(node, NTNode):
+                uses.setdefault(node.shape, (tree, path))
+    assert len(uses) == len(SHAPES)
+    for shape, (tree, path) in uses.items():
+        check_basis(tree, 3, 10.0)
+        assert validate(tree, g, max_depth=8, n_vars=3) == []
+        assert eval_basis_matrix(tree, X, 10.0).shape == (5,)
+        assert to_canonical_text(Model(bases=[tree], coeffs=np.ones(2)), ("a", "b", "c"))
+
+        # outside the table: the first child swapped for a leaf of the other kind
+        leaf = VCLeaf([1, 0, 0]) if shape.struct[0] == ("t", "W") else WeightLeaf(1.0)
+        outside = (leaf.token,) + shape.signature[1:]
+        assert (shape.symbol, outside) not in SHAPES
+        with pytest.raises(GrammarError):
+            parse_grammar(_table_text(f"{shape.symbol} => {token_text(outside)}"))
+        tree = replace_at(tree, path + (0,), leaf)
+        with pytest.raises(ValueError):
+            check_basis(tree, 3, 10.0)
+        assert validate(tree, g, max_depth=8, n_vars=3) != []
+
+        # a tree holds no arithmetic terminals: a '*' <-> '+' swap exists in text only
+        swap = {("t", "*"): ("t", "+"), ("t", "+"): ("t", "*")}
+        swapped = tuple(swap.get(t, t) for t in shape.signature)
+        if swapped != shape.signature:
+            assert (shape.symbol, swapped) not in SHAPES
+            with pytest.raises(GrammarError, match="is not a canonical-form alternative$"):
+                parse_grammar(_table_text(f"{shape.symbol} => {token_text(swapped)}"))
+
+
+def test_canonical_rules_without_a_terminating_derivation_are_refused():
+    with pytest.raises(GrammarError, match="no terminating derivation .*: REPOP, REPVC$"):
+        parse_grammar("REPVC => REPOP\nREPOP => REPOP '*' REPOP\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -233,8 +233,8 @@ def test_export_layout_and_round_trip(tmp_path):
         assert again == pytest.approx(m.train_error, abs=1e-10)
 
         # stored complexity must equal a fresh recomputation exactly
-        from canonsr.expr import complexity
-        assert complexity(back, cfg.wb, cfg.wvc) == m.complexity
+        from canonsr.expr import complexity_of_bases
+        assert complexity_of_bases(back.bases, cfg.wb, cfg.wvc) == m.complexity
 
         text = (tmp_path / f"model_{i}.txt").read_text().strip()
         assert text == payload["text"]
