@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -278,7 +277,7 @@ def _children_text(node: NTNode) -> str:
 def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
                alternatives: Optional[Dict[str, Sequence[Shape]]] = None
                ) -> Tuple[int, List[str], List[VCLeaf]]:
-    """(depth, defects, variable combos) of `tree`, in one preorder pass.
+    """(depth, defects, variable combos) of `tree`, in one pass, level by level.
 
     Defects are nodes outside the canonical form (given `alternatives`, a
     grammar's shapes by symbol and alternative index: off their alternative's
@@ -286,32 +285,37 @@ def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
     (given n_vars) and stored weights outside [-2B, 2B].
     """
     depth, defects, vcs = 0, [], []
-    stack = [(tree, 1)]
-    while stack:
-        node, level = stack.pop()
-        kind = type(node)
-        if kind is NTNode:
-            if level > depth:
+    level, nodes = 0, [tree]
+    while nodes:
+        level += 1
+        below = []
+        for node in nodes:
+            kind = type(node)
+            if kind is NTNode:
                 depth = level
-            if alternatives is None:
-                if node.shape is None:
-                    defects.append(f"{node.symbol} => {_children_text(node)} is not canonical form")
-            else:
-                alts = alternatives.get(node.symbol, ())
-                want = alts[node.alt] if 0 <= node.alt < len(alts) else None
-                if want is None or want is not node.shape:
-                    want = token_text(want.struct) if want else f"alternative {node.alt}"
-                    defects.append(f"{node.symbol}: expected {want}, got {_children_text(node)}")
-            stack.extend(zip(reversed(node.children), repeat(level + 1)))
-        elif kind is VCLeaf:
-            vcs.append(node)
-            e = node.exponents
-            if n_vars is not None and (len(e) != n_vars or max(map(abs, e), default=0) > 1e308):
-                defects.append(f"variable combo {list(e)} is not {n_vars} exponents "
-                               f"within float range")
-        elif kind is WeightLeaf and not abs(node.stored) <= 2.0 * B:
-            defects.append(f"weight bound: stored weight {node.stored} outside [-2B, 2B] "
-                           f"for B={B}")
+                below += node.children
+                if alternatives is None:
+                    if node.shape is None:
+                        defects.append(f"{node.symbol} => {_children_text(node)} "
+                                       f"is not canonical form")
+                else:
+                    alts = alternatives.get(node.symbol, ())
+                    want = alts[node.alt] if 0 <= node.alt < len(alts) else None
+                    if want is None or want is not node.shape:
+                        want = token_text(want.struct) if want else f"alternative {node.alt}"
+                        defects.append(f"{node.symbol}: expected {want}, "
+                                       f"got {_children_text(node)}")
+            elif kind is VCLeaf:
+                vcs.append(node)
+                e = node.exponents
+                if n_vars is not None and (len(e) != n_vars
+                                           or max(map(abs, e), default=0) > 1e308):
+                    defects.append(f"variable combo {list(e)} is not {n_vars} exponents "
+                                   f"within float range")
+            elif kind is WeightLeaf and not abs(node.stored) <= 2.0 * B:
+                defects.append(f"weight bound: stored weight {node.stored} outside [-2B, 2B] "
+                               f"for B={B}")
+        nodes = below
     return depth, defects, vcs
 
 

@@ -252,7 +252,7 @@ def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
     for vc in vcs:
         if not any(vc.exponents):
             violations.append("all-zero variable combo")
-        if any(abs(e) > exp_cap for e in vc.exponents):
+        if max(map(abs, vc.exponents), default=0) > exp_cap:
             violations.append(f"exponent cap {exp_cap} exceeded: {vc.exponents}")
     return violations
 
