@@ -345,6 +345,22 @@ def test_weight_bound_violation():
     assert any("weight bound" in v for v in violations)
 
 
+def test_depth_counts_nonterminal_levels_and_validate_bounds_it():
+    g = load_default_grammar()
+    repadd = NTNode("REPADD", 0, [WeightLeaf(1.0), NTNode("REPVC", 0, [VCLeaf([1])])])
+    tree = NTNode("REPVC", 2, [NTNode("REPOP", 1, [NTNode("1OP", 0, [OpLeaf("sqrt")]),
+                                                   WeightLeaf(0.0), repadd])])
+    assert tree_depth(NTNode("REPVC", 0, [VCLeaf([1])])) == 1
+    assert tree_depth(tree) == 4
+    assert validate(tree, g, max_depth=4, n_vars=1) == []
+    assert validate(tree, g, max_depth=3, n_vars=1) == ["depth 4 exceeds max_depth 3"]
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        tree = random_tree(g, 8, rng, n_vars=N_VARS)
+        levels = [len(path) + 1 for node, path in walk(tree) if isinstance(node, NTNode)]
+        assert tree_depth(tree) == max(levels)
+
+
 def test_all_zero_vc_and_exp_cap_violations():
     g = load_default_grammar()
     assert any("all-zero" in v
