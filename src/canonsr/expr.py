@@ -75,20 +75,18 @@ class NTNode:
 
     Nodes never change once built, so trees share subtrees freely.  A node
     keeps its canonical-form shape, looked up by its children's tokens when
-    it is built (None outside the form) unless the builder passes the one
-    its children were made from.  A node used as a basis also keeps two
+    it is built (None outside the form).  A node used as a basis also keeps two
     values derived from it: its complexity (see basis_complexity) and its
     column on one sample matrix (see basis_column).  Both die with the node.
     """
 
     __slots__ = ("symbol", "alt", "children", "shape", "_cpx", "_column")
 
-    def __init__(self, symbol: str, alt: int, children: Sequence,
-                 shape: Optional[Shape] = None):
+    def __init__(self, symbol: str, alt: int, children: Sequence):
         self.symbol = symbol
         self.alt = alt
         self.children = tuple(children)
-        self.shape = shape or _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
+        self.shape = _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
         self._cpx = None
         self._column = None
 
@@ -270,8 +268,13 @@ def token_text(tokens) -> str:
     return " ".join(tok if kind == "nt" else f"'{tok}'" for kind, tok in tokens)
 
 
-def _children_text(node: NTNode) -> str:
-    return token_text(map(_token, node.children))
+def _off_form(node: NTNode) -> str:
+    return f"{node.symbol} => {token_text(map(_token, node.children))} is not canonical form"
+
+
+def _refuse(node: NTNode):
+    """Raise the ValueError for a node outside the canonical form."""
+    raise ValueError(_off_form(node))
 
 
 def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
@@ -280,8 +283,8 @@ def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
     """(depth, defects, variable combos) of `tree`, in one pass, level by level.
 
     Defects are nodes outside the canonical form (given `alternatives`, a
-    grammar's shapes by symbol and alternative index: off their alternative's
-    shape), variable combos that are not n_vars exponents within float range
+    grammar's shapes by symbol and alternative index: nodes of an unknown
+    symbol, out of range or off their alternative's shape), variable combos that are not n_vars exponents within float range
     (given n_vars) and stored weights outside [-2B, 2B].
     """
     depth, defects, vcs = 0, [], []
@@ -296,15 +299,18 @@ def check_tree(tree: NTNode, n_vars: Optional[int] = None, B: float = INF,
                 below += node.children
                 if alternatives is None:
                     if node.shape is None:
-                        defects.append(f"{node.symbol} => {_children_text(node)} "
-                                       f"is not canonical form")
+                        defects.append(_off_form(node))
                 else:
-                    alts = alternatives.get(node.symbol, ())
-                    want = alts[node.alt] if 0 <= node.alt < len(alts) else None
-                    if want is None or want is not node.shape:
-                        want = token_text(want.struct) if want else f"alternative {node.alt}"
-                        defects.append(f"{node.symbol}: expected {want}, "
-                                       f"got {_children_text(node)}")
+                    alts = alternatives.get(node.symbol)
+                    if alts is None:
+                        defects.append(f"unknown nonterminal {node.symbol!r}")
+                    elif not 0 <= node.alt < len(alts):
+                        defects.append(f"{node.symbol}: alternative index {node.alt} "
+                                       f"out of range")
+                    elif alts[node.alt] is not node.shape:
+                        defects.append(f"{node.symbol}: expected "
+                                       f"{token_text(alts[node.alt].struct)}, got "
+                                       f"{token_text(map(_token, node.children))}")
             elif kind is VCLeaf:
                 vcs.append(node)
                 e = node.exponents
@@ -363,7 +369,7 @@ def _eval(node, X: np.ndarray, B: float):
     if kind is WeightLeaf:
         return np.float64(interpret_weight(node.stored, B))
     ch = node.children
-    shape = node.shape
+    shape = node.shape or _refuse(node)
     args = []
     for i, join in shape.terms:
         val = _eval(ch[i], X, B)
@@ -376,7 +382,8 @@ def _eval(node, X: np.ndarray, B: float):
         else:
             args.append(val)
     if shape.applies:
-        return _mask_nonfinite(ch[0].shape.op.fn(*args), *args)
+        fn = (ch[0].shape or _refuse(ch[0])).op.fn
+        return _mask_nonfinite(fn(*args), *args)
     return args[0] if len(args) == 1 else tuple(args)
 
 
@@ -502,7 +509,7 @@ def _render(node, var_names, sig_figs, B):
     if kind is WeightLeaf:
         return _fmt(interpret_weight(node.stored, B), sig_figs)
     ch = node.children
-    shape = node.shape
+    shape = node.shape or _refuse(node)
     texts = []
     for i, join in shape.terms:
         text = _render(ch[i], var_names, sig_figs, B)
@@ -514,7 +521,7 @@ def _render(node, var_names, sig_figs, B):
         else:
             texts.append(text)
     if shape.applies:
-        op = ch[0].shape.op
+        op = (ch[0].shape or _refuse(ch[0])).op
         return f"({_plus(*texts)})" if op is _ADD else op.text.format(*texts)
     return texts[0] if len(texts) == 1 else tuple(texts)
 

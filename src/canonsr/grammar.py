@@ -227,7 +227,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
                 children.append(WeightLeaf(float(rng.uniform(-2.0 * B, 2.0 * B))))
             else:
                 children.append(OpLeaf(tok))
-        return NTNode(sym, pick, children, alts[pick])
+        return NTNode(sym, pick, children)
 
     return gen(symbol, max_depth)
 

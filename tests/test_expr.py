@@ -324,6 +324,18 @@ def test_text_multifactor_ratio_parenthesized():
     assert text == "0 + 1.42 * (p*q) / (r^2*s)"
 
 
+def test_node_outside_the_canonical_form_is_refused_by_name():
+    # REPVC -> 'W' is not canonical; nor is a 1OP holding a two-argument operator
+    bad_leaf = NTNode("REPVC", 0, [WeightLeaf(1.0)])
+    bad_op = one_op_basis("max", 1.0, 1.0, [1])
+    for tree, message in ((bad_leaf, "REPVC => 'W' is not canonical form"),
+                          (bad_op, "1OP => 'max' is not canonical form")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_basis_matrix(tree, row([2.0]), B)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            to_canonical_text(Model(bases=[tree], coeffs=np.ones(2)), ("x",))
+
+
 # ---------------------------------------------------------------------------
 # structured serialization
 # ---------------------------------------------------------------------------

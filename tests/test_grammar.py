@@ -361,6 +361,15 @@ def test_depth_counts_nonterminal_levels_and_validate_bounds_it():
         assert tree_depth(tree) == max(levels)
 
 
+def test_unknown_nonterminal_and_alternative_index_are_named():
+    g = load_default_grammar()
+    foo = NTNode("REPVC", 2, [NTNode("FOO", 0, [VCLeaf([1])])])
+    assert validate(foo, g, n_vars=1) == ["REPVC: expected REPOP, got FOO",
+                                          "unknown nonterminal 'FOO'"]
+    assert validate(NTNode("REPVC", 7, [VCLeaf([1])]), g, n_vars=1) == [
+        "REPVC: alternative index 7 out of range"]
+
+
 def test_all_zero_vc_and_exp_cap_violations():
     g = load_default_grammar()
     assert any("all-zero" in v
