@@ -74,30 +74,36 @@ def columns_by_name(ds: Dataset, var_names: Sequence[str]) -> np.ndarray:
     return ds.X[:, [ds.var_names.index(name) for name in var_names]]
 
 
-def _parse_cell(cell: str, row: int, col_name: str) -> float:
+def _parse_cell(cell: str, row: int, col_name: str, line: int) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r}") from None
+        raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r} "
+                        f"(line {line})") from None
     if not np.isfinite(value):
-        raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r}")
+        raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r} "
+                        f"(line {line})")
     return value
 
 
-def _read_cells(path: str) -> Tuple[List[str], List[str], List[int]]:
-    """Split a CSV into its header, its data cells and each data row's width.
+def _read_cells(path: str) -> Tuple[List[str], List[str], List[int], List[int]]:
+    """Split a CSV into its header, its data cells, each data row's width
+    and the file line each data row ends on.
 
     Rows whose cells are all blank are skipped. The header names are
     stripped and checked; the data cells stay raw text, flat in file order.
     """
     cells: List[str] = []
     widths: List[int] = []
+    lines: List[int] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if any(map(str.strip, row)):
                     cells += row
                     widths.append(len(row))
+                    lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoded chunk, not from the file's start
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -111,24 +117,26 @@ def _read_cells(path: str) -> Tuple[List[str], List[str], List[int]]:
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header name(s): {', '.join(dupes)}")
-    return header, cells[widths[0]:], widths[1:]
+    return header, cells[widths[0]:], widths[1:], lines[1:]
 
 
 def _cell_values(path: str, header: List[str], cells: List[str],
-                 widths: List[int]) -> np.ndarray:
+                 widths: List[int], lines: List[int]) -> np.ndarray:
     """Parse the data cells row by row into a rows x columns array.
 
-    Raises for the first bad row in file order. Each cell is stripped first,
-    so a number that float() rejects only for an edge character str.strip
-    removes (the separators U+001C-U+001F) is accepted.
+    Raises for the first bad row in file order, naming its data row and its
+    file line. Each cell is stripped first, so a number that float() rejects
+    only for an edge character str.strip removes (the separators
+    U+001C-U+001F) is accepted.
     """
     n_cols = len(header)
     parsed: List[float] = []
-    for r, width in enumerate(widths, start=1):
+    for r, (width, line) in enumerate(zip(widths, lines), start=1):
         if width != n_cols:
-            raise DataError(f"{path}: row {r} has {width} values, expected {n_cols}")
+            raise DataError(f"{path}: row {r} has {width} values, expected {n_cols} "
+                            f"(line {line})")
         row = cells[(r - 1) * n_cols:r * n_cols]
-        parsed += [_parse_cell(cell.strip(), r, header[i]) for i, cell in enumerate(row)]
+        parsed += [_parse_cell(cell.strip(), r, header[i], line) for i, cell in enumerate(row)]
     return np.array(parsed).reshape(-1, n_cols)
 
 
@@ -171,12 +179,12 @@ def load_csv(path: str, target_column: str) -> Dataset:
     """
     table = _load_clean(path)
     if table is None or target_column not in table[0]:
-        header, cells, widths = _read_cells(path)
+        header, cells, widths, lines = _read_cells(path)
         if target_column not in header:
             raise DataError(f"{path}: target column {target_column!r} not in header")
         if not widths:
             raise DataError(f"{path}: no data rows")
-        table = header, _cell_values(path, header, cells, widths)
+        table = header, _cell_values(path, header, cells, widths, lines)
     header, values = table
     t_idx = header.index(target_column)
     var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
@@ -201,10 +209,10 @@ def write_points_csv(var_names: Sequence[str], X: np.ndarray, path: str) -> None
 
 def load_centers_csv(path: str) -> Tuple[Tuple[str, ...], np.ndarray]:
     """Read a one-row CSV of center values; returns (names, centers)."""
-    header, cells, widths = _read_cells(path)
+    header, cells, widths, lines = _read_cells(path)
     if len(widths) != 1:
         raise DataError(f"{path}: expected a header row and one row of center values")
-    return tuple(header), _cell_values(path, header, cells, widths)[0]
+    return tuple(header), _cell_values(path, header, cells, widths, lines)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ class Draws:
 
     def integers(self, low: int, high: Optional[int] = None, size: Optional[int] = None):
         """`Generator.integers(low, high, size)` for ranges of 1 to 2**32 - 1."""
+        if size is None and type(low) is int:
+            # the calls tree growth makes, checked as below before any draw
+            if high is None:
+                if 1 <= low < _WORD:
+                    return self._below(low)
+            elif type(high) is int and 1 <= high - low < _WORD:
+                return low + self._below(high - low)
         if high is None:
             low, high = 0, low
         if not (isinstance(low, int) and isinstance(high, int)

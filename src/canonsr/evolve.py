@@ -12,8 +12,8 @@ offspring reuses the stored columns and complexities of unchanged bases.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import replace
-from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -245,7 +245,7 @@ def op_basis_copy_in(p: Model, donor: Model, cfg: RunConfig, rng):
 
 
 def _nt_sites(tree: BasisTree) -> List[Tuple[NTNode, Path]]:
-    return [(node, path) for node, path in walk(tree) if isinstance(node, NTNode)]
+    return [(node, path) for node, path in walk(tree) if type(node) is NTNode]
 
 
 def op_subtree_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
@@ -295,7 +295,7 @@ LeafSite = Tuple[int, Path, object]   # (basis index, path in that basis, leaf)
 
 def _leaf_sites(bases: Sequence[BasisTree], leaf_type) -> List[LeafSite]:
     return [(i, path, node) for i, tree in enumerate(bases)
-            for node, path in walk(tree) if isinstance(node, leaf_type)]
+            for node, path in walk(tree) if type(node) is leaf_type]
 
 
 def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTree]:
@@ -392,23 +392,6 @@ def _tournament(rank: List[int], crowd: List[float], rng) -> int:
     return i
 
 
-@lru_cache(maxsize=8)
-def _operator_cdf(weights: Tuple[float, ...]) -> np.ndarray:
-    # the cumulative distribution Generator.choice builds from p
-    w = np.array(weights)
-    p = w / w.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
-
-
-def _weighted_operator_choice(cfg: RunConfig, rng) -> str:
-    """Same draw as rng.choice(len(OPERATOR_NAMES), p=normalised weights)."""
-    cdf = _operator_cdf(tuple(cfg.operator_weights[n] for n in OPERATOR_NAMES))
-    return OPERATOR_NAMES[int(cdf.searchsorted(rng.random(), side="right"))]
-
-
 def _environmental_selection(combined: List[Model], objs: List[Objectives],
                              mu: int) -> List[Model]:
     fronts = nondominated_sort(objs)
@@ -433,11 +416,17 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     n_vars = X.shape[1]
     objs = [(m.train_error, m.complexity) for m in pop]
     rank, crowd = _rank_and_crowding(objs)
+    # the cumulative distribution Generator.choice(p=...) builds from the
+    # normalised operator weights; bisect_right on it picks the index that
+    # choice's searchsorted(side="right") picks from the same one draw
+    w = np.array([cfg.operator_weights[n] for n in OPERATOR_NAMES])
+    cdf = (w / w.sum()).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
 
     offspring_bases: List[List[BasisTree]] = []
     guard = 0
     while len(offspring_bases) < len(pop):
-        name = _weighted_operator_choice(cfg, rng)
+        name = OPERATOR_NAMES[bisect_right(cdf, rng.random())]
         parents = [pop[_tournament(rank, crowd, rng)] for _ in range(OPERATORS[name][1])]
         result = apply_operator(name, parents, g, n_vars, cfg, rng)
         guard += result is None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class VCLeaf:
     token = ("t", "VC")
 
     def __init__(self, exponents: Sequence[int]):
-        self.exponents = tuple(int(e) for e in exponents)
+        self.exponents = tuple(map(int, exponents))
 
     def __repr__(self) -> str:
         return f"VCLeaf({list(self.exponents)})"
@@ -57,14 +57,11 @@ class WeightLeaf:
 class OpLeaf:
     """Operator choice made under a 1OP/2OP/4OP nonterminal."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "token")
 
     def __init__(self, name: str):
         self.name = name
-
-    @property
-    def token(self) -> Tuple[str, str]:
-        return ("op", self.name)
+        self.token = ("op", name)
 
     def __repr__(self) -> str:
         return f"OpLeaf({self.name!r})"
@@ -85,14 +82,15 @@ class NTNode:
     def __init__(self, symbol: str, alt: int, children: Sequence):
         self.symbol = symbol
         self.alt = alt
-        self.children = tuple(children)
-        self.shape = _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
+        self.children = ch = tuple(children)
+        self.shape = _BY_CHILDREN.get((symbol, tuple([c.token for c in ch])))
         self._cpx = None
         self._column = None
 
     @property
     def token(self) -> Tuple[str, str]:
-        return ("nt", self.symbol)
+        symbol = self.symbol
+        return _NT_TOKENS.get(symbol) or ("nt", symbol)
 
     def __repr__(self) -> str:
         return f"NTNode({self.symbol}, alt={self.alt}, n={len(self.children)})"
@@ -104,20 +102,23 @@ BasisTree = NTNode
 Path = Tuple[int, ...]   # child indices from a root down to one node
 
 
-def walk(tree: NTNode) -> Iterator[Tuple[object, Path]]:
-    """Yield (node, path) over the whole tree, preorder.
+def walk(tree: NTNode) -> List[Tuple[object, Path]]:
+    """(node, path) over the whole tree, preorder.
 
     A node's level in nonterminal expansions is len(path) + 1: the root is
     level 1, and a payload leaf sits one level below its parent.
     """
+    out = []
     stack = [(tree, ())]
     while stack:
-        node, path = stack.pop()
-        yield node, path
-        if isinstance(node, NTNode):
+        item = stack.pop()
+        out.append(item)
+        node, path = item
+        if type(node) is NTNode:
             ch = node.children
             for i in range(len(ch) - 1, -1, -1):
                 stack.append((ch[i], path + (i,)))
+    return out
 
 
 def tree_depth(tree: NTNode) -> int:
@@ -149,7 +150,7 @@ def _mask_nonfinite(result, *inputs):
     for v in inputs:
         b = ~np.isfinite(v)
         bad = b if bad is None else (bad | b)
-    if bad is not None and np.any(bad):
+    if bad is not None and bad.any():
         result = np.where(bad, np.nan, result)
     return result
 
@@ -258,6 +259,8 @@ _ENTRIES = ([_shape(symbol, _signature(alt)) for symbol, text in CANONICAL_FORM.
 SHAPES = {(shape.symbol, shape.signature): shape for shape in _ENTRIES}
 # the same shapes by (symbol, child tokens), which is what a node holds
 _BY_CHILDREN = {(shape.symbol, shape.struct): shape for shape in SHAPES.values()}
+# one token per nonterminal of the form, shared by every node of that symbol
+_NT_TOKENS = {symbol: ("nt", symbol) for symbol in [*CANONICAL_FORM, *OP_ARITY]}
 _PURE_VC = _BY_CHILDREN[("REPVC", (VCLeaf.token,))]
 _ADD = OPS["add"]
 _token = attrgetter("token")
@@ -339,13 +342,17 @@ def interpret_weight(stored: float, B: float) -> float:
 
 
 def vc_column(exponents: Sequence[int], X: np.ndarray) -> np.ndarray:
-    """prod_i X[:, i] ** e_i for one variable combo; non-finite results propagate."""
-    out = np.ones(X.shape[0])
-    with np.errstate(all="ignore"):
-        for i, e in enumerate(exponents):
-            if e:
-                out = out * np.power(X[:, i], float(e))
-    return out
+    """prod_i X[:, i] ** e_i for one variable combo; non-finite results propagate.
+
+    Callers hold np.errstate, as eval_basis_matrix does.  The product starts
+    from the first power, which equals 1.0 times it for every double.
+    """
+    out = None
+    for i, e in enumerate(exponents):
+        if e:
+            power = np.power(X[:, i], float(e))
+            out = power if out is None else out * power
+    return np.ones(X.shape[0]) if out is None else out
 
 
 def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
@@ -573,10 +580,19 @@ def tree_to_dict(node) -> dict:
             "children": [tree_to_dict(c) for c in node.children]}
 
 
+def _is_integral(e) -> bool:
+    return type(e) is int or (type(e) is float and e.is_integer())
+
+
 def tree_from_dict(d: dict):
+    """The tree `d` describes; ValueError for an exponent that is not an
+    integer (a bool, a fraction or any other type), which VCLeaf would cut."""
     kind = d["kind"]
     if kind == "vc":
-        return VCLeaf(d["exponents"])
+        exponents = d["exponents"]
+        if not all(map(_is_integral, exponents)):
+            raise ValueError(f"variable combo {list(exponents)} needs integer exponents")
+        return VCLeaf(exponents)
     if kind == "w":
         return WeightLeaf(d["stored"])
     if kind == "op":

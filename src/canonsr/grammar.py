@@ -39,6 +39,12 @@ class Grammar:
     def __init__(self, rules: Dict[str, Sequence[Shape]]):
         self.rules = {lhs: tuple(alts) for lhs, alts in rules.items()}
         self._min_depth, self._alt_min_depths = self._min_depths()
+        # per symbol and depth budget, the alternatives that fit in it; the
+        # last entry holds every alternative and serves all larger budgets
+        top = int(max(max(d) for d in self._alt_min_depths.values()))
+        self._feasible = {nt: tuple(tuple(i for i, d in enumerate(depths) if d <= budget)
+                                    for budget in range(top + 1))
+                          for nt, depths in self._alt_min_depths.items()}
 
     @property
     def nonterminals(self) -> List[str]:
@@ -193,10 +199,9 @@ _VC_INIT_EXPONENTS = (-2, -1, 1, 2)
 def _random_vc(n_vars: int, rng) -> VCLeaf:
     # start simple: 1..3 variables present, small exponents
     k = int(rng.integers(1, min(3, n_vars) + 1))
-    dims = rng.choice(n_vars, size=k, replace=False)
     exponents = [0] * n_vars
-    for dim in dims:
-        exponents[int(dim)] = int(_VC_INIT_EXPONENTS[int(rng.integers(4))])
+    for dim in rng.choice(n_vars, size=k, replace=False).tolist():
+        exponents[dim] = _VC_INIT_EXPONENTS[rng.integers(4)]
     return VCLeaf(exponents)
 
 
@@ -213,18 +218,21 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
             f"max_depth {max_depth} below the minimum derivation depth "
             f"{g.min_depth(symbol):.0f} of {symbol!r}")
 
+    rules, feasible_by_budget = g.rules, g._feasible
+    lo, hi = -2.0 * B, 2.0 * B
+
     def gen(sym: str, budget: int) -> NTNode:
-        alts = g.rules[sym]
-        feasible = [i for i, d in enumerate(g.alt_min_depths(sym)) if d <= budget]
-        pick = feasible[int(rng.integers(len(feasible)))]
+        by_budget = feasible_by_budget[sym]
+        feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
+        pick = feasible[rng.integers(len(feasible))]
         children = []
-        for kind, tok in alts[pick].struct:
+        for kind, tok in rules[sym][pick].struct:
             if kind == "nt":
                 children.append(gen(tok, budget - 1))
             elif tok == "VC":
                 children.append(_random_vc(n_vars, rng))
             elif tok == "W":
-                children.append(WeightLeaf(float(rng.uniform(-2.0 * B, 2.0 * B))))
+                children.append(WeightLeaf(rng.uniform(lo, hi)))
             else:
                 children.append(OpLeaf(tok))
         return NTNode(sym, pick, children)
@@ -273,4 +281,4 @@ def check_basis(tree, n_vars: int, B: float) -> None:
 def crossover_sites(tree: BasisTree, symbol: str) -> List[NTNode]:
     """All nodes deriving `symbol`, in deterministic preorder."""
     return [node for node, _ in walk(tree)
-            if isinstance(node, NTNode) and node.symbol == symbol]
+            if type(node) is NTNode and node.symbol == symbol]

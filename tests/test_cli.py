@@ -585,6 +585,9 @@ def test_eval_checked_model_with_an_operator_evaluates(tmp_path, capsys):
      "variable combo [1] is not 2 exponents"),
     ([_nt("REPVC", {"kind": "vc", "exponents": [10 ** 400, 0]})], [0.0, 1.0],
      "is not 2 exponents within float range"),
+    # int() would read these as x^0 * z^1
+    ([_nt("REPVC", {"kind": "vc", "exponents": [0.5, True]})], [0.0, 1.0],
+     "variable combo [0.5, True] needs integer exponents"),
 ])
 def test_eval_model_that_cannot_be_evaluated_exits_3(tmp_path, capsys, bases, coeffs, message):
     code = _eval(tmp_path, _model_text(bases, coeffs), b"x,z,y\n1,2,0\n")

@@ -20,23 +20,27 @@ from canonsr.dataset import DataError, Dataset, _load_clean, load_csv
 # reference: the row-list reader, one float() per cell
 # ---------------------------------------------------------------------------
 
-def _reference_parse_cell(cell: str, row: int, col_name: str) -> float:
+def _reference_parse_cell(cell: str, row: int, col_name: str, line: int) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r}") from None
+        raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r} "
+                        f"(line {line})") from None
     if not np.isfinite(value):
-        raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r}")
+        raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r} "
+                        f"(line {line})")
     return value
 
 
 def reference_load_csv(path: str, target_column: str) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+        # each row with the file line it ends on
+        rows = [(row, reader.line_num) for row in reader
+                if row and any(c.strip() for c in row)]
     if not rows:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][0]]
     if any(not h for h in header):
         raise DataError(f"{path}: empty header name")
     if len(set(header)) != len(header):
@@ -51,10 +55,12 @@ def reference_load_csv(path: str, target_column: str) -> Dataset:
     var_names = [h for i, h in enumerate(header) if i != t_idx]
     X_rows: List[List[float]] = []
     y_vals: List[float] = []
-    for r, row in enumerate(rows[1:], start=1):
+    for r, (row, line) in enumerate(rows[1:], start=1):
         if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} values, expected {len(header)}")
-        values = [_reference_parse_cell(cell.strip(), r, header[i]) for i, cell in enumerate(row)]
+            raise DataError(f"{path}: row {r} has {len(row)} values, expected {len(header)} "
+                            f"(line {line})")
+        values = [_reference_parse_cell(cell.strip(), r, header[i], line)
+                  for i, cell in enumerate(row)]
         y_vals.append(values[t_idx])
         X_rows.append([v for i, v in enumerate(values) if i != t_idx])
 

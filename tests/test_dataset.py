@@ -37,6 +37,22 @@ def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
         load_csv(path, "y")
 
 
+@pytest.mark.parametrize("text, message", [
+    # blank rows of each kind, CRLF line ends: the data row is 2, the line 6
+    ("x,y\r\n1,2\r\n\r\n  \r\n,,\r\n3,abc\r\n",
+     "row 2, column 'y': non-numeric cell 'abc' (line 6)"),
+    ("\nx,y\n1,2\n\n3,4,5\n", "row 2 has 3 values, expected 2 (line 5)"),
+    # a quoted cell over two lines: the row ends on line 3
+    ('x,y\n"1\n",inf\n', "row 1, column 'y': non-finite value 'inf' (line 3)"),
+])
+def test_load_csv_row_errors_name_the_file_line(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError) as excinfo:
+        load_csv(str(path), "y")
+    assert str(excinfo.value).endswith(message)
+
+
 def test_load_csv_fourteen_columns_gives_thirteen_variables(tmp_path):
     # mirrors a 13-variable modeling setup: 13 inputs plus one target column
     names = [f"v{i}" for i in range(13)] + ["fu"]

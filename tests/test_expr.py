@@ -1,5 +1,6 @@
 """Expression trees: weight mapping, evaluation, node counts, complexity, text."""
 
+import itertools
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from canonsr.expr import (Model, NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_complexity,
                           complexity_of_bases, eval_basis_matrix, eval_model_matrix,
                           interpret_weight, model_from_dict, model_to_dict,
-                          to_canonical_text, tree_from_dict, tree_to_dict)
+                          to_canonical_text, tree_from_dict, tree_to_dict, vc_column)
 
 B = 10.0
 
@@ -108,6 +109,22 @@ def test_vc_reciprocal_property():
         b = eval_basis_matrix(vc_basis(-exps), row(x), B)[0]
         if np.isfinite(a) and np.isfinite(b) and a != 0 and b != 0:
             assert a * b == pytest.approx(1.0)
+
+
+def test_vc_column_matches_the_product_from_ones_byte_for_byte():
+    # the product used to start from np.ones; 1.0 * x == x for every double,
+    # signed zeros, infinities and NaN included
+    X = np.array([[0.0, -0.0, -2.5, 3.0],
+                  [-1.0, 0.0, 4.0, -0.5],
+                  [2.0, -3.0, 0.0, 1e-300],
+                  [1e300, -1e-5, -7.0, -0.0]])
+    with np.errstate(all="ignore"):
+        for exps in itertools.product((-3, -1, 0, 1, 2), repeat=X.shape[1]):
+            expected = np.ones(X.shape[0])
+            for i, e in enumerate(exps):
+                if e:
+                    expected = expected * np.power(X[:, i], float(e))
+            assert vc_column(exps, X).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +364,13 @@ def test_tree_round_trip_bit_exact():
     assert tree_to_dict(back) == tree_to_dict(tree)
     x = [0.3, 1.1, 0.7, 2.2]
     assert eval_basis_matrix(back, row(x), B)[0] == eval_basis_matrix(tree, row(x), B)[0]
+
+
+def test_tree_from_dict_takes_integral_exponents_only():
+    assert tree_from_dict({"kind": "vc", "exponents": [2.0, -1, 0]}).exponents == (2, -1, 0)
+    for bad in ([0.5, 1], [1, True], [False, 1], ["1", 1], [float("inf"), 1]):
+        with pytest.raises(ValueError, match="needs integer exponents"):
+            tree_from_dict({"kind": "vc", "exponents": bad})
 
 
 def test_model_round_trip_bit_exact():
