@@ -22,10 +22,12 @@ from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, save_csv)
 from canonsr.draws import Draws
-from canonsr.evolve import ParetoArchive, fit_model, init_population, nsga2_generation
+from canonsr.evolve import (ParetoArchive, fit_model, init_population, nondominated_sort,
+                            nsga2_generation)
 from canonsr.expr import (Model, basis_column, eval_basis_matrix, eval_model_matrix,
                           model_to_dict, tree_to_dict)
 from canonsr.grammar import load_default_grammar, random_tree, validate
+from canonsr.pipeline import TradeoffSet, simplify_after_generation
 
 ROWS = 20000
 CENTERS = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
@@ -81,10 +83,14 @@ def test_cmd_eval_8_bases_20000_rows(benchmark, sweep_csv, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def pm81():
+def pm81_train():
     X = doe_full_factorial(DoePlan(centers=np.ones(4), dx=0.1))
-    train = oracle_dataset("pm_like", X, ("x1", "x2", "x3", "x4"))
-    return train.X, train.y, float(np.max(np.abs(train.y)))
+    return oracle_dataset("pm_like", X, ("x1", "x2", "x3", "x4"))
+
+
+@pytest.fixture(scope="module")
+def pm81(pm81_train):
+    return pm81_train.X, pm81_train.y, float(np.max(np.abs(pm81_train.y)))
 
 
 def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
@@ -143,3 +149,33 @@ def test_nsga2_generation_population_200_pm_like(benchmark, pm81):
         return nsga2_generation(pop, X, y, ref, g, cfg, rng, ParetoArchive())
 
     assert len(benchmark(generation)) == cfg.population
+
+
+def test_nondominated_sort_400_points_pm_like(benchmark, pm81):
+    """Selection's sort at 2 x population 200, on the (error, complexity)
+    points of 400 random pm_like models, copies of one point included."""
+    X, y, ref = pm81
+    cfg = RunConfig(population=400, seed=5)
+    pop = init_population(load_default_grammar(), 4, X, y, ref, cfg,
+                          np.random.default_rng(cfg.seed))
+    objs = [(m.train_error, m.complexity) for m in pop]
+    fronts = benchmark(nondominated_sort, objs)
+    assert sorted(i for front in fronts for i in front) == list(range(400))
+
+
+def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81):
+    """SAG on a front of 15 models with 1 to 15 bases; the columns are kept
+    on the trees, as after evolution on the same train.X."""
+    X, y, ref = pm81
+    cfg = RunConfig()
+    rng = np.random.default_rng(6)
+    g = load_default_grammar()
+    models = []
+    while len(models) < 15:
+        bases = [random_tree(g, cfg.max_depth, rng, 4, B=cfg.B) for _ in range(len(models) + 1)]
+        model = fit_model(bases, X, y, ref, cfg)
+        if model.valid:
+            models.append(model)
+    ts = TradeoffSet(models=models, var_names=pm81_train.var_names, train_reference=ref)
+    simplified = benchmark(simplify_after_generation, ts, pm81_train, cfg)
+    assert 1 <= len(simplified) <= 15

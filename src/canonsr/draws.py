@@ -55,25 +55,20 @@ class Draws:
                 return m >> 32
 
     def integers(self, low: int, high: Optional[int] = None, size: Optional[int] = None):
-        """`Generator.integers(low, high, size)` for ranges of 1 to 2**32 - 1."""
-        if size is None and type(low) is int:
-            # the calls tree growth makes, checked as below before any draw
-            if high is None:
-                if 1 <= low < _WORD:
-                    return self._below(low)
-            elif type(high) is int and 1 <= high - low < _WORD:
-                return low + self._below(high - low)
+        """`Generator.integers(low, high, size)` for ranges of 1 to 2**32 - 1.
+
+        `low` and `high` must be plain ints: type() is cheaper than
+        isinstance on this hot path, and a bool is refused."""
         if high is None:
             low, high = 0, low
-        if not (isinstance(low, int) and isinstance(high, int)
-                and 1 <= high - low < _WORD):
+        if not (type(low) is int and type(high) is int and 1 <= high - low < _WORD):
             raise ValueError(f"integers({low!r}, {high!r}) is not emulated: "
                              f"needs ints with 1 <= high - low < 2**32")
-        n = high - low
         if size is None:
-            return low + self._below(n)
+            return low + self._below(high - low)
         if not (isinstance(size, int) and size >= 0):
             raise ValueError(f"integers size {size!r} is not emulated: needs an int >= 0")
+        n = high - low
         return np.array([low + self._below(n) for _ in range(size)], dtype=np.int64)
 
     def choice(self, a: int, size: int, replace: bool = True) -> np.ndarray:

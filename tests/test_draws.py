@@ -99,6 +99,8 @@ def test_full_permutations_match_default_rng():
     lambda d: d.integers(2 ** 32),
     lambda d: d.integers(-1, 2 ** 32 - 1),
     lambda d: d.integers(5.0),
+    lambda d: d.integers(True, 3),
+    lambda d: d.integers(np.int64(5)),
     lambda d: d.integers(0, 2, size=(2, 2)),
     lambda d: d.integers(0, 2, size=-1),
     lambda d: d.integers(5, dtype=np.int32),
