@@ -57,11 +57,14 @@ class WeightLeaf:
 class OpLeaf:
     """Operator choice made under a 1OP/2OP/4OP nonterminal."""
 
-    __slots__ = ("name", "token")
+    __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
-        self.token = ("op", name)
+
+    @property
+    def token(self) -> Tuple[str, str]:
+        return ("op", self.name)
 
     def __repr__(self) -> str:
         return f"OpLeaf({self.name!r})"
@@ -82,15 +85,14 @@ class NTNode:
     def __init__(self, symbol: str, alt: int, children: Sequence):
         self.symbol = symbol
         self.alt = alt
-        self.children = ch = tuple(children)
-        self.shape = _BY_CHILDREN.get((symbol, tuple([c.token for c in ch])))
+        self.children = tuple(children)
+        self.shape = _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
         self._cpx = None
         self._column = None
 
     @property
     def token(self) -> Tuple[str, str]:
-        symbol = self.symbol
-        return _NT_TOKENS.get(symbol) or ("nt", symbol)
+        return ("nt", self.symbol)
 
     def __repr__(self) -> str:
         return f"NTNode({self.symbol}, alt={self.alt}, n={len(self.children)})"
@@ -259,8 +261,6 @@ _ENTRIES = ([_shape(symbol, _signature(alt)) for symbol, text in CANONICAL_FORM.
 SHAPES = {(shape.symbol, shape.signature): shape for shape in _ENTRIES}
 # the same shapes by (symbol, child tokens), which is what a node holds
 _BY_CHILDREN = {(shape.symbol, shape.struct): shape for shape in SHAPES.values()}
-# one token per nonterminal of the form, shared by every node of that symbol
-_NT_TOKENS = {symbol: ("nt", symbol) for symbol in [*CANONICAL_FORM, *OP_ARITY]}
 _PURE_VC = _BY_CHILDREN[("REPVC", (VCLeaf.token,))]
 _ADD = OPS["add"]
 _token = attrgetter("token")

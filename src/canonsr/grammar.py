@@ -224,8 +224,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
     def gen(sym: str, budget: int) -> NTNode:
         by_budget = feasible_by_budget[sym]
         feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
-        # a range of one draws nothing, in numpy's Generator as in Draws
-        pick = feasible[rng.integers(len(feasible))] if len(feasible) > 1 else feasible[0]
+        pick = feasible[rng.integers(len(feasible))]
         children = []
         for kind, tok in rules[sym][pick].struct:
             if kind == "nt":
