@@ -237,7 +237,8 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
                 children.append(OpLeaf(tok))
         return NTNode(sym, pick, children)
 
-    return gen(symbol, max_depth)
+    # a float bound admits what its floor admits, since depths are whole
+    return gen(symbol, int(max_depth))
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,11 @@ def test_random_tree_grows_the_reference_trees_and_draws(name, make_rng):
     symbols = sorted(g.rules)
     for _ in range(TREES):
         start = symbols[int(cases.integers(len(symbols)))]
-        # budgets run past the deepest alternative, where every one is feasible
+        # budgets run past the deepest alternative, where every one is
+        # feasible; a library caller may pass a float bound
         budget = int(g.min_depth(start)) + int(cases.integers(0, 9))
+        if cases.random() < 0.1:
+            budget += 0.5
         n_vars = int(cases.integers(1, 6))
         B = float(cases.choice([0.5, 10.0, 300.0]))
         tree = random_tree(g, budget, rng, n_vars, B=B, start=start)
