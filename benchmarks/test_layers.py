@@ -164,8 +164,9 @@ def test_nondominated_sort_400_points_pm_like(benchmark, pm81):
 
 
 def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81):
-    """SAG on a front of 15 models with 1 to 15 bases; the columns are kept
-    on the trees, as after evolution on the same train.X."""
+    """SAG on 15 fitted models with 1 to 15 bases (pm_like fronts hold
+    fewer); the columns are kept on the trees, as after evolution on the
+    same train.X."""
     X, y, ref = pm81
     cfg = RunConfig()
     rng = np.random.default_rng(6)
