@@ -22,8 +22,9 @@ from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, save_csv)
 from canonsr.draws import Draws
-from canonsr.evolve import (ParetoArchive, fit_model, init_population, nondominated_sort,
-                            nsga2_generation)
+from canonsr.evolve import (ParetoArchive, _environmental_selection, fit_model,
+                            init_population, nondominated_sort, nsga2_generation,
+                            op_weight_cauchy_mutate)
 from canonsr.expr import (Model, basis_column, eval_basis_matrix, eval_model_matrix,
                           model_to_dict, tree_to_dict)
 from canonsr.grammar import load_default_grammar, random_tree, validate
@@ -161,6 +162,40 @@ def test_nondominated_sort_400_points_pm_like(benchmark, pm81):
     objs = [(m.train_error, m.complexity) for m in pop]
     fronts = benchmark(nondominated_sort, objs)
     assert sorted(i for front in fronts for i in front) == list(range(400))
+
+
+def test_environmental_selection_2x200_pm_like(benchmark, pm81):
+    """Selection as nsga2_generation calls it: a population of 200 after 10
+    generations, whose front 0 holds many copies, plus 200 random pm_like
+    models in the place of the offspring."""
+    X, y, ref = pm81
+    cfg = RunConfig(population=200, seed=7)
+    g = load_default_grammar()
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(g, 4, X, y, ref, cfg, rng)
+    for _ in range(10):
+        pop = nsga2_generation(pop, X, y, ref, g, cfg, rng, ParetoArchive())
+    combined = pop + init_population(g, 4, X, y, ref, cfg, rng)
+    objs = [(m.train_error, m.complexity) for m in combined]
+    assert len(set(objs)) < len(objs)
+    chosen = benchmark(_environmental_selection, combined, objs, cfg.population)
+    assert len(chosen) == cfg.population
+
+
+def test_op_weight_cauchy_mutate_15_bases(benchmark, pm81):
+    """One leaf pick and rebuilt path per call, on 50 fitted 15-basis models."""
+    X, y, ref = pm81
+    cfg = RunConfig()
+    rng = np.random.default_rng(8)
+    g = load_default_grammar()
+    models = [fit_model([random_tree(g, cfg.max_depth, rng, 4, B=cfg.B) for _ in range(15)],
+                        X, y, ref, cfg) for _ in range(50)]
+
+    def mutate_all():
+        draws = np.random.default_rng(9)
+        return [op_weight_cauchy_mutate(m, cfg, draws) for m in models]
+
+    assert all(len(out[0]) == 15 for out in benchmark(mutate_all))
 
 
 def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81):

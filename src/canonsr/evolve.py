@@ -12,15 +12,16 @@ offspring reuses the stored columns and complexities of unchanged bases.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import OPERATOR_NAMES, RunConfig
 from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
-                   complexity_of_bases, repair_all_zero_vc, replace_at,
+                   complexity_of_bases, leaf_count, repair_all_zero_vc, replace_at,
                    stored_column, tree_depth, walk)
 from .fit import _error, _solve
 from .grammar import Grammar, crossover_sites, random_tree
@@ -36,33 +37,40 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
+def _fronts(points: Sequence[Objectives]) -> Iterator[List[int]]:
+    """nondominated_sort's fronts in order, each peeled only when asked for."""
+    n = len(points)
+    if n == 0:
+        return
+    pts = np.asarray(points, dtype=float).reshape(n, 2)
+    # dense ranks order as the floats do for any non-NaN point, and compare
+    # fastest in the narrowest integer type that holds them
+    e, c = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(n))
+            for col in pts.T)
+    # dom[p, q]: p dominates q (copies of one point never dominate each other)
+    dom = ((e[:, None] <= e) & (c[:, None] <= c)
+           & ((e[:, None] < e) | (c[:, None] < c)))
+    count = dom.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        yield front.tolist()
+        rows = dom[front]
+        count -= rows.sum(axis=0)
+        nxt = np.flatnonzero((count == 0) & rows.any(axis=0))
+        last = len(front) - 1 - np.argmax(rows[::-1, nxt], axis=0)
+        front = nxt[np.lexsort((nxt, last))]
+
+
 def nondominated_sort(points: Sequence[Objectives]) -> List[List[int]]:
     """Fast nondominated sort; front k is dominated only by fronts < k.
 
     Front 0 lists its members in ascending index order.  A later front lists
     its members in the order the classic peeling loop appends them: by the
     position of their last dominator in the previous front, then by index.
-    That order feeds the stable crowding-distance tie-breaks.
+    That order feeds the stable crowding-distance tie-breaks.  No objective
+    may be NaN; fit_model marks an invalid model with +inf error.
     """
-    n = len(points)
-    if n == 0:
-        return []
-    pts = np.asarray(points, dtype=float).reshape(n, 2)
-    e, c = pts[:, 0], pts[:, 1]
-    # dom[p, q]: p dominates q (copies of one point never dominate each other)
-    dom = ((e[:, None] <= e) & (c[:, None] <= c)
-           & ((e[:, None] < e) | (c[:, None] < c)))
-    count = dom.sum(axis=0)
-    front = np.flatnonzero(count == 0)
-    fronts: List[List[int]] = []
-    while front.size:
-        fronts.append(front.tolist())
-        rows = dom[front]
-        count -= rows.sum(axis=0)
-        nxt = np.flatnonzero((count == 0) & rows.any(axis=0))
-        last = len(front) - 1 - np.argmax(rows[::-1, nxt], axis=0)
-        front = nxt[np.lexsort((nxt, last))]
-    return fronts
+    return list(_fronts(points))
 
 
 def crowding_distance(front: Sequence[Objectives]) -> List[float]:
@@ -157,7 +165,7 @@ def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
     coeffs = _solve(Phi, y)
     coeffs.flags.writeable = False
     error = _error(Phi @ coeffs, y, reference)
-    valid = bool(np.isfinite(error))
+    valid = math.isfinite(error)
     return Model(bases=list(bases), coeffs=coeffs,
                  train_error=error if valid else INF,
                  complexity=cpx, valid=valid)
@@ -293,9 +301,26 @@ def op_subtree_mutate(p: Model, g: Grammar, n_vars: int, cfg: RunConfig, rng):
 LeafSite = Tuple[int, Path, object]   # (basis index, path in that basis, leaf)
 
 
-def _leaf_sites(bases: Sequence[BasisTree], leaf_type) -> List[LeafSite]:
-    return [(i, path, node) for i, tree in enumerate(bases)
-            for node, path in walk(tree) if type(node) is leaf_type]
+def _pick_leaf(bases: Sequence[BasisTree], counts: List[int], leaf_type, rng) -> LeafSite:
+    """One uniform draw over the `leaf_type` leaves of `bases`, numbered basis
+    by basis in preorder; only the basis holding the drawn leaf is walked."""
+    k = int(rng.integers(sum(counts)))
+    i = 0
+    while k >= counts[i]:
+        k -= counts[i]
+        i += 1
+    stack = [(bases[i], ())]
+    while True:
+        node, path = stack.pop()
+        kind = type(node)
+        if kind is NTNode:
+            ch = node.children
+            for j in range(len(ch) - 1, -1, -1):
+                stack.append((ch[j], path + (j,)))
+        elif kind is leaf_type:
+            if not k:
+                return i, path, node
+            k -= 1
 
 
 def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTree]:
@@ -306,28 +331,28 @@ def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTr
 
 
 def op_weight_cauchy_mutate(p: Model, cfg: RunConfig, rng):
-    sites = _leaf_sites(p.bases, WeightLeaf)
-    if not sites:
+    counts = [leaf_count(tree, WeightLeaf) for tree in p.bases]
+    if not any(counts):
         return None
-    site = sites[int(rng.integers(len(sites)))]
+    site = _pick_leaf(p.bases, counts, WeightLeaf, rng)
     return [_with_leaf(p.bases, site, weight_cauchy_mutate(site[2], cfg.B, rng))]
 
 
 def op_vc_exponent_mutate(p: Model, cfg: RunConfig, rng):
-    sites = _leaf_sites(p.bases, VCLeaf)
-    if not sites:
+    counts = [leaf_count(tree, VCLeaf) for tree in p.bases]
+    if not any(counts):
         return None
-    site = sites[int(rng.integers(len(sites)))]
+    site = _pick_leaf(p.bases, counts, VCLeaf, rng)
     return [_with_leaf(p.bases, site, vc_exponent_mutate(site[2], rng, cfg.exp_cap))]
 
 
 def op_vc_onepoint_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
-    s1 = _leaf_sites(p1.bases, VCLeaf)
-    s2 = _leaf_sites(p2.bases, VCLeaf)
-    if not s1 or not s2:
+    counts1 = [leaf_count(tree, VCLeaf) for tree in p1.bases]
+    counts2 = [leaf_count(tree, VCLeaf) for tree in p2.bases]
+    if not any(counts1) or not any(counts2):
         return None
-    site1 = s1[int(rng.integers(len(s1)))]
-    site2 = s2[int(rng.integers(len(s2)))]
+    site1 = _pick_leaf(p1.bases, counts1, VCLeaf, rng)
+    site2 = _pick_leaf(p2.bases, counts2, VCLeaf, rng)
     c1, c2 = vc_onepoint_crossover(site1[2], site2[2], rng)
     # an unchanged combo keeps the parent's own basis, and with it the
     # basis's stored column
@@ -394,16 +419,18 @@ def _tournament(rank: List[int], crowd: List[float], rng) -> int:
 
 def _environmental_selection(combined: List[Model], objs: List[Objectives],
                              mu: int) -> List[Model]:
-    fronts = nondominated_sort(objs)
+    """The mu best of `combined` by front, then by crowding in the front that
+    does not fit whole; fronts past that one are never peeled."""
     chosen: List[int] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= mu:
-            chosen.extend(front)
-            continue
-        dists = crowding_distance([objs[i] for i in front])
-        order = sorted(range(len(front)), key=lambda k: -dists[k])
-        chosen.extend(front[k] for k in order[: mu - len(chosen)])
-        break
+    for front in _fronts(objs):
+        room = mu - len(chosen)
+        if len(front) > room:
+            dists = crowding_distance([objs[i] for i in front])
+            order = sorted(range(len(front)), key=lambda k: -dists[k])
+            front = [front[k] for k in order[:room]]
+        chosen.extend(front)
+        if len(chosen) == mu:
+            break
     return [combined[i] for i in chosen]
 
 

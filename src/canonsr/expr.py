@@ -74,19 +74,22 @@ class NTNode:
     """Nonterminal node: grammar symbol, chosen alternative index, children.
 
     Nodes never change once built, so trees share subtrees freely.  A node
-    keeps its canonical-form shape, looked up by its children's tokens when
-    it is built (None outside the form).  A node used as a basis also keeps two
-    values derived from it: its complexity (see basis_complexity) and its
-    column on one sample matrix (see basis_column).  Both die with the node.
+    keeps its canonical-form shape (None outside the form): the `shape` its
+    builder passes, which must be the entry for these children, or else the
+    one looked up by its children's tokens.  A node used as a basis also
+    keeps values derived from it: its complexity and leaf counts (see
+    basis_complexity) and its column on one sample matrix (see
+    basis_column).  They die with the node.
     """
 
     __slots__ = ("symbol", "alt", "children", "shape", "_cpx", "_column")
 
-    def __init__(self, symbol: str, alt: int, children: Sequence):
+    def __init__(self, symbol: str, alt: int, children: Sequence,
+                 shape: Optional[Shape] = None):
         self.symbol = symbol
         self.alt = alt
         self.children = tuple(children)
-        self.shape = _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
+        self.shape = shape or _BY_CHILDREN.get((symbol, tuple(map(_token, self.children))))
         self._cpx = None
         self._column = None
 
@@ -132,14 +135,18 @@ def replace_at(tree: NTNode, path: Path, new) -> NTNode:
     """`tree` with its node at `path` replaced by `new`.
 
     Only the nodes along the path are rebuilt; every other subtree is shared
-    with `tree`, which is left as it was.
+    with `tree`, which is left as it was.  A rebuilt node keeps its shape,
+    except the parent of a `new` that differs from the old node in kind,
+    symbol or operator, which looks its shape up.
     """
     if not path:
         return new
     i = path[0]
     ch = tree.children
+    same = len(path) > 1 or new.token == ch[i].token
     return NTNode(tree.symbol, tree.alt,
-                  ch[:i] + (replace_at(ch[i], path[1:], new),) + ch[i + 1:])
+                  ch[:i] + (replace_at(ch[i], path[1:], new),) + ch[i + 1:],
+                  tree.shape if same else None)
 
 
 # ---------------------------------------------------------------------------
@@ -455,24 +462,37 @@ def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
 
 
 def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
-    """wb + payload-leaf count + exponent cost of one basis, kept on the tree per (wb, wvc).
+    """wb + payload-leaf count + exponent cost of one basis, kept on the tree per
+    (wb, wvc) together with its leaf counts (see leaf_count).
 
     The exponent cost adds wvc * sum|e| over the variable combos in preorder.
     """
     memo = tree._cpx
     if memo is None or memo[0] != wb or memo[1] != wvc:
-        count, cost = 0, 0.0
+        count, weights, vcs, cost = 0, 0, 0, 0.0
         stack = [tree]
         while stack:
             node = stack.pop()
-            if type(node) is NTNode:
+            kind = type(node)
+            if kind is NTNode:
                 stack.extend(node.children[::-1])
                 continue
             count += 1
-            if type(node) is VCLeaf:
+            if kind is VCLeaf:
+                vcs += 1
                 cost += wvc * sum(map(abs, node.exponents))
-        memo = tree._cpx = (wb, wvc, wb + count + cost)
+            elif kind is WeightLeaf:
+                weights += 1
+        memo = tree._cpx = (wb, wvc, wb + count + cost, weights, vcs)
     return memo[2]
+
+
+def leaf_count(tree: BasisTree, leaf_type) -> int:
+    """How many WeightLeaf or VCLeaf leaves one basis holds, counted by the
+    walk that finds its complexity: one walk per basis serves both."""
+    if tree._cpx is None:
+        basis_complexity(tree, 0.0, 0.0)
+    return tree._cpx[3 if leaf_type is WeightLeaf else 4]
 
 
 def complexity_of_bases(bases: Sequence[BasisTree], wb: float, wvc: float) -> float:
@@ -584,9 +604,17 @@ def _is_integral(e) -> bool:
     return type(e) is int or (type(e) is float and e.is_integer())
 
 
+def _number(value, name: str) -> float:
+    """`value`, an int or a float (not a bool or a string), as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def tree_from_dict(d: dict):
-    """The tree `d` describes; ValueError for an exponent that is not an
-    integer (a bool, a fraction or any other type), which VCLeaf would cut."""
+    """The tree `d` describes; ValueError for an exponent or alternative
+    index that is not an integer (a bool, a fraction or any other type),
+    which int() would cut, and for a stored weight that is not a number."""
     kind = d["kind"]
     if kind == "vc":
         exponents = d["exponents"]
@@ -594,10 +622,12 @@ def tree_from_dict(d: dict):
             raise ValueError(f"variable combo {list(exponents)} needs integer exponents")
         return VCLeaf(exponents)
     if kind == "w":
-        return WeightLeaf(d["stored"])
+        return WeightLeaf(_number(d["stored"], "stored weight"))
     if kind == "op":
         return OpLeaf(d["name"])
     if kind == "nt":
+        if not _is_integral(d["alt"]):
+            raise ValueError(f"alternative index {d['alt']!r} is not an integer")
         return NTNode(d["symbol"], int(d["alt"]), list(map(tree_from_dict, d["children"])))
     raise ValueError(f"unknown tree node kind {kind!r}")
 
@@ -617,7 +647,7 @@ def model_from_dict(d: dict) -> Model:
     coeffs = d.get("coeffs")
     return Model(
         bases=[tree_from_dict(t) for t in d["bases"]],
-        coeffs=None if coeffs is None else np.asarray(coeffs, dtype=float),
+        coeffs=None if coeffs is None else np.array([_number(c, "coeffs entry") for c in coeffs]),
         train_error=d.get("train_error_pct", INF),
         test_error=d.get("test_error_pct"),
         complexity=d.get("complexity", 0.0),

@@ -8,6 +8,7 @@ strictly decreases, which prunes columns that harm predictive ability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -50,9 +51,10 @@ def fit_weights(p: RegressionProblem) -> np.ndarray:
 
 
 def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
-    # non-finite predictions give a non-finite error
+    # non-finite predictions give a non-finite error; the sum and division
+    # are np.mean's own, without its Python-level wrapper
     r = (pred - y) / reference
-    return float(100.0 * np.sqrt(np.mean(r * r)))
+    return 100.0 * math.sqrt(np.add.reduce(r * r, axis=None) / r.size)
 
 
 def nmse(pred: np.ndarray, y: np.ndarray, reference: float) -> float:

@@ -225,8 +225,9 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
         by_budget = feasible_by_budget[sym]
         feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
         pick = feasible[rng.integers(len(feasible))]
+        shape = rules[sym][pick]
         children = []
-        for kind, tok in rules[sym][pick].struct:
+        for kind, tok in shape.struct:
             if kind == "nt":
                 children.append(gen(tok, budget - 1))
             elif tok == "VC":
@@ -235,7 +236,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
                 children.append(WeightLeaf(rng.uniform(lo, hi)))
             else:
                 children.append(OpLeaf(tok))
-        return NTNode(sym, pick, children)
+        return NTNode(sym, pick, children, shape)
 
     # a float bound admits what its floor admits, since depths are whole
     return gen(symbol, int(max_depth))

@@ -22,8 +22,8 @@ from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
-from .expr import (Model, basis_column, eval_model_matrix, model_from_dict, model_to_dict,
-                   to_canonical_text)
+from .expr import (Model, _number, basis_column, eval_model_matrix, model_from_dict,
+                   model_to_dict, to_canonical_text)
 from .fit import RegressionProblem, forward_regression_press, nmse, press
 from .grammar import Grammar, check_basis, default_grammar_text, parse_grammar
 
@@ -232,10 +232,11 @@ def load_model_json(path: str) -> dict:
         names = payload["var_names"] = tuple(payload["var_names"])
         if not all(isinstance(name, str) for name in names + (payload["target_name"],)):
             raise ValueError("variable and target names must be strings")
-        reference = payload["train_reference"] = float(payload["train_reference"])
+        reference = payload["train_reference"] = _number(payload["train_reference"],
+                                                         "train_reference")
         if not reference > 0:
             raise ValueError("train_reference must be positive")
-        B = payload["B"] = float(payload["B"])
+        B = payload["B"] = _number(payload["B"], "B")
         if np.shape(model.coeffs) != (model.n_bases + 1,):
             raise ValueError(f"{model.n_bases} bases need {model.n_bases + 1} coefficients")
         for tree in model.bases:

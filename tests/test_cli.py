@@ -588,11 +588,32 @@ def test_eval_checked_model_with_an_operator_evaluates(tmp_path, capsys):
     # int() would read these as x^0 * z^1
     ([_nt("REPVC", {"kind": "vc", "exponents": [0.5, True]})], [0.0, 1.0],
      "variable combo [0.5, True] needs integer exponents"),
+    # float() would read these as 1.0, 10.0 and [1.0, 2.0]
+    ([_sin_basis(True)], [0.0, 1.0], "stored weight must be a number, got True"),
+    ([_sin_basis("10")], [0.0, 1.0], "stored weight must be a number, got '10'"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1, -1]})], [True, "2"],
+     "coeffs entry must be a number, got True"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1, -1]})], [0.0, "2"],
+     "coeffs entry must be a number, got '2'"),
+    ([{**_nt("REPVC", {"kind": "vc", "exponents": [1, -1]}), "alt": True}], [0.0, 1.0],
+     "alternative index True is not an integer"),
+    ([{**_nt("REPVC", {"kind": "vc", "exponents": [1, -1]}), "alt": "0"}], [0.0, 1.0],
+     "alternative index '0' is not an integer"),
 ])
 def test_eval_model_that_cannot_be_evaluated_exits_3(tmp_path, capsys, bases, coeffs, message):
     code = _eval(tmp_path, _model_text(bases, coeffs), b"x,z,y\n1,2,0\n")
     captured = _assert_data_exit(code, capsys, "cannot read model file")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("B", "10"), ("B", True), ("train_reference", "5"),
+                                          ("train_reference", True)])
+def test_eval_model_file_numbers_must_be_numbers(tmp_path, capsys, field, value):
+    payload = json.loads(_model_text([_sin_basis(10.0)], [0.0, 1.0]))
+    payload[field] = value
+    code = _eval(tmp_path, json.dumps(payload), b"x,z,y\n1,2,0\n")
+    captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert f"{field} must be a number, got {value!r}" in captured.err
 
 
 def _nested_model_text(levels):

@@ -5,10 +5,12 @@ equations and the pseudoinverse for the solver, and brute-force
 leave-one-out refits for PRESS.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
-from canonsr.fit import (RegressionProblem, fit_weights, forward_regression_press,
+from canonsr.fit import (RegressionProblem, _error, fit_weights, forward_regression_press,
                          nmse, press)
 
 INF = float("inf")
@@ -128,6 +130,28 @@ def test_nmse_scale_invariance():
     base = nmse(pred, y, ref)
     for scale in (1e-6, 3.7, 1e8):
         assert nmse(scale * pred, scale * y, scale * ref) == pytest.approx(base, rel=1e-9)
+
+
+def test_error_is_the_mean_formula_bit_for_bit():
+    """_error sums and divides as np.mean does, without its Python wrapper;
+    the double must be the same, non-finite results included."""
+    def mean_formula(pred, y, reference):
+        r = (pred - y) / reference
+        return float(100.0 * np.sqrt(np.mean(r * r)))
+
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        n = int(rng.choice([1, 2, 7, 8, 9, 81, 128, 129, 243, 1000]))
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+        pred = y + rng.standard_normal(n) * 10.0 ** rng.integers(-16, 9)
+        if rng.random() < 0.3:
+            pred[rng.integers(n, size=int(rng.integers(1, 3)))] = rng.choice(
+                [np.inf, -np.inf, np.nan, 1e308])
+        reference = float(10.0 ** rng.uniform(-3, 3))
+        with np.errstate(all="ignore"):    # 1e308 overflows on purpose
+            got, want = _error(pred, y, reference), mean_formula(pred, y, reference)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ as they were when every node filtered its symbol's alternatives by minimum
 depth and every draw went through int().  The grammar now keeps the feasible
 alternatives per depth budget, so any difference in which alternative is
 picked, or in how many draws are made, shows here as a different tree or a
-different generator state.
+different generator state.  Grown nodes are handed the shape of the
+alternative picked; each must be the one their children's tokens look up.
 """
 
 import numpy as np
 import pytest
 
 from canonsr.draws import Draws
-from canonsr.expr import NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_to_dict
+from canonsr.expr import _BY_CHILDREN, NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_to_dict, walk
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
 
 _VC_INIT_EXPONENTS = (-2, -1, 1, 2)
@@ -49,6 +50,14 @@ def reference_random_tree(g, max_depth, rng, n_vars, B=10.0, start=None):
         return NTNode(sym, pick, children)
 
     return gen(symbol, max_depth)
+
+
+def assert_shapes_looked_up(tree):
+    """Every node of `tree` holds the shape its children's tokens look up."""
+    for node, _ in walk(tree):
+        if type(node) is NTNode:
+            key = (node.symbol, tuple(child.token for child in node.children))
+            assert node.shape is _BY_CHILDREN.get(key)
 
 
 def _with_4op(text):
@@ -97,3 +106,4 @@ def test_random_tree_grows_the_reference_trees_and_draws(name, make_rng):
         expected = reference_random_tree(g, budget, reference_rng, n_vars, B=B, start=start)
         assert tree_to_dict(tree) == tree_to_dict(expected)
         assert _state(rng) == _state(reference_rng)
+        assert_shapes_looked_up(tree)
