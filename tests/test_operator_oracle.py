@@ -96,12 +96,11 @@ def test_leaf_counts_and_complexity_share_one_memo():
         nodes = [node for node, _ in walk(tree)]
         fresh = NTNode(tree.symbol, tree.alt, tree.children)
         cpx = basis_complexity(fresh, 10.0, 0.3)
-        for leaf_type in (WeightLeaf, VCLeaf):
-            expected = sum(type(n) is leaf_type for n in nodes)
-            assert leaf_count(tree, leaf_type) == expected      # counted alone first
-            assert leaf_count(fresh, leaf_type) == expected     # counted with the complexity
-        assert basis_complexity(tree, 10.0, 0.3) == cpx         # then recomputed, bit for bit
-        assert leaf_count(tree, WeightLeaf) == leaf_count(fresh, WeightLeaf)
+        expected = [sum(type(n) is t for n in nodes) for t in (WeightLeaf, VCLeaf)]
+        assert [leaf_count(tree, t) for t in (WeightLeaf, VCLeaf)] == expected   # counted alone
+        assert [leaf_count(fresh, t) for t in (WeightLeaf, VCLeaf)] == expected  # with the complexity
+        assert basis_complexity(tree, 10.0, 0.3) == cpx      # recomputed over the counts-only memo
+        assert [leaf_count(tree, t) for t in (WeightLeaf, VCLeaf)] == expected
 
 
 def _reference_weight_mutate(p, cfg, rng):
