@@ -1,0 +1,138 @@
+"""In-process A/B of two canonsr source trees on the same inputs.
+
+    python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload wide243 --seeds 101-110
+    python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload pm81 --seeds 1-6 --layer sag
+
+OLD_SRC and NEW_SRC are `src` directories that each hold a `canonsr`
+package, for example this checkout's `src` and the `src` of a `git archive`
+of its parent.  Both load into one process, as `canonsr_old` and
+`canonsr_new`, and every seed runs on both, alternating which goes first.
+Running side by side removes the drift between processes that separate
+benchmark runs see.  A tree whose `default_grammar_text` still names the
+package `canonsr.data` reads its grammar from whichever `canonsr` is
+importable, so run such a tree with a `canonsr` on PYTHONPATH.
+
+`--layer pipeline` (the default) times one `run_pipeline` call with export,
+on the training and test grids of the perfbench workload.  `--layer sag`
+evolves each seed untimed and then times `simplify_after_generation` on the
+front.  The tool prints, per seed, both times, the ratio new/old and
+whether the outputs match (export files or simplified models, hashed), then
+the median ratio, the seeds the new tree won and whether every hash matched.
+"""
+
+import argparse
+import gc
+import hashlib
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def load_tree(src: str, name: str):
+    """Import the canonsr package under src as a top-level package called name."""
+    pkg = os.path.join(os.path.abspath(src), "canonsr")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _seeds(text: str):
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def _hash_dir(path: str) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        digest.update(name.encode())
+        with open(os.path.join(path, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+class Side:
+    """One source tree with its copy of the workload's data."""
+
+    def __init__(self, tree, workload: str):
+        self.tree = tree
+        self.w = workloads.WORKLOADS[workload]
+        X_train, y_train, X_test, y_test = workloads.search_data(workload)
+        names = workloads.var_names(X_train.shape[1])
+        self.train = tree.Dataset(names, X_train, y_train, workloads.TARGET)
+        self.test = tree.Dataset(names, X_test, y_test, workloads.TARGET)
+
+    def config(self, seed: int):
+        return self.tree.RunConfig(population=self.w["population"],
+                                   generations=self.w["generations"], seed=seed)
+
+    def prepare(self, layer: str, seed: int):
+        """Untimed work before the timed call; returns the call."""
+        cfg = self.config(seed)
+        if layer == "sag":
+            front = self.tree.run_evolution(cfg, self.train)
+            return lambda: self.tree.simplify_after_generation(front, self.train, cfg)
+        out = tempfile.mkdtemp(prefix="ab_")
+        return lambda: (self.tree.run_pipeline(cfg, self.train, self.test, out_dir=out), out)
+
+    def digest(self, layer: str, result) -> str:
+        if layer == "sag":
+            text = json.dumps([self.tree.model_to_dict(m) for m in result.models],
+                              sort_keys=True)
+            return hashlib.sha256(text.encode()).hexdigest()
+        out = result[1]
+        digest = _hash_dir(out)
+        for name in os.listdir(out):
+            os.remove(os.path.join(out, name))
+        os.rmdir(out)
+        return digest
+
+
+def timed(side: Side, layer: str, seed: int):
+    call = side.prepare(layer, seed)
+    gc.collect()
+    t0 = time.perf_counter()
+    result = call()
+    seconds = time.perf_counter() - t0
+    return seconds, side.digest(layer, result)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--workload", choices=("pm81", "wide243"), default="wide243")
+    ap.add_argument("--seeds", default="1-6", help="first-last canonsr seeds, inclusive")
+    ap.add_argument("--layer", choices=("pipeline", "sag"), default="pipeline")
+    args = ap.parse_args(argv)
+
+    old = Side(load_tree(args.old_src, "canonsr_old"), args.workload)
+    new = Side(load_tree(args.new_src, "canonsr_new"), args.workload)
+    ratios, wins, same = [], 0, True
+    for i, seed in enumerate(_seeds(args.seeds)):
+        order = (old, new) if i % 2 == 0 else (new, old)
+        runs = {id(side): timed(side, args.layer, seed) for side in order}
+        (t_old, h_old), (t_new, h_new) = runs[id(old)], runs[id(new)]
+        ratios.append(t_new / t_old)
+        wins += t_new < t_old
+        same &= h_old == h_new
+        print(f"seed {seed}: old {t_old:.4f} s  new {t_new:.4f} s  "
+              f"ratio {t_new / t_old:.3f}  {'same' if h_old == h_new else 'DIFFERENT'}")
+    print(f"median ratio {statistics.median(ratios):.3f}; new faster on {wins} of "
+          f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

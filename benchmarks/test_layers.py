@@ -7,7 +7,8 @@ Run from the repository root:
 The CSV and prediction sizes follow the `predict_bulk` workload of
 `perfbench/`: a 20,000-row sweep of five variables around the wide5 centers,
 plus one target column.  The search layers use the 81-row pm_like factorial
-of the `pm81` workload.
+of the `pm81` workload; the PRESS layers use the 243-row wide5 factorial of
+the `wide243` workload.
 """
 
 import contextlib
@@ -27,8 +28,9 @@ from canonsr.evolve import (ParetoArchive, _environmental_selection, fit_model,
                             op_weight_cauchy_mutate)
 from canonsr.expr import (Model, basis_column, eval_basis_matrix, eval_model_matrix,
                           model_to_dict, tree_to_dict)
+from canonsr.fit import RegressionProblem, forward_regression_press, press
 from canonsr.grammar import load_default_grammar, random_tree, validate
-from canonsr.pipeline import TradeoffSet, simplify_after_generation
+from canonsr.pipeline import TradeoffSet, run_evolution, simplify_after_generation
 
 ROWS = 20000
 CENTERS = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
@@ -215,3 +217,34 @@ def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81
     ts = TradeoffSet(models=models, var_names=pm81_train.var_names, train_reference=ref)
     simplified = benchmark(simplify_after_generation, ts, pm81_train, cfg)
     assert 1 <= len(simplified) <= 15
+
+
+@pytest.fixture(scope="module")
+def wide243_columns():
+    """Basis columns and target of the 15 largest models of an evolved wide5
+    front on the 243-row factorial of the `wide243` workload (population 50,
+    30 generations), the inputs SAG sees; SAG takes about a fifth of such a
+    run."""
+    X = doe_full_factorial(DoePlan(centers=CENTERS, dx=0.1))
+    x1, x2, x3, x4, x5 = X.T          # perfbench's wide5 target
+    y = 5.0 + 40.0 * x1 / (x2 + 0.5 * x3) + 12.0 * np.sqrt(x4) * x5 + 8.0 * np.exp(-x2 * x5)
+    train = Dataset(tuple(f"x{i + 1}" for i in range(N_VARS)), X, y, "y")
+    cfg = RunConfig(population=50, generations=30, seed=11)
+    front = sorted(run_evolution(cfg, train).models, key=lambda m: m.n_bases)[-15:]
+    return [[basis_column(t, X, cfg.B) for t in m.bases] for m in front], y
+
+
+def test_press_15_problems_243_rows(benchmark, wide243_columns):
+    """press() on the offset plus all columns of each model."""
+    models, y = wide243_columns
+    problems = [RegressionProblem(np.column_stack([np.ones(y.size)] + cols), y)
+                for cols in models]
+    values = benchmark(lambda: [press(p) for p in problems])
+    assert len(values) == 15
+
+
+def test_forward_regression_press_15_models_243_rows(benchmark, wide243_columns):
+    """SAG's selection on each model's columns, without the refits around it."""
+    models, y = wide243_columns
+    picked = benchmark(lambda: [forward_regression_press(cols, y)[0] for cols in models])
+    assert all(len(sel) <= len(cols) for sel, cols in zip(picked, models))

@@ -611,6 +611,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _flag(value, name: str) -> bool:
+    """`value`, a JSON true or false (not a number or a string), as a bool."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def tree_from_dict(d: dict):
     """The tree `d` describes; ValueError for an exponent or alternative
     index that is not an integer (a bool, a fraction or any other type),
@@ -651,5 +658,5 @@ def model_from_dict(d: dict) -> Model:
         train_error=d.get("train_error_pct", INF),
         test_error=d.get("test_error_pct"),
         complexity=d.get("complexity", 0.0),
-        valid=bool(d.get("valid", False)),
+        valid=_flag(d.get("valid", False), "valid"),
     )

@@ -182,7 +182,7 @@ def _shape_of(lhs: str, lineno: int, symbols: Tuple[Token, ...]) -> Shape:
 
 
 def default_grammar_text() -> str:
-    return resources.files("canonsr.data").joinpath("canonical.grammar").read_text("utf-8")
+    return resources.files(f"{__package__}.data").joinpath("canonical.grammar").read_text("utf-8")
 
 
 def load_default_grammar() -> Grammar:

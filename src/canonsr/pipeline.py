@@ -22,7 +22,7 @@ from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
-from .expr import (Model, _number, basis_column, eval_model_matrix, model_from_dict,
+from .expr import (Model, _flag, _number, basis_column, eval_model_matrix, model_from_dict,
                    model_to_dict, to_canonical_text)
 from .fit import RegressionProblem, forward_regression_press, nmse, press
 from .grammar import Grammar, check_basis, default_grammar_text, parse_grammar
@@ -229,6 +229,7 @@ def load_model_json(path: str) -> dict:
         if missing:
             raise ValueError(f"missing key(s) {', '.join(missing)}")
         model = payload["model"] = model_from_dict(payload["model"])
+        payload["target_log_scaled"] = _flag(payload["target_log_scaled"], "target_log_scaled")
         names = payload["var_names"] = tuple(payload["var_names"])
         if not all(isinstance(name, str) for name in names + (payload["target_name"],)):
             raise ValueError("variable and target names must be strings")

@@ -616,6 +616,18 @@ def test_eval_model_file_numbers_must_be_numbers(tmp_path, capsys, field, value)
     assert f"{field} must be a number, got {value!r}" in captured.err
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1])
+@pytest.mark.parametrize("field", ["target_log_scaled", "valid"])
+def test_eval_model_file_flags_must_be_booleans(tmp_path, capsys, field, value):
+    # read by truthiness, "false" made eval score and write 10^prediction
+    payload = json.loads(_model_text([_sin_basis(10.0)], [0.0, 1.0]))
+    (payload["model"] if field == "valid" else payload)[field] = value
+    code = _eval(tmp_path, json.dumps(payload), b"x,z,y\n1,2,0\n")
+    captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert f"{field} must be true or false, got {value!r}" in captured.err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def _nested_model_text(levels):
     """A model whose basis nests `levels` REPVC '*' REPOP nodes around x / z,
     written as JSON text by hand: the json module's own encoder would refuse
