@@ -21,14 +21,14 @@ import pytest
 from canonsr.cli import main
 from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
-                             oracle_dataset, save_csv)
+                             oracle_dataset, write_points_csv)
 from canonsr.draws import Draws
 from canonsr.evolve import (ParetoArchive, _environmental_selection, fit_model,
                             init_population, nondominated_sort, nsga2_generation,
                             op_weight_cauchy_mutate)
-from canonsr.expr import (Model, basis_column, eval_basis_matrix, eval_model_matrix,
-                          model_to_dict, tree_to_dict)
-from canonsr.fit import RegressionProblem, forward_regression_press, press
+from canonsr.expr import (Model, eval_basis_matrix, eval_model_matrix, model_to_dict,
+                          stored_column, tree_to_dict)
+from canonsr.fit import forward_regression_press, press
 from canonsr.grammar import load_default_grammar, random_tree, validate
 from canonsr.pipeline import TradeoffSet, run_evolution, simplify_after_generation
 
@@ -47,7 +47,7 @@ def sweep_csv(tmp_path_factory):
     X = _sweep(0)
     names = tuple(f"x{i + 1}" for i in range(N_VARS))
     path = str(tmp_path_factory.mktemp("layers") / "sweep.csv")
-    save_csv(Dataset(names, X, X.sum(axis=1), "y"), path)
+    write_points_csv(names + ("y",), np.column_stack([X, X.sum(axis=1)]), path)
     return path
 
 
@@ -104,7 +104,7 @@ def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
     bases = []
     while len(bases) < 15:
         tree = random_tree(g, cfg.max_depth, rng, 4, B=cfg.B)
-        if np.isfinite(basis_column(tree, X, cfg.B)).all():   # stores the column
+        if stored_column(tree, X, cfg.B)[1]:   # stores the column
             bases.append(tree)
     model = benchmark(fit_model, bases, X, y, ref, cfg)
     assert model.valid and model.coeffs.shape == (16,)
@@ -231,15 +231,14 @@ def wide243_columns():
     train = Dataset(tuple(f"x{i + 1}" for i in range(N_VARS)), X, y, "y")
     cfg = RunConfig(population=50, generations=30, seed=11)
     front = sorted(run_evolution(cfg, train).models, key=lambda m: m.n_bases)[-15:]
-    return [[basis_column(t, X, cfg.B) for t in m.bases] for m in front], y
+    return [[stored_column(t, X, cfg.B)[0] for t in m.bases] for m in front], y
 
 
 def test_press_15_problems_243_rows(benchmark, wide243_columns):
     """press() on the offset plus all columns of each model."""
     models, y = wide243_columns
-    problems = [RegressionProblem(np.column_stack([np.ones(y.size)] + cols), y)
-                for cols in models]
-    values = benchmark(lambda: [press(p) for p in problems])
+    matrices = [np.column_stack([np.ones(y.size)] + cols) for cols in models]
+    values = benchmark(lambda: [press(Phi, y) for Phi in matrices])
     assert len(values) == 15
 
 

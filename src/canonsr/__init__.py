@@ -9,12 +9,11 @@ __version__ = "0.1.0"
 from .config import OPERATOR_NAMES, RunConfig, default_operator_weights
 from .dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
                       doe_latin_hypercube, load_csv, oracle_dataset,
-                      oracle_targets, save_csv, scale_target_log10,
-                      synthetic_oracle, write_points_csv)
+                      oracle_targets, scale_target_log10, synthetic_oracle,
+                      write_points_csv)
 from .expr import (Model, interpret_weight, model_from_dict, model_to_dict,
                    to_canonical_text, tree_from_dict, tree_to_dict)
-from .fit import (RegressionProblem, fit_weights, forward_regression_press,
-                  nmse, press)
+from .fit import forward_regression_press, nmse
 from .grammar import (Grammar, GrammarError, crossover_sites,
                       default_grammar_text, load_default_grammar,
                       parse_grammar, random_tree, validate)
@@ -29,11 +28,10 @@ __all__ = [
     "OPERATOR_NAMES", "RunConfig", "default_operator_weights",
     "DataError", "Dataset", "DoePlan", "doe_full_factorial",
     "doe_latin_hypercube", "load_csv", "oracle_dataset", "oracle_targets",
-    "save_csv", "scale_target_log10", "synthetic_oracle", "write_points_csv",
+    "scale_target_log10", "synthetic_oracle", "write_points_csv",
     "Model", "interpret_weight", "model_from_dict", "model_to_dict",
     "to_canonical_text", "tree_from_dict", "tree_to_dict",
-    "RegressionProblem", "fit_weights",
-    "forward_regression_press", "nmse", "press",
+    "forward_regression_press", "nmse",
     "Grammar", "GrammarError", "crossover_sites", "default_grammar_text",
     "load_default_grammar", "parse_grammar",
     "random_tree", "validate",

@@ -159,10 +159,6 @@ def make_config(values: dict, context: str) -> RunConfig:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    return make_config(parse_config_values(text, source), source)
-
-
 def load_config_values(path: Optional[str]) -> dict:
     """Config file values as RunConfig keyword arguments; {} without a file."""
     if path is None:

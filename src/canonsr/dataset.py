@@ -27,7 +27,7 @@ class Dataset:
     """N samples of d-dimensional design points with one scalar target each.
 
     X and y are read-only copies of what was passed in, because basis trees
-    keep columns evaluated on X (see expr.basis_column).
+    keep columns evaluated on X (see expr.stored_column).
     """
 
     var_names: Tuple[str, ...]
@@ -190,11 +190,6 @@ def load_csv(path: str, target_column: str) -> Dataset:
     var_names = tuple(h for i, h in enumerate(header) if i != t_idx)
     return Dataset(var_names=var_names, X=np.delete(values, t_idx, axis=1),
                    y=values[:, t_idx], target_name=target_column)
-
-
-def save_csv(ds: Dataset, path: str) -> None:
-    """Write a Dataset back to CSV (variables first, target last)."""
-    write_points_csv(list(ds.var_names) + [ds.target_name], np.column_stack([ds.X, ds.y]), path)
 
 
 def write_points_csv(var_names: Sequence[str], X: np.ndarray, path: str) -> None:

@@ -19,7 +19,7 @@ drawing something else.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class Draws:
         n = high - low
         return np.array([low + self._below(n) for _ in range(size)], dtype=np.int64)
 
-    def choice(self, a: int, size: int, replace: bool = True) -> np.ndarray:
-        """`Generator.choice(a, size=k, replace=False)` for an int `a`, k <= 10000."""
+    def choice(self, a: int, size: int, replace: bool = True) -> List[int]:
+        """`Generator.choice(a, size=k, replace=False).tolist()` for an int `a`, k <= 10000."""
         if not (replace is False and isinstance(a, int) and isinstance(size, int)
                 and 1 <= a < _WORD and 0 <= size <= min(a, _FLOYD_MAX)):
             raise ValueError(f"choice({a!r}, size={size!r}, replace={replace!r}) is not "
@@ -89,7 +89,7 @@ class Draws:
         for i in range(size - 1, 0, -1):
             j = self._below(i + 1)
             picked[i], picked[j] = picked[j], picked[i]
-        return np.array(picked, dtype=np.int64)
+        return picked
 
     def random(self) -> float:
         """`Generator.random()`: a double in [0, 1) from one raw word."""

@@ -23,7 +23,7 @@ from .config import OPERATOR_NAMES, RunConfig
 from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
                    complexity_of_bases, leaf_count, repair_all_zero_vc, replace_at,
                    stored_column, tree_depth, walk)
-from .fit import _error, _solve
+from .fit import _error, fit_weights
 from .grammar import Grammar, crossover_sites, random_tree
 
 Objectives = Tuple[float, float]   # (train error %, complexity), both minimized
@@ -162,7 +162,7 @@ def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
             return Model(bases=list(bases), coeffs=None, train_error=INF,
                          complexity=cpx, valid=False)
         Phi[:, j] = col
-    coeffs = _solve(Phi, y)
+    coeffs = fit_weights(Phi, y)
     coeffs.flags.writeable = False
     error = _error(Phi @ coeffs, y, reference)
     valid = math.isfinite(error)

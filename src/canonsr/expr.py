@@ -79,7 +79,7 @@ class NTNode:
     one looked up by its children's tokens.  A node used as a basis also
     keeps values derived from it: its complexity and leaf counts (see
     basis_complexity) and its column on one sample matrix (see
-    basis_column).  They die with the node.
+    stored_column).  They die with the node.
     """
 
     __slots__ = ("symbol", "alt", "children", "shape", "_cpx", "_column")
@@ -410,18 +410,14 @@ def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
     return val
 
 
-def basis_column(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
-    """eval_basis_matrix(tree, X, B), kept on the tree for the last (X, B) asked.
+def stored_column(tree: BasisTree, X: np.ndarray, B: float) -> Tuple[np.ndarray, bool]:
+    """eval_basis_matrix(tree, X, B) and whether it is all finite, kept on the
+    tree for the last (X, B) asked.
 
     The kept column is read-only.  It is reused only for the same array
     object X and an equal B, so X must not change in place while the tree
     lives; Dataset arrays are read-only for that reason.
     """
-    return stored_column(tree, X, B)[0]
-
-
-def stored_column(tree: BasisTree, X: np.ndarray, B: float) -> Tuple[np.ndarray, bool]:
-    """basis_column(tree, X, B) and whether it is all finite, kept with it."""
     memo = tree._column
     if memo is None or memo[0] is not X or memo[1] != B:
         col = eval_basis_matrix(tree, X, B)

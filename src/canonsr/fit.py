@@ -9,7 +9,6 @@ strictly decreases, which prunes columns that harm predictive ability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -22,33 +21,9 @@ _PRESS_REL_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
-class RegressionProblem:
-    """Design matrix (offset column first) and targets for one linear fit."""
-
-    Phi: np.ndarray          # N x (M+1)
-    y: np.ndarray            # length N
-
-    def __post_init__(self):
-        self.Phi = np.asarray(self.Phi, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.Phi.ndim != 2 or self.y.ndim != 1:
-            raise ValueError("Phi must be 2-D and y 1-D")
-        if self.Phi.shape[0] != self.y.shape[0]:
-            raise ValueError("Phi and y row counts differ")
-        if self.Phi.shape[0] < 1:
-            raise ValueError("need at least one sample")
-        if not np.all(np.isfinite(self.Phi)) or not np.all(np.isfinite(self.y)):
-            raise ValueError("regression problem contains non-finite entries")
-
-
-def _solve(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(Phi, y, rcond=None)[0]
-
-
-def fit_weights(p: RegressionProblem) -> np.ndarray:
+def fit_weights(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients; minimum-norm solution if Phi is rank deficient."""
-    return _solve(p.Phi, p.y)
+    return np.linalg.lstsq(Phi, y, rcond=None)[0]
 
 
 def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
@@ -91,19 +66,19 @@ def _rank_deficient(Phi: np.ndarray, R: np.ndarray) -> bool:
     return s[-1] <= tol
 
 
-def press(p: RegressionProblem) -> float:
-    """Sum of squared leave-one-out residuals; +inf when the fit interpolates
-    (N <= M+1), Phi is rank deficient, or some leverage reaches 1."""
-    N, k = p.Phi.shape
+def press(Phi: np.ndarray, y: np.ndarray) -> float:
+    """Sum of squared leave-one-out residuals of the checked y on Phi; +inf when
+    the fit interpolates (N <= M+1), Phi is rank deficient, or some leverage reaches 1."""
+    N, k = Phi.shape
     if N <= k:
         return INF
-    q, r = np.linalg.qr(p.Phi)
-    if _rank_deficient(p.Phi, r):
+    q, r = np.linalg.qr(Phi)
+    if _rank_deficient(Phi, r):
         return INF
     h = np.einsum("ij,ij->i", q, q)
     if np.any(h >= _LEVERAGE_LIMIT):
         return INF
-    residuals = p.y - p.Phi @ fit_weights(p)
+    residuals = y - Phi @ fit_weights(Phi, y)
     loo = residuals / (1.0 - h)
     return float(np.sum(loo * loo))
 
@@ -286,9 +261,16 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
     for j, col in enumerate(columns):
         if col.shape != (N,):
             raise ValueError(f"candidate {j} has shape {col.shape}, expected ({N},)")
+    # the one input check: press() and fit_weights() trust their callers
+    if y.ndim != 1:
+        raise ValueError("Phi must be 2-D and y 1-D")
+    if N < 1:
+        raise ValueError("need at least one sample")
+    if not np.isfinite(y).all() or not all(np.isfinite(col).all() for col in columns):
+        raise ValueError("regression problem contains non-finite entries")
 
     Phi = np.ones((N, 1))
-    current = press(RegressionProblem(Phi, y))
+    current = press(Phi, y)
     selected: List[int] = []
     remaining = list(range(len(columns)))
     # the screen needs a finite PRESS to improve on and more rows than a
@@ -307,7 +289,7 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
         best_press = current
         for j in candidates:
             trial = np.column_stack([Phi, columns[j]])
-            trial_press = press(RegressionProblem(trial, y))
+            trial_press = press(trial, y)
             if _improves(trial_press, current) and (
                     best_idx is None or trial_press < best_press):
                 best_idx = j

@@ -46,10 +46,6 @@ class Grammar:
                                     for budget in range(top + 1))
                           for nt, depths in self._alt_min_depths.items()}
 
-    @property
-    def nonterminals(self) -> List[str]:
-        return list(self.rules)
-
     def min_depth(self, symbol: str) -> float:
         return self._min_depth[symbol]
 
@@ -200,7 +196,7 @@ def _random_vc(n_vars: int, rng) -> VCLeaf:
     # start simple: 1..3 variables present, small exponents
     k = int(rng.integers(1, min(3, n_vars) + 1))
     exponents = [0] * n_vars
-    for dim in rng.choice(n_vars, size=k, replace=False).tolist():
+    for dim in rng.choice(n_vars, size=k, replace=False):
         exponents[dim] = _VC_INIT_EXPONENTS[rng.integers(4)]
     return VCLeaf(exponents)
 

@@ -22,9 +22,9 @@ from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
                      pareto_insert)
-from .expr import (Model, _flag, _number, basis_column, eval_model_matrix, model_from_dict,
-                   model_to_dict, to_canonical_text)
-from .fit import RegressionProblem, forward_regression_press, nmse, press
+from .expr import (Model, _flag, _number, eval_model_matrix, model_from_dict, model_to_dict,
+                   stored_column, to_canonical_text)
+from .fit import forward_regression_press, nmse, press
 from .grammar import Grammar, check_basis, default_grammar_text, parse_grammar
 
 ProgressFn = Callable[[int, int, int], None]   # (generation, total, archive size)
@@ -124,13 +124,12 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         if not m.bases:
             out.append(m)
             continue
-        columns = [basis_column(t, X, cfg.B) for t in m.bases]
+        columns = [stored_column(t, X, cfg.B)[0] for t in m.bases]
         selected, pruned_press = forward_regression_press(columns, y)
         if sorted(selected) == list(range(len(m.bases))):
             out.append(m)
             continue
-        original_press = press(RegressionProblem(
-            np.column_stack([np.ones(len(y))] + columns), y))
+        original_press = press(np.column_stack([np.ones(len(y))] + columns), y)
         if original_press < pruned_press:
             out.append(m)
             continue

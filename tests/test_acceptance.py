@@ -13,7 +13,7 @@ from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
 from canonsr.evolve import apply_operator, dominates, fit_model, nondominated_sort
 from canonsr.expr import Model, NTNode, VCLeaf, complexity_of_bases, tree_depth
-from canonsr.fit import RegressionProblem, fit_weights, press
+from canonsr.fit import fit_weights, press
 from canonsr.grammar import load_default_grammar, random_tree, validate
 from canonsr.pipeline import (TradeoffSet, filter_test_tradeoff, run_evolution,
                               run_pipeline, simplify_after_generation)
@@ -102,7 +102,7 @@ def test_criterion_2_press_oracle():
         k = min(m + 1, n - 1)
         Phi = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
         y = rng.standard_normal(n)
-        ours = press(RegressionProblem(Phi, y))
+        ours = press(Phi, y)
         oracle = _loo_bruteforce(Phi, y)
         assert ours == pytest.approx(oracle, rel=1e-8)
         checked += 1
@@ -152,14 +152,14 @@ def test_criterion_4_least_squares():
         k = int(rng.integers(1, min(n - 1, 7)))
         Phi = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
         y = rng.standard_normal(n)
-        coeffs = fit_weights(RegressionProblem(Phi, y))
+        coeffs = fit_weights(Phi, y)
         assert np.max(np.abs(Phi.T @ (y - Phi @ coeffs))) <= 1e-8 * np.linalg.norm(y)
     for _ in range(100):
         n = int(rng.integers(6, 40))
         base = rng.standard_normal(n)
         Phi = np.column_stack([np.ones(n), base, base, rng.standard_normal(n)])
         y = rng.standard_normal(n)
-        ours = fit_weights(RegressionProblem(Phi, y))
+        ours = fit_weights(Phi, y)
         oracle = np.linalg.pinv(Phi) @ y
         assert np.max(np.abs(ours - oracle)) <= 1e-8
     _report("criterion 4: residual orthogonality and minimum-norm agreement", True)

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from canonsr.cli import main
-from canonsr.config import ConfigError, parse_config_text
-from canonsr.dataset import DoePlan, doe_full_factorial, load_csv, oracle_dataset, save_csv
+from canonsr.config import ConfigError, make_config, parse_config_values
+from canonsr.dataset import (DoePlan, doe_full_factorial, load_csv, oracle_dataset,
+                             write_points_csv)
 from canonsr.grammar import default_grammar_text
 
 NAMES4 = ("x1", "x2", "x3", "x4")
+
+
+def _write_dataset(ds, path):
+    write_points_csv(ds.var_names + (ds.target_name,), np.column_stack([ds.X, ds.y]), path)
 
 
 @pytest.fixture()
@@ -22,8 +27,8 @@ def pm_files(tmp_path):
                           doe_full_factorial(DoePlan(np.ones(4), dx=0.03)), NAMES4)
     train_path = str(tmp_path / "train.csv")
     test_path = str(tmp_path / "test.csv")
-    save_csv(train, train_path)
-    save_csv(test, test_path)
+    _write_dataset(train, train_path)
+    _write_dataset(test, test_path)
     cfg_path = str(tmp_path / "run.cfg")
     with open(cfg_path, "w") as fh:
         fh.write("population = 30\ngenerations = 6\nseed = 4\n")
@@ -34,8 +39,12 @@ def pm_files(tmp_path):
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _parse_config(text):
+    return make_config(parse_config_values(text), "<config>")
+
+
 def test_config_defaults_and_overrides():
-    cfg = parse_config_text("population = 64\nwvc = 0.5\n"
+    cfg = _parse_config("population = 64\nwvc = 0.5\n"
                             "operator.subtree_mutate.weight = 2.5\n# note\n")
     assert cfg.population == 64
     assert cfg.wvc == 0.5
@@ -45,19 +54,19 @@ def test_config_defaults_and_overrides():
 
 def test_config_unknown_key_is_hard_error():
     with pytest.raises(ConfigError, match="populaton"):
-        parse_config_text("populaton = 10\n")
+        _parse_config("populaton = 10\n")
 
 
 def test_config_unknown_operator_rejected():
     with pytest.raises(ConfigError, match="unknown operator"):
-        parse_config_text("operator.nope.weight = 1\n")
+        _parse_config("operator.nope.weight = 1\n")
 
 
 def test_config_type_and_duplicate_errors():
     with pytest.raises(ConfigError, match="int"):
-        parse_config_text("population = many\n")
+        _parse_config("population = many\n")
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("seed = 1\nseed = 2\n")
+        _parse_config("seed = 1\nseed = 2\n")
 
 
 # ---------------------------------------------------------------------------

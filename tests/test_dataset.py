@@ -7,8 +7,8 @@ import pytest
 
 from canonsr.dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
                              doe_latin_hypercube, load_centers_csv, load_csv,
-                             oracle_targets, save_csv, scale_target_log10,
-                             synthetic_oracle)
+                             oracle_targets, scale_target_log10, synthetic_oracle,
+                             write_points_csv)
 
 
 def _write(tmp_path, name, text):
@@ -104,7 +104,7 @@ def test_csv_round_trip_preserves_dataset_exactly(tmp_path):
                  y=rng.standard_normal(17) * 1e6,
                  target_name="t")
     path = str(tmp_path / "rt.csv")
-    save_csv(ds, path)
+    write_points_csv(ds.var_names + ("t",), np.column_stack([ds.X, ds.y]), path)
     back = load_csv(path, "t")
     assert back.var_names == ds.var_names
     assert np.array_equal(back.X, ds.X)

@@ -10,8 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from canonsr.fit import (RegressionProblem, _error, fit_weights, forward_regression_press,
-                         nmse, press)
+from canonsr.fit import _error, fit_weights, forward_regression_press, nmse, press
 
 INF = float("inf")
 
@@ -54,7 +53,7 @@ def test_exact_linear_data_recovers_coefficients():
     b = np.array([0.0, 1.0, 2.0, 3.0])
     Phi = np.column_stack([np.ones(4), b])
     y = 3.0 + 2.0 * b
-    coeffs = fit_weights(RegressionProblem(Phi, y))
+    coeffs = fit_weights(Phi, y)
     assert coeffs == pytest.approx([3.0, 2.0])
     assert np.max(np.abs(y - Phi @ coeffs)) < 1e-12
 
@@ -62,7 +61,7 @@ def test_exact_linear_data_recovers_coefficients():
 def test_full_rank_matches_normal_equations_oracle():
     rng = np.random.default_rng(10)
     Phi, y = _random_problem(rng, 20, 4)
-    ours = fit_weights(RegressionProblem(Phi, y))
+    ours = fit_weights(Phi, y)
     oracle = normal_equations(Phi, y)
     assert np.max(np.abs(ours - oracle)) <= 1e-8 * max(1.0, np.max(np.abs(oracle)))
 
@@ -72,7 +71,7 @@ def test_duplicated_column_minimum_norm_matches_pinv_oracle():
     base = rng.standard_normal(15)
     Phi = np.column_stack([np.ones(15), base, base])     # rank deficient
     y = rng.standard_normal(15)
-    ours = fit_weights(RegressionProblem(Phi, y))
+    ours = fit_weights(Phi, y)
     oracle = pinv_solution(Phi, y)
     assert np.all(np.isfinite(ours))
     assert np.max(np.abs(ours - oracle)) <= 1e-8
@@ -85,16 +84,24 @@ def test_residual_orthogonality_property():
         n = int(rng.integers(5, 40))
         k = int(rng.integers(1, min(n, 6)))
         Phi, y = _random_problem(rng, n, k)
-        coeffs = fit_weights(RegressionProblem(Phi, y))
+        coeffs = fit_weights(Phi, y)
         residual = y - Phi @ coeffs
         assert np.max(np.abs(Phi.T @ residual)) <= 1e-8 * np.linalg.norm(y)
 
 
 def test_problem_validation():
+    """forward_regression_press checks its inputs once; press and fit_weights
+    trust it."""
     with pytest.raises(ValueError, match="non-finite"):
-        RegressionProblem(np.array([[1.0, np.nan]]), np.array([1.0]))
-    with pytest.raises(ValueError, match="row counts"):
-        RegressionProblem(np.ones((3, 2)), np.ones(2))
+        forward_regression_press([np.array([1.0, np.nan])], np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_regression_press([], np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match=r"candidate 0 has shape \(3,\), expected \(2,\)"):
+        forward_regression_press([np.ones(3)], np.ones(2))
+    with pytest.raises(ValueError, match="y 1-D"):
+        forward_regression_press([np.ones(3)], np.ones((3, 1)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        forward_regression_press([], np.ones(0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +168,13 @@ def test_error_is_the_mean_formula_bit_for_bit():
 def test_press_zero_on_perfect_linear_data():
     x = np.array([0.0, 1.0, 2.0])
     Phi = np.column_stack([np.ones(3), x])
-    assert press(RegressionProblem(Phi, x)) == pytest.approx(0.0, abs=1e-20)
+    assert press(Phi, x) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_press_matches_bruteforce_loo():
     rng = np.random.default_rng(14)
     Phi, y = _random_problem(rng, 10, 3)
-    ours = press(RegressionProblem(Phi, y))
+    ours = press(Phi, y)
     oracle = loo_press_bruteforce(Phi, y)
     assert ours == pytest.approx(oracle, rel=1e-8)
 
@@ -175,13 +182,13 @@ def test_press_matches_bruteforce_loo():
 def test_press_interpolating_fit_is_infinite():
     rng = np.random.default_rng(15)
     Phi, y = _random_problem(rng, 4, 4)    # N == M+1
-    assert press(RegressionProblem(Phi, y)) == INF
+    assert press(Phi, y) == INF
 
 
 def test_press_rank_deficient_is_infinite():
     base = np.arange(6.0)
     Phi = np.column_stack([np.ones(6), base, 2.0 * base])
-    assert press(RegressionProblem(Phi, np.ones(6))) == INF
+    assert press(Phi, np.ones(6)) == INF
 
 
 def test_press_bruteforce_sweep():
@@ -191,7 +198,7 @@ def test_press_bruteforce_sweep():
         n = int(rng.integers(4, 31))
         k = int(rng.integers(1, min(n - 1, 7)))
         Phi, y = _random_problem(rng, n, k)
-        ours = press(RegressionProblem(Phi, y))
+        ours = press(Phi, y)
         oracle = loo_press_bruteforce(Phi, y)
         assert ours == pytest.approx(oracle, rel=1e-8)
 
@@ -209,8 +216,8 @@ def test_duplicate_candidate_selected_once():
     # oracle confirmation: adding the copy cannot improve leave-one-out error
     Phi1 = np.column_stack([np.ones(25), signal])
     Phi2 = np.column_stack([np.ones(25), signal, signal])
-    assert final_press == press(RegressionProblem(Phi1, y))
-    assert press(RegressionProblem(Phi2, y)) >= final_press
+    assert final_press == press(Phi1, y)
+    assert press(Phi2, y) >= final_press
 
 
 def test_zero_candidates_gives_offset_only():
@@ -244,6 +251,6 @@ def test_forward_regression_never_worse_than_offset_only():
         candidates = [rng.standard_normal(n) for _ in range(k)]
         y = rng.standard_normal(n)
         selected, _ = forward_regression_press(candidates, y)
-        offset_press = press(RegressionProblem(np.ones((n, 1)), y))
+        offset_press = press(np.ones((n, 1)), y)
         Phi = np.column_stack([np.ones(n)] + [candidates[j] for j in selected])
-        assert press(RegressionProblem(Phi, y)) <= offset_press
+        assert press(Phi, y) <= offset_press

@@ -23,8 +23,8 @@ def _op_names_used(tree):
 
 def test_default_grammar_shape():
     g = load_default_grammar()
-    assert set(g.nonterminals) == {"REPVC", "REPOP", "2ARGS", "MAYBEW",
-                                   "REPADD", "1OP", "2OP"}
+    assert set(g.rules) == {"REPVC", "REPOP", "2ARGS", "MAYBEW",
+                            "REPADD", "1OP", "2OP"}
     assert g.start == "REPVC"
     assert len(g.rules["REPVC"]) == 3
     assert len(g.rules["1OP"]) == 13
@@ -80,7 +80,7 @@ def _with_4op(text):
 
 def test_restated_lhs_appends_alternatives():
     g = parse_grammar(_with_4op(default_grammar_text()))
-    assert "4OP" in g.nonterminals
+    assert "4OP" in g.rules
     assert len(g.rules["REPOP"]) == 4
     # generation through the extended rule stays sound
     rng = np.random.default_rng(99)

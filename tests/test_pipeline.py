@@ -10,7 +10,7 @@ from canonsr.config import RunConfig
 from canonsr.dataset import DataError, Dataset, DoePlan, doe_full_factorial, oracle_dataset
 from canonsr.evolve import fit_model
 from canonsr.expr import Model, NTNode, VCLeaf, eval_basis_matrix
-from canonsr.fit import RegressionProblem, press
+from canonsr.fit import press
 from canonsr.pipeline import (TradeoffSet, export, filter_test_tradeoff,
                               load_model_json, pareto_reduce, run_evolution,
                               run_pipeline, simplify_after_generation)
@@ -117,8 +117,7 @@ def test_sag_never_increases_press():
 
     def press_of(model):
         columns = [eval_basis_matrix(t, train.X, cfg.B) for t in model.bases]
-        return press(RegressionProblem(
-            np.column_stack([np.ones(train.n_samples)] + columns), train.y))
+        return press(np.column_stack([np.ones(train.n_samples)] + columns), train.y)
 
     # simplify each model in isolation and compare PRESS before/after
     for m in ts.models:

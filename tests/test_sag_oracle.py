@@ -1,11 +1,12 @@
 """Screened forward regression and press() against the code they replaced.
 
 `_oracle_press` and `_oracle_forward` are press() and forward_regression_press
-as they were before the rank test was read from press()'s own QR and before
-forward regression screened its candidates: a matrix_rank SVD of all of Phi,
-and every remaining candidate refitted at every step.  The new code must
-return the same selections and the same PRESS doubles, bit for bit, +inf
-included.
+as they were before the rank test was read from press()'s own QR, before
+forward regression screened its candidates and before press() took plain
+arrays: a matrix_rank SVD of all of Phi, every remaining candidate refitted
+at every step, and the inputs checked at every press() call.  The new code
+must return the same selections and the same PRESS doubles, bit for bit,
++inf included, and raise the same errors.
 """
 
 import struct
@@ -13,23 +14,39 @@ import struct
 import numpy as np
 import pytest
 
-from canonsr.fit import (_LEVERAGE_LIMIT, _PRESS_REL_TOL, INF, RegressionProblem,
-                         _improves, fit_weights, forward_regression_press, press)
+from canonsr.fit import (_LEVERAGE_LIMIT, _PRESS_REL_TOL, INF, _improves,
+                         forward_regression_press, press)
 
 EPS = np.finfo(float).eps
 
 
-def _oracle_press(p):
-    N, k = p.Phi.shape
+def _checked(Phi, y):
+    """The checks press()'s inputs went through on every call."""
+    Phi = np.asarray(Phi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if Phi.ndim != 2 or y.ndim != 1:
+        raise ValueError("Phi must be 2-D and y 1-D")
+    if Phi.shape[0] != y.shape[0]:
+        raise ValueError("Phi and y row counts differ")
+    if Phi.shape[0] < 1:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(Phi)) or not np.all(np.isfinite(y)):
+        raise ValueError("regression problem contains non-finite entries")
+    return Phi, y
+
+
+def _oracle_press(Phi, y):
+    Phi, y = _checked(Phi, y)
+    N, k = Phi.shape
     if N <= k:
         return INF
-    if np.linalg.matrix_rank(p.Phi) < k:
+    if np.linalg.matrix_rank(Phi) < k:
         return INF
-    q, _ = np.linalg.qr(p.Phi)
+    q, _ = np.linalg.qr(Phi)
     h = np.einsum("ij,ij->i", q, q)
     if np.any(h >= _LEVERAGE_LIMIT):
         return INF
-    residuals = p.y - p.Phi @ fit_weights(p)
+    residuals = y - Phi @ np.linalg.lstsq(Phi, y, rcond=None)[0]
     loo = residuals / (1.0 - h)
     return float(np.sum(loo * loo))
 
@@ -39,7 +56,7 @@ def _oracle_forward(bases, y):
     N = y.shape[0]
     columns = [np.asarray(b, dtype=float) for b in bases]
     Phi = np.ones((N, 1))
-    current = _oracle_press(RegressionProblem(Phi, y))
+    current = _oracle_press(Phi, y)
     selected = []
     remaining = list(range(len(columns)))
     while remaining:
@@ -47,7 +64,7 @@ def _oracle_forward(bases, y):
         best_press = current
         for j in remaining:
             trial = np.column_stack([Phi, columns[j]])
-            trial_press = _oracle_press(RegressionProblem(trial, y))
+            trial_press = _oracle_press(trial, y)
             if _improves(trial_press, current) and (
                     best_idx is None or trial_press < best_press):
                 best_idx = j
@@ -94,8 +111,8 @@ def test_press_near_rank_threshold_matches_oracle(seed):
     infinite = 0
     for _ in range(150):
         Phi, y = _near_rank_threshold(rng)
-        expected = _oracle_press(RegressionProblem(Phi, y))
-        assert _bits(press(RegressionProblem(Phi, y))) == _bits(expected)
+        expected = _oracle_press(Phi, y)
+        assert _bits(press(Phi, y)) == _bits(expected)
         infinite += expected == INF
     assert 0 < infinite < 150          # both sides of the threshold are covered
 
@@ -119,8 +136,8 @@ def test_press_collinear_duplicated_and_high_leverage_match_oracle(seed):
         else:                           # one row far out
             Phi[int(rng.integers(N)), 1:] *= 1e6
         y = rng.normal(size=N) * 10.0 ** rng.uniform(-3, 3)
-        expected = _oracle_press(RegressionProblem(Phi, y))
-        assert _bits(press(RegressionProblem(Phi, y))) == _bits(expected)
+        expected = _oracle_press(Phi, y)
+        assert _bits(press(Phi, y)) == _bits(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +205,12 @@ def test_candidate_at_the_improvement_threshold(seed):
     rng = np.random.default_rng(300 + seed)
     N = int(rng.integers(20, 120))
     y = rng.normal(size=N) + 3.0
-    current = _oracle_press(RegressionProblem(np.ones((N, 1)), y))
+    current = _oracle_press(np.ones((N, 1)), y)
     threshold = current * (1.0 - _PRESS_REL_TOL)
     residual = y - y.mean()
 
     def press_with(column):
-        return _oracle_press(RegressionProblem(np.column_stack([np.ones(N), column]), y))
+        return _oracle_press(np.column_stack([np.ones(N), column]), y)
 
     noise = rng.normal(size=N)
     while press_with(noise) < threshold:    # a noise column that improves on its own
@@ -224,12 +241,20 @@ def test_empty_single_and_constant_target_match_oracle():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("position", [0, 2, 4])
 def test_non_finite_candidate_raises_like_oracle(bad, position):
+    """A non-finite candidate or y, an empty y and a 2-D y raise the oracle's
+    exception with its message."""
     rng = np.random.default_rng(500)
     y = rng.normal(size=40)
     cols = [rng.normal(size=40) for _ in range(5)]
-    cols[position][7] = bad
-    with pytest.raises(ValueError) as expected:
-        _oracle_forward(cols, y)
-    with pytest.raises(ValueError) as got:
-        forward_regression_press(cols, y)
-    assert str(got.value) == str(expected.value)
+    bad_cols = [c.copy() for c in cols]
+    bad_cols[position][7] = bad
+    bad_y = y.copy()
+    bad_y[position] = bad
+    for columns, target in ((bad_cols, y), (cols, bad_y), ([c[:0] for c in cols], y[:0]),
+                            (cols, y[:, None]), (cols, np.column_stack([y, y]))):
+        with pytest.raises(ValueError) as expected:
+            _oracle_forward(columns, target)
+        with pytest.raises(ValueError) as got:
+            forward_regression_press(columns, target)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)

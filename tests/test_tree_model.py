@@ -15,11 +15,10 @@ from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import Dataset, DoePlan, doe_full_factorial
 from canonsr.evolve import (OPERATORS, ParetoArchive, apply_operator, fit_model,
                             init_population, nsga2_generation)
-from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_column,
-                          basis_complexity, eval_basis_matrix, eval_model_matrix,
-                          model_from_dict, model_to_dict, tree_from_dict, tree_to_dict,
-                          walk)
-from canonsr.fit import RegressionProblem, fit_weights, nmse
+from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_complexity,
+                          eval_basis_matrix, eval_model_matrix, model_from_dict,
+                          model_to_dict, stored_column, tree_from_dict, tree_to_dict, walk)
+from canonsr.fit import fit_weights, nmse
 from canonsr.grammar import (GrammarError, default_grammar_text, load_default_grammar,
                              parse_grammar, random_tree, validate)
 
@@ -137,7 +136,7 @@ def _fresh_fit(bases, cfg):
     rebuilt = [tree_from_dict(tree_to_dict(t)) for t in bases]
     columns = [eval_basis_matrix(t, X, cfg.B) for t in rebuilt]
     Phi = np.column_stack([np.ones(X.shape[0])] + columns)
-    coeffs = fit_weights(RegressionProblem(Phi, Y))
+    coeffs = fit_weights(Phi, Y)
     cpx = float(sum(_fresh_complexity(t, cfg.wb, cfg.wvc) for t in rebuilt))
     return coeffs, nmse(Phi @ coeffs, Y, REFERENCE), cpx
 
@@ -176,8 +175,8 @@ def test_stored_column_is_read_back_not_reevaluated(monkeypatch):
     cfg = _cfg()
     tree = random_tree(g, cfg.max_depth, np.random.default_rng(3), N_VARS)
     calls = _counting_eval(monkeypatch)
-    col = basis_column(tree, X, cfg.B)
-    assert basis_column(tree, X, cfg.B) is col
+    col = stored_column(tree, X, cfg.B)[0]
+    assert stored_column(tree, X, cfg.B)[0] is col
     assert len(calls) == 1
     with pytest.raises(ValueError):
         col[0] = 0.0                                     # stored columns are read-only
@@ -193,7 +192,7 @@ def test_other_X_or_B_never_reuses_a_column(monkeypatch):
     X3 = X * 1.5
     calls = _counting_eval(monkeypatch)
     for Xk, B in ((X, 10.0), (X2, 10.0), (X3, 10.0), (X, 12.0), (X, 10.0)):
-        got = basis_column(tree, Xk, B)
+        got = stored_column(tree, Xk, B)[0]
         want = eval_basis_matrix(tree_from_dict(tree_to_dict(tree)), Xk, B)
         assert got.tobytes() == want.tobytes()
     assert len(calls) == 5                              # one miss per (X, B) change
