@@ -7,8 +7,8 @@ Run from the repository root:
 The CSV and prediction sizes follow the `predict_bulk` workload of
 `perfbench/`: a 20,000-row sweep of five variables around the wide5 centers,
 plus one target column.  The search layers use the 81-row pm_like factorial
-of the `pm81` workload; the PRESS layers use the 243-row wide5 factorial of
-the `wide243` workload.
+of the `pm81` workload; basis evaluation and the PRESS layers use the 243-row
+wide5 factorial of the `wide243` workload.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+import canonsr.expr as expr
 from canonsr.cli import main
 from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
@@ -220,18 +221,70 @@ def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81
 
 
 @pytest.fixture(scope="module")
-def wide243_columns():
-    """Basis columns and target of the 15 largest models of an evolved wide5
-    front on the 243-row factorial of the `wide243` workload (population 50,
-    30 generations), the inputs SAG sees; SAG takes about a fifth of such a
-    run."""
+def wide243_front():
+    """An evolved wide5 front on the 243-row factorial of the `wide243`
+    workload (population 50, 30 generations), with its training data."""
     X = doe_full_factorial(DoePlan(centers=CENTERS, dx=0.1))
     x1, x2, x3, x4, x5 = X.T          # perfbench's wide5 target
     y = 5.0 + 40.0 * x1 / (x2 + 0.5 * x3) + 12.0 * np.sqrt(x4) * x5 + 8.0 * np.exp(-x2 * x5)
     train = Dataset(tuple(f"x{i + 1}" for i in range(N_VARS)), X, y, "y")
     cfg = RunConfig(population=50, generations=30, seed=11)
-    front = sorted(run_evolution(cfg, train).models, key=lambda m: m.n_bases)[-15:]
-    return [[stored_column(t, X, cfg.B)[0] for t in m.bases] for m in front], y
+    return run_evolution(cfg, train).models, train.X, train.y, cfg
+
+
+def _table_lookups(monkeypatch):
+    """Counts of combo-table lookups and of those the table already held."""
+    counts = {"lookups": 0, "hits": 0}
+    real = expr._ComboTable.column
+
+    def counted(table, exponents):
+        counts["lookups"] += 1
+        counts["hits"] += exponents in table.columns
+        return real(table, exponents)
+
+    monkeypatch.setattr(expr._ComboTable, "column", counted)
+    return counts
+
+
+@pytest.mark.parametrize("table", ["cold", "warm"])
+def test_basis_evaluation_wide243_front(benchmark, wide243_front, monkeypatch, table):
+    """Every basis of the front on a fresh copy of its X.  Cold: each round
+    binds a new copy through stored_column, so the combo table starts empty.
+    Warm: each round evaluates again on one bound copy, whose table the
+    rounds before filled.  The table's hit rate in one round is printed and
+    kept in the benchmark's extra info."""
+    front, X, _, cfg = wide243_front
+    bases = list({id(t): t for m in front for t in m.bases}.values())   # models share trees
+    expected = [stored_column(t, X, cfg.B)[0].tobytes() for t in bases]
+    Xw = X.copy()
+    for t in bases:                    # binds Xw and fills its table
+        stored_column(t, Xw, cfg.B)
+
+    def cold():
+        Xc = X.copy()
+        return [stored_column(t, Xc, cfg.B)[0] for t in bases]
+
+    def warm():
+        return [eval_basis_matrix(t, Xw, cfg.B) for t in bases]
+
+    run = cold if table == "cold" else warm
+    counts = _table_lookups(monkeypatch)
+    run()
+    monkeypatch.undo()
+    rate = counts["hits"] / counts["lookups"]
+    print(f"\n{table}: {len(bases)} bases, {counts['lookups']} combo lookups, "
+          f"hit rate {rate:.3f}, table holds {len(expr._COMBOS.columns)} columns")
+    benchmark.extra_info.update(bases=len(bases), lookups=counts["lookups"], hit_rate=rate)
+    assert [c.tobytes() for c in benchmark(run)] == expected
+
+
+@pytest.fixture(scope="module")
+def wide243_columns(wide243_front):
+    """Basis columns and target of the 15 largest models of the front, the
+    inputs SAG sees; SAG takes about a fifth of a `wide243` run."""
+    front, X, y, cfg = wide243_front
+    largest = sorted(front, key=lambda m: m.n_bases)[-15:]
+    return [[stored_column(t, X, cfg.B)[0] for t in m.bases] for m in largest], y
 
 
 def test_press_15_problems_243_rows(benchmark, wide243_columns):

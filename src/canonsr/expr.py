@@ -15,6 +15,7 @@ evaluation, rendering and check_tree read.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -79,7 +80,9 @@ class NTNode:
     one looked up by its children's tokens.  A node used as a basis also
     keeps values derived from it: its complexity and leaf counts (see
     basis_complexity) and its column on one sample matrix (see
-    stored_column).  They die with the node.
+    stored_column).  They die with the node.  Variable-combo columns are
+    not kept on nodes: evaluation under stored_column shares them between
+    trees through one bounded table, read-only and per X array object.
     """
 
     __slots__ = ("symbol", "alt", "children", "shape", "_cpx", "_column")
@@ -352,7 +355,9 @@ def vc_column(exponents: Sequence[int], X: np.ndarray) -> np.ndarray:
     """prod_i X[:, i] ** e_i for one variable combo; non-finite results propagate.
 
     Callers hold np.errstate, as eval_basis_matrix does.  The product starts
-    from the first power, which equals 1.0 times it for every double.
+    from the first power, which equals 1.0 times it for every double.  This
+    function keeps nothing; evaluation under stored_column shares its outputs,
+    made read-only, through a bounded table per X array object (_ComboTable).
     """
     out = None
     for i, e in enumerate(exponents):
@@ -360,6 +365,53 @@ def vc_column(exponents: Sequence[int], X: np.ndarray) -> np.ndarray:
             power = np.power(X[:, i], float(e))
             out = power if out is None else out * power
     return np.ones(X.shape[0]) if out is None else out
+
+
+# The combo-column table holds at most this many doubles (256 KiB): about 400
+# columns of 81 rows, 134 of 243 and none of more than 32,768.
+COMBO_TABLE_DOUBLES = 2 ** 15
+
+
+class _ComboTable:
+    """Variable-combo columns on one sample matrix, keyed by exponent tuple.
+
+    Each column is vc_column's own output, made read-only.  The table serves
+    the one X array object that stored_column last bound; binding another
+    object empties it, even when its values are equal, so X must not change
+    in place while it is bound (Dataset arrays are read-only).  Every column
+    has X's row count, so the table holds at most COMBO_TABLE_DOUBLES doubles
+    by holding at most `most` columns; it evicts the least recently used.
+    """
+
+    __slots__ = ("X", "columns", "most")
+
+    def __init__(self):
+        self.X = None
+        self.columns: OrderedDict[Tuple[int, ...], np.ndarray] = OrderedDict()
+        self.most = 0
+
+    def bind(self, X: np.ndarray) -> None:
+        if X is not self.X:
+            self.X = X
+            self.columns.clear()
+            self.most = COMBO_TABLE_DOUBLES // max(X.shape[0], 1)
+
+    def column(self, exponents: Tuple[int, ...]) -> np.ndarray:
+        columns = self.columns
+        col = columns.get(exponents)
+        if col is not None:
+            columns.move_to_end(exponents)
+            return col
+        col = vc_column(exponents, self.X)
+        col.flags.writeable = False
+        if self.most:
+            if len(columns) == self.most:
+                columns.popitem(last=False)
+            columns[exponents] = col
+        return col
+
+
+_COMBOS = _ComboTable()
 
 
 def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
@@ -379,6 +431,8 @@ def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
 def _eval(node, X: np.ndarray, B: float):
     kind = type(node)
     if kind is VCLeaf:
+        if X is _COMBOS.X:
+            return _COMBOS.column(node.exponents)
         return vc_column(node.exponents, X)
     if kind is WeightLeaf:
         return np.float64(interpret_weight(node.stored, B))
@@ -402,7 +456,11 @@ def _eval(node, X: np.ndarray, B: float):
 
 
 def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
-    """Evaluate one basis function over an N x d sample matrix; returns length N."""
+    """Evaluate one basis function over an N x d sample matrix; returns length N.
+
+    On the X that stored_column last bound, a basis that is one variable
+    combo returns the combo table's read-only column itself.
+    """
     with np.errstate(all="ignore"):
         val = _eval(tree, X, B)
     if np.ndim(val) == 0:
@@ -416,10 +474,13 @@ def stored_column(tree: BasisTree, X: np.ndarray, B: float) -> Tuple[np.ndarray,
 
     The kept column is read-only.  It is reused only for the same array
     object X and an equal B, so X must not change in place while the tree
-    lives; Dataset arrays are read-only for that reason.
+    lives; Dataset arrays are read-only for that reason.  On a miss it binds
+    X to the combo table (_ComboTable), so that the tree's variable combos
+    are read from the columns shared by every tree evaluated on X.
     """
     memo = tree._column
     if memo is None or memo[0] is not X or memo[1] != B:
+        _COMBOS.bind(X)
         col = eval_basis_matrix(tree, X, B)
         col.flags.writeable = False
         memo = tree._column = (X, B, col, bool(np.isfinite(col).all()))

@@ -255,15 +255,15 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
     only the candidates that _Screen cannot rule out; the result is the same
     as refitting them all.
     """
+    # the one input check: press() and fit_weights() trust their callers
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("Phi must be 2-D and y 1-D")
     N = y.shape[0]
     columns = [np.asarray(b, dtype=float) for b in bases]
     for j, col in enumerate(columns):
         if col.shape != (N,):
             raise ValueError(f"candidate {j} has shape {col.shape}, expected ({N},)")
-    # the one input check: press() and fit_weights() trust their callers
-    if y.ndim != 1:
-        raise ValueError("Phi must be 2-D and y 1-D")
     if N < 1:
         raise ValueError("need at least one sample")
     if not np.isfinite(y).all() or not all(np.isfinite(col).all() for col in columns):

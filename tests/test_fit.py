@@ -100,6 +100,8 @@ def test_problem_validation():
         forward_regression_press([np.ones(3)], np.ones(2))
     with pytest.raises(ValueError, match="y 1-D"):
         forward_regression_press([np.ones(3)], np.ones((3, 1)))
+    with pytest.raises(ValueError, match="y 1-D"):
+        forward_regression_press([], np.float64(1.0))
     with pytest.raises(ValueError, match="at least one sample"):
         forward_regression_press([], np.ones(0))
 
