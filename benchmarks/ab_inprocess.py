@@ -12,12 +12,22 @@ benchmark runs see.  A tree whose `default_grammar_text` still names the
 package `canonsr.data` reads its grammar from whichever `canonsr` is
 importable, so run such a tree with a `canonsr` on PYTHONPATH.
 
+Each seed runs each side ROUNDS times in ABBA order (BAAB on every other
+seed), and a side's time for the seed is the median of its runs.  Each run
+is drift-corrected as perfbench corrects its runs: perfbench's reference
+slice runs before the call, after every generation and after the call, and
+the time between two slices is scaled by the nominal slice time over their
+mean.  A machine that slows down for a while then does not read as a
+slower tree.  Uncorrected, one tree against itself gave per-seed ratios
+from 0.82 to 1.26 on pm81.
+
 `--layer pipeline` (the default) times one `run_pipeline` call with export,
 on the training and test grids of the perfbench workload.  `--layer sag`
 evolves each seed untimed and then times `simplify_after_generation` on the
-front.  The tool prints, per seed, both times, the ratio new/old and
-whether the outputs match (export files or simplified models, hashed), then
-the median ratio, the seeds the new tree won and whether every hash matched.
+front.  The tool prints, per seed, both median times, the ratio new/old
+and whether the outputs of every run match (export files or simplified
+models, hashed), then the median ratio, the seeds the new tree won and
+whether every hash matched.
 """
 
 import argparse
@@ -35,6 +45,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import workloads  # noqa: E402
+from reference import NOMINAL_SLICE_S, timed_slice  # noqa: E402
+
+ROUNDS = 2   # ABBA blocks per seed: four timed runs per side
 
 
 def load_tree(src: str, name: str):
@@ -78,13 +91,15 @@ class Side:
                                    generations=self.w["generations"], seed=seed)
 
     def prepare(self, layer: str, seed: int):
-        """Untimed work before the timed call; returns the call."""
+        """Untimed work before the timed call; returns the call, which takes
+        a function to call after each generation."""
         cfg = self.config(seed)
         if layer == "sag":
             front = self.tree.run_evolution(cfg, self.train)
-            return lambda: self.tree.simplify_after_generation(front, self.train, cfg)
+            return lambda tick: self.tree.simplify_after_generation(front, self.train, cfg)
         out = tempfile.mkdtemp(prefix="ab_")
-        return lambda: (self.tree.run_pipeline(cfg, self.train, self.test, out_dir=out), out)
+        return lambda tick: (self.tree.run_pipeline(cfg, self.train, self.test, out_dir=out,
+                                                    progress=lambda *_: tick()), out)
 
     def digest(self, layer: str, result) -> str:
         if layer == "sag":
@@ -100,11 +115,20 @@ class Side:
 
 
 def timed(side: Side, layer: str, seed: int):
+    """Drift-corrected seconds of one call, and the digest of its output."""
     call = side.prepare(layer, seed)
     gc.collect()
-    t0 = time.perf_counter()
-    result = call()
-    seconds = time.perf_counter() - t0
+    slices = []    # (start, seconds) of each reference slice, in order
+
+    def tick():
+        start = time.perf_counter()
+        slices.append((start, timed_slice()))
+
+    tick()
+    result = call(tick)
+    tick()
+    seconds = sum((s1 - s0 - d0) * NOMINAL_SLICE_S / ((d0 + d1) / 2.0)
+                  for (s0, d0), (s1, d1) in zip(slices, slices[1:]))
     return seconds, side.digest(layer, result)
 
 
@@ -119,16 +143,22 @@ def main(argv=None) -> int:
 
     old = Side(load_tree(args.old_src, "canonsr_old"), args.workload)
     new = Side(load_tree(args.new_src, "canonsr_new"), args.workload)
+    timed_slice()    # the first slice in a process runs cold
     ratios, wins, same = [], 0, True
     for i, seed in enumerate(_seeds(args.seeds)):
-        order = (old, new) if i % 2 == 0 else (new, old)
-        runs = {id(side): timed(side, args.layer, seed) for side in order}
-        (t_old, h_old), (t_new, h_new) = runs[id(old)], runs[id(new)]
+        a, b = (old, new) if i % 2 == 0 else (new, old)
+        times = {id(old): [], id(new): []}
+        digests = set()
+        for side in (a, b, b, a) * ROUNDS:
+            seconds, digest = timed(side, args.layer, seed)
+            times[id(side)].append(seconds)
+            digests.add(digest)
+        t_old, t_new = (statistics.median(times[id(side)]) for side in (old, new))
         ratios.append(t_new / t_old)
         wins += t_new < t_old
-        same &= h_old == h_new
+        same &= len(digests) == 1
         print(f"seed {seed}: old {t_old:.4f} s  new {t_new:.4f} s  "
-              f"ratio {t_new / t_old:.3f}  {'same' if h_old == h_new else 'DIFFERENT'}")
+              f"ratio {t_new / t_old:.3f}  {'same' if len(digests) == 1 else 'DIFFERENT'}")
     print(f"median ratio {statistics.median(ratios):.3f}; new faster on {wins} of "
           f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}")
     return 0 if same else 1

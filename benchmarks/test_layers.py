@@ -24,9 +24,9 @@ from canonsr.config import RunConfig
 from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, write_points_csv)
 from canonsr.draws import Draws
-from canonsr.evolve import (ParetoArchive, _environmental_selection, fit_model,
-                            init_population, nondominated_sort, nsga2_generation,
-                            op_weight_cauchy_mutate)
+from canonsr.evolve import (ParetoArchive, _environmental_selection, apply_operator,
+                            fit_model, init_population, nondominated_sort,
+                            nsga2_generation)
 from canonsr.expr import (Model, eval_basis_matrix, eval_model_matrix, model_to_dict,
                           stored_column, tree_to_dict)
 from canonsr.fit import forward_regression_press, press
@@ -196,7 +196,7 @@ def test_op_weight_cauchy_mutate_15_bases(benchmark, pm81):
 
     def mutate_all():
         draws = np.random.default_rng(9)
-        return [op_weight_cauchy_mutate(m, cfg, draws) for m in models]
+        return [apply_operator("weight_cauchy_mutate", [m], g, 4, cfg, draws) for m in models]
 
     assert all(len(out[0]) == 15 for out in benchmark(mutate_all))
 

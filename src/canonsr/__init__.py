@@ -6,7 +6,7 @@ returns a tradeoff front of models over (prediction error, complexity).
 
 __version__ = "0.1.0"
 
-from .config import OPERATOR_NAMES, RunConfig, default_operator_weights
+from .config import DEFAULT_OPERATOR_WEIGHTS, OPERATOR_NAMES, RunConfig
 from .dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
                       doe_latin_hypercube, load_csv, oracle_dataset,
                       oracle_targets, scale_target_log10, synthetic_oracle,
@@ -25,7 +25,7 @@ from .pipeline import (TradeoffSet, export, filter_test_tradeoff,
 
 __all__ = [
     "__version__",
-    "OPERATOR_NAMES", "RunConfig", "default_operator_weights",
+    "DEFAULT_OPERATOR_WEIGHTS", "OPERATOR_NAMES", "RunConfig",
     "DataError", "Dataset", "DoePlan", "doe_full_factorial",
     "doe_latin_hypercube", "load_csv", "oracle_dataset", "oracle_targets",
     "scale_target_log10", "synthetic_oracle", "write_points_csv",

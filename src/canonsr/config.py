@@ -8,27 +8,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Optional, get_type_hints
 
-# all nine variation operators, in the fixed order used for weighted choice
-OPERATOR_NAMES = (
-    "basis_set_crossover",
-    "basis_delete",
-    "basis_add",
-    "basis_copy_in",
-    "subtree_crossover",
-    "subtree_mutate",
-    "weight_cauchy_mutate",
-    "vc_onepoint_crossover",
-    "vc_exponent_mutate",
-)
-
-
-def default_operator_weights() -> Dict[str, float]:
-    # equal weights, except parameter (weight) mutation is 5x more likely
-    weights = {name: 1.0 for name in OPERATOR_NAMES}
-    weights["weight_cauchy_mutate"] = 5.0
-    return weights
+# every variation operator's default selection weight, in the fixed order
+# used for weighted choice: equal weights, except parameter (weight)
+# mutation is 5x more likely
+DEFAULT_OPERATOR_WEIGHTS = MappingProxyType({
+    "basis_set_crossover": 1.0,
+    "basis_delete": 1.0,
+    "basis_add": 1.0,
+    "basis_copy_in": 1.0,
+    "subtree_crossover": 1.0,
+    "subtree_mutate": 1.0,
+    "weight_cauchy_mutate": 5.0,
+    "vc_onepoint_crossover": 1.0,
+    "vc_exponent_mutate": 1.0,
+})
+OPERATOR_NAMES = tuple(DEFAULT_OPERATOR_WEIGHTS)
 
 
 class ConfigError(ValueError):
@@ -70,7 +67,7 @@ class RunConfig:
     seed: int = 0
     grammar: Optional[str] = None   # grammar file path; None = packaged default
     sig_figs: int = 3
-    operator_weights: Dict[str, float] = field(default_factory=default_operator_weights)
+    operator_weights: Dict[str, float] = field(default_factory=DEFAULT_OPERATOR_WEIGHTS.copy)
 
     def __post_init__(self) -> None:
         for name in _POSITIVE_KEYS:
@@ -86,7 +83,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")
         for name in OPERATOR_NAMES:
-            self.operator_weights.setdefault(name, default_operator_weights()[name])
+            self.operator_weights.setdefault(name, DEFAULT_OPERATOR_WEIGHTS[name])
             if not _positive_finite(self.operator_weights[name]):
                 raise ValueError(
                     f"operator weight for {name!r} must be positive and finite")

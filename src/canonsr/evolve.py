@@ -27,6 +27,7 @@ from .fit import _error, fit_weights
 from .grammar import Grammar, crossover_sites, random_tree
 
 Objectives = Tuple[float, float]   # (train error %, complexity), both minimized
+Parents = Sequence[Model]          # an operator's parents, one per requirement
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +206,11 @@ def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = 5) -> VCLeaf:
 
 
 # ---------------------------------------------------------------------------
-# model-level operators (each returns a list of offspring bases, or None
-# when a precondition fails and the caller should resample).  Site lists
-# are in preorder, basis by basis, and every random draw happens in a fixed
-# order, so a seed always gives the same offspring.
+# model-level operators.  Each takes (parents, grammar, n_vars, cfg, rng) and
+# returns a list of offspring bases; apply_operator first checks every
+# parent against its requirement in OPERATORS.  Site lists are in preorder,
+# basis by basis, and every random draw happens in a fixed order, so a seed
+# always gives the same offspring.
 # ---------------------------------------------------------------------------
 
 def _nonempty_subset(items: Sequence, rng) -> List:
@@ -219,36 +221,29 @@ def _nonempty_subset(items: Sequence, rng) -> List:
             return [items[i] for i in range(len(items)) if mask[i]]
 
 
-def op_basis_set_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
-    if not p1.bases or not p2.bases:
-        return None
-    chosen = _nonempty_subset(p1.bases, rng) + _nonempty_subset(p2.bases, rng)
+def op_basis_set_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    if not (parents[0].bases and parents[1].bases):   # a parent has no bases: grow the first
+        return apply_operator("basis_add", parents[:1], g, n_vars, cfg, rng)
+    chosen = [tree for p in parents for tree in _nonempty_subset(p.bases, rng)]
     if len(chosen) > cfg.max_bases:
         keep = sorted(rng.choice(len(chosen), size=cfg.max_bases, replace=False))
         chosen = [chosen[int(i)] for i in keep]
     return [chosen]
 
 
-def op_basis_delete(p: Model, cfg: RunConfig, rng):
-    if not p.bases:
-        return None
-    bases = list(p.bases)
+def op_basis_delete(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    bases = list(parents[0].bases)
     bases.pop(int(rng.integers(len(bases))))
     return [bases]
 
 
-def op_basis_add(p: Model, g: Grammar, n_vars: int, cfg: RunConfig, rng):
-    if len(p.bases) >= cfg.max_bases:
-        return None
-    return [list(p.bases) + [random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)]]
+def op_basis_add(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    return [list(parents[0].bases) + [random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)]]
 
 
-def op_basis_copy_in(p: Model, donor: Model, cfg: RunConfig, rng):
-    if len(p.bases) >= cfg.max_bases or not donor.bases:
-        return None
-    sites: List[NTNode] = []
-    for tree in donor.bases:
-        sites.extend(crossover_sites(tree, "REPVC"))
+def op_basis_copy_in(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    p, donor = parents
+    sites = [site for tree in donor.bases for site in crossover_sites(tree, "REPVC")]
     return [list(p.bases) + [sites[int(rng.integers(len(sites)))]]]
 
 
@@ -256,10 +251,20 @@ def _nt_sites(tree: BasisTree) -> List[Tuple[NTNode, Path]]:
     return [(node, path) for node, path in walk(tree) if type(node) is NTNode]
 
 
-def op_subtree_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
+Site = Tuple[int, Path, object]   # (basis index, path in that basis, node there)
+
+
+def _with_node(bases: Sequence[BasisTree], site: Site, node) -> List[BasisTree]:
+    """`bases` with the node at `site` replaced by `node`."""
+    i, path, _ = site
+    out = list(bases)
+    out[i] = replace_at(out[i], path, node)
+    return out
+
+
+def op_subtree_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     """Swap same-symbol subtrees; retries on depth violations, then gives up."""
-    if not p1.bases or not p2.bases:
-        return None
+    p1, p2 = parents
     i1 = int(rng.integers(len(p1.bases)))
     i2 = int(rng.integers(len(p2.bases)))
     t1, t2 = p1.bases[i1], p2.bases[i2]
@@ -284,24 +289,18 @@ def op_subtree_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
     return [b1, b2]   # abandoned: parents returned unchanged
 
 
-def op_subtree_mutate(p: Model, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+def op_subtree_mutate(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     """Regrow a uniformly chosen subtree within the remaining depth budget."""
-    if not p.bases:
-        return None
+    p = parents[0]
     i = int(rng.integers(len(p.bases)))
     sites = _nt_sites(p.bases[i])
     node, path = sites[int(rng.integers(len(sites)))]
     budget = cfg.max_depth - len(path)
     fresh = random_tree(g, budget, rng, n_vars, B=cfg.B, start=node.symbol)
-    bases = list(p.bases)
-    bases[i] = replace_at(bases[i], path, fresh)
-    return [bases]
+    return [_with_node(p.bases, (i, path, node), fresh)]
 
 
-LeafSite = Tuple[int, Path, object]   # (basis index, path in that basis, leaf)
-
-
-def _pick_leaf(bases: Sequence[BasisTree], counts: List[int], leaf_type, rng) -> LeafSite:
+def _pick_leaf(bases: Sequence[BasisTree], counts: List[int], leaf_type, rng) -> Site:
     """One uniform draw over the `leaf_type` leaves of `bases`, numbered basis
     by basis in preorder; only the basis holding the drawn leaf is walked."""
     k = int(rng.integers(sum(counts)))
@@ -323,63 +322,66 @@ def _pick_leaf(bases: Sequence[BasisTree], counts: List[int], leaf_type, rng) ->
             k -= 1
 
 
-def _with_leaf(bases: Sequence[BasisTree], site: LeafSite, leaf) -> List[BasisTree]:
-    i, path, _ = site
-    out = list(bases)
-    out[i] = replace_at(out[i], path, leaf)
-    return out
+def _leaf_site(p: Model, leaf_type, rng) -> Site:
+    return _pick_leaf(p.bases, [leaf_count(t, leaf_type) for t in p.bases], leaf_type, rng)
 
 
-def op_weight_cauchy_mutate(p: Model, cfg: RunConfig, rng):
-    counts = [leaf_count(tree, WeightLeaf) for tree in p.bases]
-    if not any(counts):
-        return None
-    site = _pick_leaf(p.bases, counts, WeightLeaf, rng)
-    return [_with_leaf(p.bases, site, weight_cauchy_mutate(site[2], cfg.B, rng))]
+def op_weight_cauchy_mutate(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    site = _leaf_site(parents[0], WeightLeaf, rng)
+    return [_with_node(parents[0].bases, site, weight_cauchy_mutate(site[2], cfg.B, rng))]
 
 
-def op_vc_exponent_mutate(p: Model, cfg: RunConfig, rng):
-    counts = [leaf_count(tree, VCLeaf) for tree in p.bases]
-    if not any(counts):
-        return None
-    site = _pick_leaf(p.bases, counts, VCLeaf, rng)
-    return [_with_leaf(p.bases, site, vc_exponent_mutate(site[2], rng, cfg.exp_cap))]
+def op_vc_exponent_mutate(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    site = _leaf_site(parents[0], VCLeaf, rng)
+    return [_with_node(parents[0].bases, site, vc_exponent_mutate(site[2], rng, cfg.exp_cap))]
 
 
-def op_vc_onepoint_crossover(p1: Model, p2: Model, cfg: RunConfig, rng):
-    counts1 = [leaf_count(tree, VCLeaf) for tree in p1.bases]
-    counts2 = [leaf_count(tree, VCLeaf) for tree in p2.bases]
-    if not any(counts1) or not any(counts2):
-        return None
-    site1 = _pick_leaf(p1.bases, counts1, VCLeaf, rng)
-    site2 = _pick_leaf(p2.bases, counts2, VCLeaf, rng)
-    c1, c2 = vc_onepoint_crossover(site1[2], site2[2], rng)
+def op_vc_onepoint_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    sites = [_leaf_site(p, VCLeaf, rng) for p in parents]
+    children = vc_onepoint_crossover(sites[0][2], sites[1][2], rng)
     # an unchanged combo keeps the parent's own basis, and with it the
     # basis's stored column
     return [list(p.bases) if c.exponents == site[2].exponents
-            else _with_leaf(p.bases, site, c)
-            for p, site, c in ((p1, site1, c1), (p2, site2, c2))]
+            else _with_node(p.bases, site, c)
+            for p, site, c in zip(parents, sites, children)]
 
 
-# operator name -> (function of (parents, grammar, n_vars, cfg, rng), parent count)
+# parent requirements: predicates on (model, cfg)
+def _bases(m: Model, cfg: RunConfig) -> bool:
+    return bool(m.bases)
+
+
+def _room(m: Model, cfg: RunConfig) -> bool:
+    return len(m.bases) < cfg.max_bases
+
+
+def _leaves(leaf_type) -> Callable[[Model, RunConfig], bool]:
+    # a list, not a generator: any() over a few counts runs faster on one
+    return lambda m, cfg: any([leaf_count(tree, leaf_type) for tree in m.bases])
+
+
+# operator name -> (function, one requirement per parent: a predicate on
+# (model, cfg), or None when any parent will do)
 OPERATORS = {
-    # a parent without bases falls back to growing the first parent
-    "basis_set_crossover": (lambda ps, g, n, c, r: op_basis_set_crossover(*ps, c, r)
-                            or op_basis_add(ps[0], g, n, c, r), 2),
-    "basis_delete": (lambda ps, g, n, c, r: op_basis_delete(ps[0], c, r), 1),
-    "basis_add": (lambda ps, g, n, c, r: op_basis_add(ps[0], g, n, c, r), 1),
-    "basis_copy_in": (lambda ps, g, n, c, r: op_basis_copy_in(*ps, c, r), 2),
-    "subtree_crossover": (lambda ps, g, n, c, r: op_subtree_crossover(*ps, c, r), 2),
-    "subtree_mutate": (lambda ps, g, n, c, r: op_subtree_mutate(ps[0], g, n, c, r), 1),
-    "weight_cauchy_mutate": (lambda ps, g, n, c, r: op_weight_cauchy_mutate(ps[0], c, r), 1),
-    "vc_onepoint_crossover": (lambda ps, g, n, c, r: op_vc_onepoint_crossover(*ps, c, r), 2),
-    "vc_exponent_mutate": (lambda ps, g, n, c, r: op_vc_exponent_mutate(ps[0], c, r), 1),
+    "basis_set_crossover": (op_basis_set_crossover, (None, None)),
+    "basis_delete": (op_basis_delete, (_bases,)),
+    "basis_add": (op_basis_add, (_room,)),
+    "basis_copy_in": (op_basis_copy_in, (_room, _bases)),
+    "subtree_crossover": (op_subtree_crossover, (_bases, _bases)),
+    "subtree_mutate": (op_subtree_mutate, (_bases,)),
+    "weight_cauchy_mutate": (op_weight_cauchy_mutate, (_leaves(WeightLeaf),)),
+    "vc_onepoint_crossover": (op_vc_onepoint_crossover, (_leaves(VCLeaf), _leaves(VCLeaf))),
+    "vc_exponent_mutate": (op_vc_exponent_mutate, (_leaves(VCLeaf),)),
 }
 
 
-def apply_operator(name: str, parents: Sequence[Model], g: Grammar, n_vars: int,
-                   cfg: RunConfig, rng):
-    return OPERATORS[name][0](parents, g, n_vars, cfg, rng)
+def apply_operator(name: str, parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
+    """Offspring bases, or None, before any draw, when a parent fails its requirement."""
+    fn, requirements = OPERATORS[name]
+    for requirement, p in zip(requirements, parents):
+        if requirement is not None and not requirement(p, cfg):
+            return None
+    return fn(parents, g, n_vars, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +456,7 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     guard = 0
     while len(offspring_bases) < len(pop):
         name = OPERATOR_NAMES[bisect_right(cdf, rng.random())]
-        parents = [pop[_tournament(rank, crowd, rng)] for _ in range(OPERATORS[name][1])]
+        parents = [pop[_tournament(rank, crowd, rng)] for _ in OPERATORS[name][1]]
         result = apply_operator(name, parents, g, n_vars, cfg, rng)
         guard += result is None
         if result is None and guard > 100 * len(pop):

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _finite_decades, _positive_finite
 from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
@@ -114,8 +114,9 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
     """Prune each model's bases by PRESS-driven forward regression, then refit.
 
     A model is only replaced when the pruned version has a PRESS no worse
-    than the original, so predictive ability never degrades.  Columns come
-    from the trees, which kept them from evolution on the same train.X.
+    than the original, so predictive ability never degrades; the refit
+    model that replaces it has no test error.  Columns come from the trees,
+    which kept them from evolution on the same train.X.
     """
     X, y = train.X, train.y
     reference = _reference(train)
@@ -133,9 +134,7 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         if original_press < pruned_press:
             out.append(m)
             continue
-        pruned = fit_model([m.bases[j] for j in selected], X, y, reference, cfg)
-        pruned.test_error = m.test_error
-        out.append(pruned)
+        out.append(fit_model([m.bases[j] for j in selected], X, y, reference, cfg))
     return replace(ts, models=pareto_reduce(out, "train"))
 
 
@@ -234,9 +233,11 @@ def load_model_json(path: str) -> dict:
             raise ValueError("variable and target names must be strings")
         reference = payload["train_reference"] = _number(payload["train_reference"],
                                                          "train_reference")
-        if not reference > 0:
-            raise ValueError("train_reference must be positive")
+        if not _positive_finite(reference):
+            raise ValueError("train_reference must be positive and finite")
         B = payload["B"] = _number(payload["B"], "B")
+        if not (_positive_finite(B) and _finite_decades(B)):   # RunConfig's rule for B
+            raise ValueError(f"B must be positive and finite, with 10**B finite; got {B!r}")
         if np.shape(model.coeffs) != (model.n_bases + 1,):
             raise ValueError(f"{model.n_bases} bases need {model.n_bases + 1} coefficients")
         for tree in model.bases:

@@ -625,6 +625,33 @@ def test_eval_model_file_numbers_must_be_numbers(tmp_path, capsys, field, value)
     assert f"{field} must be a number, got {value!r}" in captured.err
 
 
+@pytest.mark.parametrize("stored, B_text, message", [
+    # 10**(750 - 400) overflows when the weight is evaluated
+    (750.0, "400.0", "10**B finite; got 400.0"),
+    # read as inf, B once made every weight 0 and eval print a wrong error
+    (10.0, "1e400", "B must be positive and finite"),
+    (10.0, "NaN", "B must be positive and finite"),
+    (0.0, "0.0", "B must be positive and finite"),
+    (0.0, "-1.0", "B must be positive and finite"),
+])
+def test_eval_model_file_B_must_be_one_a_run_can_write(tmp_path, capsys, stored, B_text,
+                                                         message):
+    text = _model_text([_sin_basis(stored)], [0.0, 1.0]).replace('"B": 10.0', f'"B": {B_text}')
+    code = _eval(tmp_path, text, b"x,z,y\n1,2,0\n")
+    captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert message in captured.err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0.0", "-2.0", "1e400", "NaN"])
+def test_eval_model_file_train_reference_must_be_positive_and_finite(tmp_path, capsys, value):
+    text = _model_text([_sin_basis(10.0)], [0.0, 1.0]).replace(
+        '"train_reference": 1.0', f'"train_reference": {value}')
+    code = _eval(tmp_path, text, b"x,z,y\n1,2,0\n")
+    captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert "train_reference must be positive and finite" in captured.err
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1])
 @pytest.mark.parametrize("field", ["target_log_scaled", "valid"])
 def test_eval_model_file_flags_must_be_booleans(tmp_path, capsys, field, value):

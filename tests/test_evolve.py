@@ -8,10 +8,8 @@ from canonsr.config import RunConfig
 from canonsr.evolve import (ParetoArchive, apply_operator, crowding_distance,
                             dominates, fit_model, init_population,
                             nondominated_sort, nsga2_generation,
-                            op_basis_add, op_basis_copy_in, op_basis_delete,
-                            op_basis_set_crossover, op_subtree_crossover,
-                            op_subtree_mutate, vc_exponent_mutate,
-                            vc_onepoint_crossover, weight_cauchy_mutate)
+                            vc_exponent_mutate, vc_onepoint_crossover,
+                            weight_cauchy_mutate)
 from canonsr.expr import Model, VCLeaf, WeightLeaf, tree_depth, tree_to_dict
 from canonsr.grammar import load_default_grammar, random_tree, validate
 
@@ -214,7 +212,7 @@ def test_basis_set_crossover_single_basis_parents():
     X, y, ref = _train_data()
     p1 = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
     p2 = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
-    (child,) = op_basis_set_crossover(p1, p2, cfg, rng)
+    (child,) = apply_operator("basis_set_crossover", [p1, p2], G, 3, cfg, rng)
     assert len(child) == 2                        # one from each parent
     assert tree_to_dict(child[0]) == tree_to_dict(p1.bases[0])
     assert tree_to_dict(child[1]) == tree_to_dict(p2.bases[0])
@@ -225,7 +223,7 @@ def test_basis_set_crossover_child_count_and_provenance():
     p1, p2, rng, *_ = _fitted_pair(cfg)
     parent_blobs = {str(tree_to_dict(t)) for t in p1.bases + p2.bases}
     for _ in range(100):
-        (child,) = op_basis_set_crossover(p1, p2, cfg, rng)
+        (child,) = apply_operator("basis_set_crossover", [p1, p2], G, 3, cfg, rng)
         assert 2 <= len(child) <= cfg.max_bases
         for tree in child:
             assert str(tree_to_dict(tree)) in parent_blobs
@@ -236,7 +234,7 @@ def test_basis_delete_to_constant():
     rng = np.random.default_rng(33)
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
-    (child,) = op_basis_delete(p, cfg, rng)
+    (child,) = apply_operator("basis_delete", [p], G, 3, cfg, rng)
     assert child == []
 
 
@@ -245,13 +243,13 @@ def test_basis_add_respects_cap():
     rng = np.random.default_rng(34)
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=2)
-    assert op_basis_add(p, G, 3, cfg, rng) is None    # precondition fails: resample
+    assert apply_operator("basis_add", [p], G, 3, cfg, rng) is None  # requirement fails: resample
 
 
 def test_basis_copy_in_validates():
     cfg = _cfg()
     p1, p2, rng, *_ = _fitted_pair(cfg, seed=35)
-    (child,) = op_basis_copy_in(p1, p2, cfg, rng)
+    (child,) = apply_operator("basis_copy_in", [p1, p2], G, 3, cfg, rng)
     assert len(child) == len(p1.bases) + 1
     for tree in child:
         assert validate(tree, G, max_depth=cfg.max_depth, n_vars=3) == []
@@ -263,7 +261,7 @@ def test_subtree_crossover_single_vc_trees_swap():
     X, y, ref = _train_data()
     a = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
     b = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
-    c1, c2 = op_subtree_crossover(a, b, cfg, rng)
+    c1, c2 = apply_operator("subtree_crossover", [a, b], G, 3, cfg, rng)
     assert tree_to_dict(c1[0]) == tree_to_dict(b.bases[0])
     assert tree_to_dict(c2[0]) == tree_to_dict(a.bases[0])
 
@@ -272,7 +270,7 @@ def test_subtree_crossover_outputs_validate_and_respect_depth():
     cfg = _cfg()
     p1, p2, rng, *_ = _fitted_pair(cfg, seed=37)
     for _ in range(200):
-        for child in op_subtree_crossover(p1, p2, cfg, rng):
+        for child in apply_operator("subtree_crossover", [p1, p2], G, 3, cfg, rng):
             for tree in child:
                 assert tree_depth(tree) <= cfg.max_depth
                 assert validate(tree, G, max_depth=cfg.max_depth, n_vars=3) == []
@@ -284,7 +282,7 @@ def test_subtree_mutate_outputs_validate():
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=2)
     for _ in range(200):
-        (child,) = op_subtree_mutate(p, G, 3, cfg, rng)
+        (child,) = apply_operator("subtree_mutate", [p], G, 3, cfg, rng)
         for tree in child:
             assert tree_depth(tree) <= cfg.max_depth
             assert validate(tree, G, max_depth=cfg.max_depth, n_vars=3) == []
@@ -295,7 +293,7 @@ def test_mutating_single_vc_tree_at_root_regrows():
     rng = np.random.default_rng(39)
     X, y, ref = _train_data()
     p = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
-    (child,) = op_subtree_mutate(p, G, 3, cfg, rng)
+    (child,) = apply_operator("subtree_mutate", [p], G, 3, cfg, rng)
     assert validate(child[0], G, max_depth=cfg.max_depth, n_vars=3) == []
 
 
@@ -304,7 +302,7 @@ def test_operator_preconditions_trigger_resampling():
     rng = np.random.default_rng(40)
     X, y, ref = _train_data()
     constant = fit_model([], X, y, ref, cfg)
-    assert op_basis_delete(constant, cfg, rng) is None
+    assert apply_operator("basis_delete", [constant], G, 3, cfg, rng) is None
     assert apply_operator("weight_cauchy_mutate", [constant], G, 3, cfg, rng) is None
     assert apply_operator("vc_exponent_mutate", [constant], G, 3, cfg, rng) is None
     # basis_set_crossover falls back to basis_add when a parent is empty

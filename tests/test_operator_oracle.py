@@ -17,8 +17,8 @@ import pytest
 from canonsr.config import RunConfig
 from canonsr.draws import Draws
 from canonsr.evolve import (OPERATORS, _pick_leaf, apply_operator, fit_model,
-                            op_vc_onepoint_crossover, vc_exponent_mutate,
-                            vc_onepoint_crossover, weight_cauchy_mutate)
+                            vc_exponent_mutate, vc_onepoint_crossover,
+                            weight_cauchy_mutate)
 from canonsr.expr import (_BY_CHILDREN, Model, NTNode, OpLeaf, VCLeaf, WeightLeaf,
                           basis_complexity, leaf_count, replace_at, tree_to_dict, walk)
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
@@ -154,10 +154,9 @@ def test_leaf_operators_give_the_reference_offspring(name, make_rng):
     g = GRAMMARS["with_4op"]
     cases = np.random.default_rng(sorted(REFERENCE_OPS).index(name) + 400)
     rng, reference_rng = make_rng(41), make_rng(41)
-    arity = OPERATORS[name][1]
     for _ in range(150):
         parents = [Model(bases=_bases(g, int(cases.integers(0, 16)), cases))
-                   for _ in range(arity)]
+                   for _ in OPERATORS[name][1]]
         result = apply_operator(name, parents, g, N_VARS, CFG, rng)
         assert _dicts(result) == _dicts(REFERENCE_OPS[name](*parents, CFG, reference_rng))
         assert _state(rng) == _state(reference_rng)
@@ -175,8 +174,74 @@ def test_vc_crossover_checks_both_parents_before_drawing():
         for make_rng in (Draws, np.random.default_rng):
             rng = make_rng(8)
             before = _state(rng)
-            assert op_vc_onepoint_crossover(*parents, CFG, rng) is None
+            assert apply_operator("vc_onepoint_crossover", parents, g, N_VARS, CFG, rng) is None
             assert _state(rng) == before
+
+
+def _has_bases(m):
+    return bool(m.bases)
+
+
+def _has_room(m):
+    return len(m.bases) < CFG.max_bases
+
+
+def _holds(leaf_type):
+    return lambda m: any(type(n) is leaf_type for tree in m.bases for n, _ in walk(tree))
+
+
+# what each operator needs of each parent, stated apart from evolve.OPERATORS
+REQUIREMENTS = {
+    "basis_set_crossover": (None, None),
+    "basis_delete": (_has_bases,),
+    "basis_add": (_has_room,),
+    "basis_copy_in": (_has_room, _has_bases),
+    "subtree_crossover": (_has_bases, _has_bases),
+    "subtree_mutate": (_has_bases,),
+    "weight_cauchy_mutate": (_holds(WeightLeaf),),
+    "vc_onepoint_crossover": (_holds(VCLeaf), _holds(VCLeaf)),
+    "vc_exponent_mutate": (_holds(VCLeaf),),
+}
+
+
+def _fails(name, parents):
+    if name == "basis_set_crossover":
+        # with a parent that has no bases it grows the first parent instead
+        return not all(p.bases for p in parents) and not _has_room(parents[0])
+    return any(need is not None and not need(p) for need, p in zip(REQUIREMENTS[name], parents))
+
+
+def _random_parent(pools, cases):
+    """A constant model, a model at max_bases or one of random size, its
+    bases drawn from one of `pools`."""
+    pool = pools[int(cases.integers(len(pools)))]
+    count = (0, 1, CFG.max_bases, int(cases.integers(CFG.max_bases + 1)))[int(cases.integers(4))]
+    return Model(bases=[pool[int(cases.integers(len(pool)))] for _ in range(count)])
+
+
+@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
+                         ids=["Draws", "default_rng"])
+@pytest.mark.parametrize("name", sorted(REQUIREMENTS))
+def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(name, make_rng):
+    g = GRAMMARS["with_4op"]
+    trees = _bases(g, 300, np.random.default_rng(71))
+    # any basis, bases without a weight leaf, bases without a variable combo
+    pools = [trees] + [[t for t in trees if not _holds(leaf_type)(Model(bases=[t]))]
+                       for leaf_type in (WeightLeaf, VCLeaf)]
+    assert all(pools)
+    assert len(OPERATORS[name][1]) == len(REQUIREMENTS[name])
+    cases = np.random.default_rng(sorted(REQUIREMENTS).index(name) + 700)
+    rng = make_rng(72)
+    outcomes = set()
+    for _ in range(200):
+        parents = [_random_parent(pools, cases) for _ in REQUIREMENTS[name]]
+        before = _state(rng)
+        result = apply_operator(name, parents, g, N_VARS, CFG, rng)
+        assert (result is None) == _fails(name, parents)
+        if result is None:
+            assert _state(rng) == before
+        outcomes.add(result is None)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("grammar", sorted(GRAMMARS))
@@ -184,10 +249,10 @@ def test_every_rebuilt_node_holds_the_shape_its_children_look_up(grammar):
     g = GRAMMARS[grammar]
     cases = np.random.default_rng(sorted(GRAMMARS).index(grammar) + 500)
     rng = np.random.default_rng(51)
-    for name, (_, arity) in sorted(OPERATORS.items()):
+    for name, (_, requirements) in sorted(OPERATORS.items()):
         for _ in range(60):
             parents = [Model(bases=_bases(g, int(cases.integers(0, 6)), cases))
-                       for _ in range(arity)]
+                       for _ in requirements]
             for bases in apply_operator(name, parents, g, N_VARS, CFG, rng) or []:
                 for tree in bases:
                     assert_shapes_looked_up(tree)

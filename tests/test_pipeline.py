@@ -13,7 +13,7 @@ from canonsr.expr import Model, NTNode, VCLeaf, eval_basis_matrix
 from canonsr.fit import press
 from canonsr.pipeline import (TradeoffSet, export, filter_test_tradeoff,
                               load_model_json, pareto_reduce, run_evolution,
-                              run_pipeline, simplify_after_generation)
+                              run_pipeline, score_test_errors, simplify_after_generation)
 
 NAMES4 = ("x1", "x2", "x3", "x4")
 
@@ -97,6 +97,26 @@ def test_sag_prunes_duplicated_basis():
     pruned = out.models[0]
     assert pruned.n_bases == 2
     assert pruned.train_error <= model.train_error + 1e-9
+
+
+def test_sag_drops_the_test_error_of_a_model_it_replaces():
+    train, test = _pm_datasets()
+    cfg = _desk_cfg()
+    reference = float(np.max(np.abs(train.y)))
+    models = [fit_model([], train.X, train.y, reference, cfg),
+              _fitted_ratio_model(train, cfg, [[1, -1, 0, 0]]),
+              _fitted_ratio_model(train, cfg, [[1, -1, 0, 0], [0, 0, 1, -1], [1, -1, 0, 0]])]
+    ts = TradeoffSet(models=models, var_names=NAMES4, train_reference=reference,
+                     target_name="pm_like")
+    scored = score_test_errors(ts, test, cfg)
+    assert all(m.test_error is not None for m in scored.models)
+    out = simplify_after_generation(scored, train, cfg).models
+    scored_ids = {id(m) for m in scored.models}
+    kept = [m for m in out if id(m) in scored_ids]
+    replaced = [m for m in out if id(m) not in scored_ids]
+    assert [m.n_bases for m in kept] == [0, 1] and [m.n_bases for m in replaced] == [2]
+    assert [m.test_error for m in kept] == [m.test_error for m in scored.models[:2]]
+    assert replaced[0].test_error is None
 
 
 def test_sag_leaves_constant_model_unchanged():

@@ -67,7 +67,7 @@ def test_operator_table_covers_every_configurable_operator():
     assert sorted(OPERATORS) == sorted(OPERATOR_NAMES)
     two_parent = {"basis_set_crossover", "basis_copy_in", "subtree_crossover",
                   "vc_onepoint_crossover"}
-    assert {name for name, (_, arity) in OPERATORS.items() if arity == 2} == two_parent
+    assert {name for name, (_, needs) in OPERATORS.items() if len(needs) == 2} == two_parent
 
 
 def _restricted_grammar(rng):
