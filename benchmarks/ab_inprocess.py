@@ -21,6 +21,16 @@ mean.  A machine that slows down for a while then does not read as a
 slower tree.  Uncorrected, one tree against itself gave per-seed ratios
 from 0.82 to 1.26 on pm81.
 
+Do not judge a change to garbage-collector behaviour with this tool.  Both
+trees and every earlier run share one heap, and each timed call starts
+right after a full `gc.collect()`, so what the collector walks here, and
+when, is not what it walks in a fresh process.  On one 2-CPU machine,
+pausing the collector during evolution read pm81 6.7% faster here (4
+seeds) and 8.1% faster in perfbench (10 pairs), while the collector's own
+time in a fresh pm81 process was 5.6-7.0% of the run: three figures for
+one change.  Measure such a change with perfbench, which starts a new
+process for every run.
+
 `--layer pipeline` (the default) times one `run_pipeline` call with export,
 on the training and test grids of the perfbench workload.  `--layer sag`
 evolves each seed untimed and then times `simplify_after_generation` on the

@@ -67,7 +67,7 @@ class RunConfig:
     seed: int = 0
     grammar: Optional[str] = None   # grammar file path; None = packaged default
     sig_figs: int = 3
-    operator_weights: Dict[str, float] = field(default_factory=DEFAULT_OPERATOR_WEIGHTS.copy)
+    operator_weights: Dict[str, float] = field(default_factory=dict)   # filled with defaults
 
     def __post_init__(self) -> None:
         for name in _POSITIVE_KEYS:
@@ -82,8 +82,9 @@ class RunConfig:
         unknown = set(self.operator_weights) - set(OPERATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")
+        # a filled copy: the caller's dict is neither changed nor shared
+        self.operator_weights = {**DEFAULT_OPERATOR_WEIGHTS, **self.operator_weights}
         for name in OPERATOR_NAMES:
-            self.operator_weights.setdefault(name, DEFAULT_OPERATOR_WEIGHTS[name])
             if not _positive_finite(self.operator_weights[name]):
                 raise ValueError(
                     f"operator weight for {name!r} must be positive and finite")

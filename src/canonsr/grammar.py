@@ -214,28 +214,30 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
             f"max_depth {max_depth} below the minimum derivation depth "
             f"{g.min_depth(symbol):.0f} of {symbol!r}")
 
-    rules, feasible_by_budget = g.rules, g._feasible
-    lo, hi = -2.0 * B, 2.0 * B
-
-    def gen(sym: str, budget: int) -> NTNode:
-        by_budget = feasible_by_budget[sym]
-        feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
-        pick = feasible[rng.integers(len(feasible))]
-        shape = rules[sym][pick]
-        children = []
-        for kind, tok in shape.struct:
-            if kind == "nt":
-                children.append(gen(tok, budget - 1))
-            elif tok == "VC":
-                children.append(_random_vc(n_vars, rng))
-            elif tok == "W":
-                children.append(WeightLeaf(rng.uniform(lo, hi)))
-            else:
-                children.append(OpLeaf(tok))
-        return NTNode(sym, pick, children, shape)
-
     # a float bound admits what its floor admits, since depths are whole
-    return gen(symbol, int(max_depth))
+    return _grow(symbol, int(max_depth), g.rules, g._feasible, rng, n_vars, -2.0 * B, 2.0 * B)
+
+
+def _grow(sym: str, budget: int, rules, feasible_by_budget, rng, n_vars: int,
+          lo: float, hi: float) -> NTNode:
+    # a module-level function, not a closure over itself, so that growing a
+    # tree leaves no reference cycle for the garbage collector to find
+    by_budget = feasible_by_budget[sym]
+    feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
+    pick = feasible[rng.integers(len(feasible))]
+    shape = rules[sym][pick]
+    children = []
+    for kind, tok in shape.struct:
+        if kind == "nt":
+            children.append(_grow(tok, budget - 1, rules, feasible_by_budget, rng, n_vars,
+                                  lo, hi))
+        elif tok == "VC":
+            children.append(_random_vc(n_vars, rng))
+        elif tok == "W":
+            children.append(WeightLeaf(rng.uniform(lo, hi)))
+        else:
+            children.append(OpLeaf(tok))
+    return NTNode(sym, pick, children, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ filtered down to the models on the testing-error tradeoff before export.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -85,7 +86,17 @@ def _reference(train: Dataset) -> float:
 
 def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = None,
                   progress: Optional[ProgressFn] = None) -> TradeoffSet:
-    """Evolve models on the training set; returns the archived tradeoff."""
+    """Evolve models on the training set; returns the archived tradeoff.
+
+    The cyclic garbage collector is paused while the initial population is
+    built and the generations run.  The loop makes tens of thousands of
+    tree nodes that the collector would walk again and again, yet it makes
+    no reference cycles, so there is nothing for the collector to free;
+    plain reference counting frees everything it drops (tests/test_pipeline.py
+    pins that a run leaves no cyclic garbage).  `progress` runs with the
+    collector paused too.  The caller's collector state is restored on every
+    exit, an exception from `progress` included.
+    """
     g = grammar if grammar is not None else _resolve_grammar(cfg)[0]
     if cfg.max_depth < g.min_depth(g.start):
         raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "
@@ -97,12 +108,18 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
     archive = ParetoArchive()
     # the offset-only model is always available as a zero-complexity baseline
     archive.merge(fit_model([], X, y, reference, cfg))
-    pop = init_population(g, train.n_vars, X, y, reference, cfg, rng)
-    archive.merge_all(pop)
-    for gen in range(cfg.generations):
-        pop = nsga2_generation(pop, X, y, reference, g, cfg, rng, archive)
-        if progress is not None:
-            progress(gen + 1, cfg.generations, len(archive))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pop = init_population(g, train.n_vars, X, y, reference, cfg, rng)
+        archive.merge_all(pop)
+        for gen in range(cfg.generations):
+            pop = nsga2_generation(pop, X, y, reference, g, cfg, rng, archive)
+            if progress is not None:
+                progress(gen + 1, cfg.generations, len(archive))
+    finally:
+        if enabled:
+            gc.enable()
 
     # the archive is already nondominated with one model per objective pair
     return TradeoffSet(models=archive.tradeoff(), var_names=train.var_names,
@@ -240,6 +257,8 @@ def load_model_json(path: str) -> dict:
             raise ValueError(f"B must be positive and finite, with 10**B finite; got {B!r}")
         if np.shape(model.coeffs) != (model.n_bases + 1,):
             raise ValueError(f"{model.n_bases} bases need {model.n_bases + 1} coefficients")
+        if not np.isfinite(model.coeffs).all():
+            raise ValueError(f"coefficients must be finite, got {model.coeffs.tolist()}")
         for tree in model.bases:
             check_basis(tree, len(names), B)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,

@@ -604,6 +604,11 @@ def test_eval_checked_model_with_an_operator_evaluates(tmp_path, capsys):
      "coeffs entry must be a number, got True"),
     ([_nt("REPVC", {"kind": "vc", "exponents": [1, -1]})], [0.0, "2"],
      "coeffs entry must be a number, got '2'"),
+    # JSON Infinity and NaN, which no run writes
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1, -1]})], [float("inf"), 1.0],
+     "coefficients must be finite, got [inf, 1.0]"),
+    ([_nt("REPVC", {"kind": "vc", "exponents": [1, -1]})], [0.0, float("nan")],
+     "coefficients must be finite, got [0.0, nan]"),
     ([{**_nt("REPVC", {"kind": "vc", "exponents": [1, -1]}), "alt": True}], [0.0, 1.0],
      "alternative index True is not an integer"),
     ([{**_nt("REPVC", {"kind": "vc", "exponents": [1, -1]}), "alt": "0"}], [0.0, 1.0],
@@ -612,6 +617,7 @@ def test_eval_checked_model_with_an_operator_evaluates(tmp_path, capsys):
 def test_eval_model_that_cannot_be_evaluated_exits_3(tmp_path, capsys, bases, coeffs, message):
     code = _eval(tmp_path, _model_text(bases, coeffs), b"x,z,y\n1,2,0\n")
     captured = _assert_data_exit(code, capsys, "cannot read model file")
+    assert str(tmp_path / "model.json") in captured.err
     assert message in captured.err
 
 

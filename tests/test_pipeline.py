@@ -1,5 +1,6 @@
 """Pipeline stages: evolution fronts, simplification, test filtering, export."""
 
+import gc
 import json
 from dataclasses import replace
 
@@ -52,6 +53,65 @@ def test_front_is_reasonably_sized():
     train, _ = _pm_datasets()
     ts = run_evolution(_desk_cfg(), train)
     assert 2 <= len(ts) <= 200
+
+
+# ---------------------------------------------------------------------------
+# run_evolution pauses the cyclic garbage collector: it must make no cycles
+# and must hand the caller's collector state back
+# ---------------------------------------------------------------------------
+
+def _wide5_dataset():
+    X = doe_full_factorial(DoePlan(np.array([1.0, 2.0, 0.5, 3.0, 1.5]), dx=0.1))
+    x1, x2, x3, x4, x5 = X.T
+    y = 5.0 + 40.0 * x1 / (x2 + 0.5 * x3) + 12.0 * np.sqrt(x4) * x5 + 8.0 * np.exp(-x2 * x5)
+    return Dataset(("x1", "x2", "x3", "x4", "x5"), X, y, "y")
+
+
+@pytest.mark.parametrize("dataset, population", [(lambda: _pm_datasets()[0], 40),
+                                                 (_wide5_dataset, 20)],
+                         ids=["pm_like", "wide5"])
+def test_evolution_leaves_no_cyclic_garbage(dataset, population):
+    train = dataset()
+    gc.collect()
+    # kept off throughout, so that no automatic collection after the run
+    # can free what the run left before the second collect() counts it
+    gc.disable()
+    try:
+        run_evolution(_desk_cfg(population=population, generations=4), train)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_evolution_restores_an_enabled_collector():
+    train, _ = _pm_datasets()
+    seen = []
+    run_evolution(_desk_cfg(generations=2), train,
+                  progress=lambda *args: seen.append(gc.isenabled()))
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_evolution_leaves_a_disabled_collector_disabled():
+    train, _ = _pm_datasets()
+    gc.disable()
+    try:
+        run_evolution(_desk_cfg(generations=2), train)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_evolution_restores_the_collector_when_progress_raises():
+    train, _ = _pm_datasets()
+
+    def progress(gen, total, archive_size):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_evolution(_desk_cfg(generations=2), train, progress=progress)
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,13 @@ def test_sig_figs_above_17_rejected():
 def test_int_beyond_float_range_rejected():
     with pytest.raises(ValueError, match="'population' must be positive and finite"):
         RunConfig(population=10 ** 400)
+
+
+def test_operator_weights_are_a_filled_copy_of_the_callers_dict():
+    w = {"basis_add": 2.0}
+    cfg = RunConfig(operator_weights=w)
+    assert w == {"basis_add": 2.0}
+    assert cfg.operator_weights is not w
+    assert cfg.operator_weights["basis_add"] == 2.0
+    assert cfg.operator_weights["weight_cauchy_mutate"] == 5.0
+    assert RunConfig(operator_weights=w).operator_weights is not cfg.operator_weights
