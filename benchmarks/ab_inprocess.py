@@ -2,6 +2,7 @@
 
     python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload wide243 --seeds 101-110
     python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --workload pm81 --seeds 1-6 --layer sag
+    python benchmarks/ab_inprocess.py OLD_SRC NEW_SRC --seeds 1-6 --layer eval
 
 OLD_SRC and NEW_SRC are `src` directories that each hold a `canonsr`
 package, for example this checkout's `src` and the `src` of a `git archive`
@@ -34,16 +35,25 @@ process for every run.
 `--layer pipeline` (the default) times one `run_pipeline` call with export,
 on the training and test grids of the perfbench workload.  `--layer sag`
 evolves each seed untimed and then times `simplify_after_generation` on the
-front.  The tool prints, per seed, both median times, the ratio new/old
-and whether the outputs of every run match (export files or simplified
-models, hashed), then the median ratio, the seeds the new tree won and
-whether every hash matched.
+front.  `--layer eval` ignores `--workload` and times one round of
+`canonsr eval` calls through the tree's `cli.main`, one per stored model in
+`perfbench/models/`, on perfbench's 20,000-row predict_bulk sweep drawn
+from the seed; the sweep CSV is written once per seed, untimed, and a
+reference slice runs after every eval call.  The tool prints, per seed, both
+median times, the ratio new/old and whether the outputs of every run match
+(export files, simplified models or every predictions file, hashed with
+sha256), then the median ratio, the seeds the new tree won and whether
+every hash matched.
 """
 
 import argparse
+import contextlib
 import gc
+import glob
 import hashlib
+import importlib
 import importlib.util
+import io
 import json
 import os
 import statistics
@@ -52,7 +62,9 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+sys.path.insert(0, PERFBENCH)
+MODELS = sorted(glob.glob(os.path.join(PERFBENCH, "models", "model_*.json")))
 
 import workloads  # noqa: E402
 from reference import NOMINAL_SLICE_S, timed_slice  # noqa: E402
@@ -76,6 +88,16 @@ def _seeds(text: str):
     return list(range(int(first), int(last or first) + 1))
 
 
+def sweep_csv(work_dir: str, seed: int) -> str:
+    """perfbench's predict_bulk sweep for this seed, written once to work_dir."""
+    path = os.path.join(work_dir, f"sweep_{seed}.csv")
+    if not os.path.exists(path):
+        w = workloads.WORKLOADS["predict_bulk"]
+        X = workloads.sweep(w["centers"], w["rows"], seed)
+        workloads.write_csv(path, X, w["target_fn"](X))
+    return path
+
+
 def _hash_dir(path: str) -> str:
     digest = hashlib.sha256()
     for name in sorted(os.listdir(path)):
@@ -88,8 +110,10 @@ def _hash_dir(path: str) -> str:
 class Side:
     """One source tree with its copy of the workload's data."""
 
-    def __init__(self, tree, workload: str):
+    def __init__(self, tree, workload: str, work_dir: str):
         self.tree = tree
+        self.cli = importlib.import_module(tree.__name__ + ".cli")
+        self.work_dir = work_dir
         self.w = workloads.WORKLOADS[workload]
         X_train, y_train, X_test, y_test = workloads.search_data(workload)
         names = workloads.var_names(X_train.shape[1])
@@ -107,20 +131,34 @@ class Side:
         if layer == "sag":
             front = self.tree.run_evolution(cfg, self.train)
             return lambda tick: self.tree.simplify_after_generation(front, self.train, cfg)
-        out = tempfile.mkdtemp(prefix="ab_")
+        out = tempfile.mkdtemp(prefix="ab_", dir=self.work_dir)
+        if layer == "eval":
+            data = sweep_csv(self.work_dir, seed)
+            return lambda tick: self.eval_models(data, out, tick)
         return lambda tick: (self.tree.run_pipeline(cfg, self.train, self.test, out_dir=out,
-                                                    progress=lambda *_: tick()), out)
+                                                    progress=lambda *_: tick()), out)[1]
+
+    def eval_models(self, data: str, out: str, tick) -> str:
+        """One `canonsr eval` per stored model, writing its predictions to out."""
+        for model in MODELS:
+            preds = os.path.join(out, os.path.basename(model)[:-len(".json")] + ".csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = self.cli.main(["eval", "--model", model, "--data", data,
+                                      "--out", preds])
+            if code != 0:
+                raise RuntimeError(f"eval of {model} exited {code}")
+            tick()
+        return out
 
     def digest(self, layer: str, result) -> str:
         if layer == "sag":
             text = json.dumps([self.tree.model_to_dict(m) for m in result.models],
                               sort_keys=True)
             return hashlib.sha256(text.encode()).hexdigest()
-        out = result[1]
-        digest = _hash_dir(out)
-        for name in os.listdir(out):
-            os.remove(os.path.join(out, name))
-        os.rmdir(out)
+        digest = _hash_dir(result)
+        for name in os.listdir(result):
+            os.remove(os.path.join(result, name))
+        os.rmdir(result)
         return digest
 
 
@@ -148,11 +186,12 @@ def main(argv=None) -> int:
     ap.add_argument("new_src")
     ap.add_argument("--workload", choices=("pm81", "wide243"), default="wide243")
     ap.add_argument("--seeds", default="1-6", help="first-last canonsr seeds, inclusive")
-    ap.add_argument("--layer", choices=("pipeline", "sag"), default="pipeline")
+    ap.add_argument("--layer", choices=("pipeline", "sag", "eval"), default="pipeline")
     args = ap.parse_args(argv)
 
-    old = Side(load_tree(args.old_src, "canonsr_old"), args.workload)
-    new = Side(load_tree(args.new_src, "canonsr_new"), args.workload)
+    work_dir = tempfile.TemporaryDirectory(prefix="ab_")
+    old = Side(load_tree(args.old_src, "canonsr_old"), args.workload, work_dir.name)
+    new = Side(load_tree(args.new_src, "canonsr_new"), args.workload, work_dir.name)
     timed_slice()    # the first slice in a process runs cold
     ratios, wins, same = [], 0, True
     for i, seed in enumerate(_seeds(args.seeds)):
@@ -171,6 +210,7 @@ def main(argv=None) -> int:
               f"ratio {t_new / t_old:.3f}  {'same' if len(digests) == 1 else 'DIFFERENT'}")
     print(f"median ratio {statistics.median(ratios):.3f}; new faster on {wins} of "
           f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}")
+    work_dir.cleanup()
     return 0 if same else 1
 
 

@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
     print(f"stored_train_error_pct: {model.train_error!r}")
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("prediction\n" + "".join([repr(v) + "\n" for v in reported.tolist()]))
+        fh.write("prediction\n" + "\n".join(map(repr, reported.tolist())) + "\n")
     print(f"wrote {len(reported)} predictions to {args.out}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -67,10 +68,13 @@ class Dataset:
 
 
 def columns_by_name(ds: Dataset, var_names: Sequence[str]) -> np.ndarray:
-    """ds.X with its columns in the order of `var_names`, which must name them all."""
+    """ds.X with its columns in the order of `var_names`, which must name them
+    all: ds.X itself (read-only) when that is already its order, else a copy."""
     if set(ds.var_names) != set(var_names):
         raise DataError(f"data variables {sorted(ds.var_names)} do not match the "
                         f"model's variables {sorted(var_names)}")
+    if tuple(var_names) == ds.var_names:
+        return ds.X
     return ds.X[:, [ds.var_names.index(name) for name in var_names]]
 
 
@@ -140,13 +144,27 @@ def _cell_values(path: str, header: List[str], cells: List[str],
     return np.array(parsed).reshape(-1, n_cols)
 
 
+# names numpy's file opener (np.lib._datasource) would decompress
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
-    """Header and values of a file, read by csv.reader and then numpy's text
-    reader on the same handle; None for any file that numpy might read
-    differently from _read_cells and _cell_values: a quoted, blank or '1_0'
-    cell, a '#', a ragged row, a non-finite value, bad header names, no data
-    rows, text that is not UTF-8 or a line over the csv field limit.
+    """Header and values of a file, the header read by csv.reader and the
+    rows after it by numpy's text reader; None for any file that numpy might
+    read differently from _read_cells and _cell_values: a quoted, blank or
+    '1_0' cell, a '#', a ragged row, a non-finite value, bad header names, no
+    data rows, text that is not UTF-8 or a line over the csv field limit.
+
+    numpy is given the path, not a handle: only for a path does it read the
+    file in chunks instead of one Python line object per row.  Nor is the
+    file read whole into a string or io.StringIO, which keeps 4 bytes a
+    character (9 MB for a 20,000-row, 6-column sweep).  By path, numpy would
+    decompress a name ending in .gz, .bz2, .xz or .lzma, so such a file is
+    left to the csv path, which reads it as plain text; the absolute path
+    keeps numpy from taking a name such as 'http://...' for a URL.
     """
+    if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
+        return None
     limit = csv.field_size_limit()
     with open(path, "rb") as fb:
         if max(map(len, fb), default=0) > limit:
@@ -157,15 +175,23 @@ def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
         fb.seek(0)
         fh = io.TextIOWrapper(fb, encoding="utf-8", newline="")
         try:
-            rows = (row for row in csv.reader(fh) if any(map(str.strip, row)))
+            reader = csv.reader(fh)
+            rows = (row for row in reader if any(map(str.strip, row)))
             header = [h.strip() for h in next(rows, [])]
-            if not header or not all(header) or len(set(header)) != len(header):
-                return None
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
         except (ValueError, csv.Error):
             return None
+    if not header or not all(header) or len(set(header)) != len(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # reader.line_num counts the lines up to the header's end, as
+            # numpy counts them: '\n', '\r\n' and a lone '\r' each end one
+            values = np.loadtxt(os.path.abspath(path), skiprows=reader.line_num,
+                                encoding="utf-8", delimiter=",", comments=None,
+                                dtype=float, ndmin=2)
+    except ValueError:
+        return None
     if values.shape[0] == 0 or values.shape[1] != len(header) or not np.isfinite(values).all():
         return None
     return header, values
@@ -174,8 +200,10 @@ def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
 def load_csv(path: str, target_column: str) -> Dataset:
     """Read a samples CSV; the named column becomes y, the rest become X.
 
-    Clean files take numpy's text reader; every other file, and every error
-    message, comes from the csv module path.
+    Clean files take numpy's text reader, which reads the file by path in
+    chunks (see _load_clean); every other file, a file named *.gz, *.bz2,
+    *.xz or *.lzma, and every error message, come from the csv module path,
+    which reads each of them as plain UTF-8 text.
     """
     table = _load_clean(path)
     if table is None or target_column not in table[0]:
@@ -196,10 +224,9 @@ def write_points_csv(var_names: Sequence[str], X: np.ndarray, path: str) -> None
     """Write design points (no target column) in the shared CSV format."""
     X = np.asarray(X, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(var_names))
-        for row in X:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(list(var_names))
+        # a float's repr never needs csv quoting; rows end in csv's '\r\n'
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in X.tolist()]))
 
 
 def load_centers_csv(path: str) -> Tuple[Tuple[str, ...], np.ndarray]:

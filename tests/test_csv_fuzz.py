@@ -6,6 +6,7 @@ the csv module; the clean-file strategy and the named guard cases check which
 of the two paths each file takes."""
 
 import csv
+import gzip
 from typing import List
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from canonsr.cli import main
 from canonsr.dataset import DataError, Dataset, _load_clean, load_csv
 
 
@@ -190,6 +192,10 @@ def test_clean_files_take_numpy_reader_and_match_reference(tmp_path_factory, cas
     ("x,y\n1,inf\n", False),                        # non-finite value
     ("x,x\n1,2\n", False),                          # duplicate header names
     ("x,y\n1_0,2\n", False),                        # underscore accepted by float()
+    # numpy skips the header's lines by count: a wrong count drops or misreads row 1
+    ('"x\ny",y\n1,2\n3,4\n', True),                 # quoted header name holding a newline
+    ("\r\n,\r\n \r\nx,y\r\n1,2\r\n3,4\r\n", True),    # CRLF blank and ',' rows before the header
+    ("\ufeffx,y\r1,2\r3,4\r", True),                 # BOM with CR-only line ends
 ])
 def test_reader_guards_match_reference(tmp_path, text, bulk):
     assert _assert_same(str(tmp_path / "case.csv"), text, "y") == bulk
@@ -201,6 +207,34 @@ def test_oversized_cell_keeps_the_field_limit_message(tmp_path):
     assert _load_clean(str(path)) is None
     with pytest.raises(DataError, match=r"field larger than field limit \(131072\)"):
         load_csv(str(path), "y")
+
+
+@pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_under_a_compression_suffix_reads_as_text(tmp_path, suffix):
+    # numpy's reader would decompress such a name; the csv path reads it as text
+    assert not _assert_same(str(tmp_path / ("data" + suffix)), "x,y\n1,2\n3,4.5\n", "y")
+
+
+def test_a_name_that_reads_as_a_url_is_a_local_file(tmp_path, monkeypatch):
+    # numpy's opener would fetch a relative "http://host/..." name that exists
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "localhost:9").mkdir(parents=True)
+    assert _assert_same("http://localhost:9/data.csv", "x,y\n1,2\n3,4.5\n", "y")
+
+
+def test_gzip_compressed_csv_is_not_utf8_text(tmp_path, capsys):
+    path = tmp_path / "data.csv.gz"
+    path.write_bytes(gzip.compress(b"x,y\n1,2\n3,4\n"))
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_csv(str(path), "y")
+    model = tmp_path / "model.json"
+    model.write_text('{"model": {"bases": [], "coeffs": [2.0]}, "var_names": ["x"], '
+                     '"target_name": "y", "target_log_scaled": false, '
+                     '"train_reference": 2.0, "B": 10.0}')
+    code = main(["eval", "--model", str(model), "--data", str(path),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert "not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

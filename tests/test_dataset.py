@@ -1,11 +1,12 @@
 """CSV ingestion, DOE sampling, target scaling and synthetic oracle tests."""
 
+import csv
 import warnings
 
 import numpy as np
 import pytest
 
-from canonsr.dataset import (DataError, Dataset, DoePlan, doe_full_factorial,
+from canonsr.dataset import (DataError, Dataset, DoePlan, columns_by_name, doe_full_factorial,
                              doe_latin_hypercube, load_centers_csv, load_csv,
                              oracle_targets, scale_target_log10, synthetic_oracle,
                              write_points_csv)
@@ -109,6 +110,32 @@ def test_csv_round_trip_preserves_dataset_exactly(tmp_path):
     assert back.var_names == ds.var_names
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
+
+
+def test_write_points_csv_bytes_match_csv_writer(tmp_path):
+    names = ("a", 'say "hi", twice', "c")
+    X = np.array([[-0.0, 5e-324, 1e16], [0.1, -2.5e-8, 3.0]])
+    path = tmp_path / "points.csv"
+    write_points_csv(names, X, str(path))
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names))
+        for row in X:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == expected.read_bytes()
+    assert path.read_bytes().endswith(b"\r\n-0.0,5e-324,1e+16\r\n0.1,-2.5e-08,3.0\r\n")
+
+
+def test_columns_by_name_copies_only_to_reorder():
+    ds = Dataset(var_names=("a", "b", "c"), X=np.arange(6.0).reshape(2, 3),
+                 y=np.zeros(2), target_name="t")
+    assert columns_by_name(ds, ["a", "b", "c"]) is ds.X
+    reordered = columns_by_name(ds, ["c", "a", "b"])
+    assert not np.shares_memory(reordered, ds.X)
+    assert np.array_equal(reordered, ds.X[:, [2, 0, 1]])
+    with pytest.raises(DataError, match="do not match"):
+        columns_by_name(ds, ["a", "b"])
 
 
 def test_dataset_invariants():
