@@ -43,7 +43,10 @@ reference slice runs after every eval call.  The tool prints, per seed, both
 median times, the ratio new/old and whether the outputs of every run match
 (export files, simplified models or every predictions file, hashed with
 sha256), then the median ratio, the seeds the new tree won and whether
-every hash matched.
+every hash matched.  With `--layer sag` it also prints each side's output
+hash and how often its SAG pass calls `fit.press`, counted in one more,
+untimed pass, so a change to the candidate screen shows whether it refits
+the same candidates.
 """
 
 import argparse
@@ -162,6 +165,28 @@ class Side:
         return digest
 
 
+def press_calls(side: Side, seed: int) -> int:
+    """press() calls of one untimed SAG pass, through every module that holds press."""
+    press = side.tree.fit.press
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return press(*args)
+
+    holders = [m for m in (side.tree.fit, side.tree.pipeline) if m.press is press]
+    call = side.prepare("sag", seed)
+    for module in holders:
+        module.press = counted
+    try:
+        call(lambda: None)
+    finally:
+        for module in holders:
+            module.press = press
+    return calls
+
+
 def timed(side: Side, layer: str, seed: int):
     """Drift-corrected seconds of one call, and the digest of its output."""
     call = side.prepare(layer, seed)
@@ -193,23 +218,34 @@ def main(argv=None) -> int:
     old = Side(load_tree(args.old_src, "canonsr_old"), args.workload, work_dir.name)
     new = Side(load_tree(args.new_src, "canonsr_new"), args.workload, work_dir.name)
     timed_slice()    # the first slice in a process runs cold
-    ratios, wins, same = [], 0, True
+    ratios, wins, same, same_calls = [], 0, True, True
     for i, seed in enumerate(_seeds(args.seeds)):
         a, b = (old, new) if i % 2 == 0 else (new, old)
         times = {id(old): [], id(new): []}
-        digests = set()
+        digests = {id(old): set(), id(new): set()}
         for side in (a, b, b, a) * ROUNDS:
             seconds, digest = timed(side, args.layer, seed)
             times[id(side)].append(seconds)
-            digests.add(digest)
+            digests[id(side)].add(digest)
         t_old, t_new = (statistics.median(times[id(side)]) for side in (old, new))
         ratios.append(t_new / t_old)
         wins += t_new < t_old
-        same &= len(digests) == 1
-        print(f"seed {seed}: old {t_old:.4f} s  new {t_new:.4f} s  "
-              f"ratio {t_new / t_old:.3f}  {'same' if len(digests) == 1 else 'DIFFERENT'}")
+        seed_same = len(digests[id(old)] | digests[id(new)]) == 1
+        same &= seed_same
+        verdict = "same" if seed_same else "DIFFERENT"
+        if args.layer == "sag":
+            calls = {id(side): press_calls(side, seed) for side in (a, b)}
+            same_calls &= calls[id(old)] == calls[id(new)]
+            print(f"seed {seed}: old {t_old:.4f} s {calls[id(old)]} press "
+                  f"{min(digests[id(old)])[:12]}  new {t_new:.4f} s {calls[id(new)]} press "
+                  f"{min(digests[id(new)])[:12]}  ratio {t_new / t_old:.3f}  {verdict}")
+        else:
+            print(f"seed {seed}: old {t_old:.4f} s  new {t_new:.4f} s  "
+                  f"ratio {t_new / t_old:.3f}  {verdict}")
     print(f"median ratio {statistics.median(ratios):.3f}; new faster on {wins} of "
-          f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}")
+          f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}"
+          + ("" if args.layer != "sag" else
+             f"; press() calls {'the same' if same_calls else 'DIFFER'}"))
     work_dir.cleanup()
     return 0 if same else 1
 

@@ -300,7 +300,7 @@ def scale_target_log10(ds: Dataset) -> Dataset:
         raise DataError("target is already log-scaled")
     if np.any(ds.y <= 0):
         bad = int(np.argmax(ds.y <= 0)) + 1
-        raise DataError(f"row {bad}: target {ds.y[bad - 1]!r} is <= 0, cannot log-scale")
+        raise DataError(f"row {bad}: target {float(ds.y[bad - 1])!r} is <= 0, cannot log-scale")
     return Dataset(var_names=ds.var_names, X=ds.X, y=np.log10(ds.y),
                    target_name=ds.target_name, target_log_scaled=True)
 

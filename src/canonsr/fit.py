@@ -112,135 +112,91 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     return inv
 
 
-class _Screen:
-    """Rules out, for one forward-regression step, the candidates that cannot
-    be the one press() picks, without refitting them.
+def _screen(Phi: np.ndarray, y: np.ndarray, C: np.ndarray, c_norm2: np.ndarray,
+            threshold: float) -> np.ndarray:
+    """Mask of the candidate columns C (one per row, squared norms c_norm2;
+    C is overwritten) that must go through press() to find which of them,
+    added to Phi, press() picks; the rest cannot be that one.
 
-    It keeps the fit of the current columns Phi: an orthonormal basis Q of
-    their span, the leverages h, the residual r, R^-1 for Phi = QR and the
-    fitted coefficients.  For every candidate column c at once, `refit` adds
-    c to that fit by a rank-one update (QR updating, Golub & Van Loan,
-    Matrix Computations, 6.5): q = c_perp / |c_perp| for c_perp = c - Q Q'c,
+    Each call starts from a fresh QR of the current columns, Phi = QR: an
+    orthonormal basis Q of their span, the leverages h, the residual r, R^-1
+    and the fitted coefficients.  Every candidate c is then added to that
+    fit at once by one rank-one step (QR updating, Golub & Van Loan, Matrix
+    Computations, 6.5): q = c_perp / |c_perp| for c_perp = c - Q Q'c,
     h' = h + q^2 and r' = r - q q'r, so that sqrt(PRESS) is approximately
     |r' / (1 - h')|.
 
-    This update and press() are both backward stable, so each stays close
-    to the exact fit of [Phi, c] (least-squares perturbation, Golub & Van
-    Loan 5.3): its leverages within eta = unit * kappa_s and its residuals
-    within unit * (|y| + |[Phi, c]| |x| + kappa |r|).  Here x holds the
-    fitted coefficients, kappa_s and kappa bound the condition number of
-    [Phi, c] with unit columns and with its own, and unit is
-    16 sqrt(N k) eps, 16 times the usual growth of rounding errors in
-    Householder and SVD based fits; over random, near-collinear, rescaled
-    and recorded candidate sets the two differed by at most 0.5 sqrt(N k)
-    eps times the same terms.  That bounds press()'s double for the
-    candidate to [lo, hi].  A candidate is left out only when lo shows that
-    it cannot pass _improves (lo >= threshold), or that a refitted candidate
-    is lower (lo > the smallest hi); so the stop when none is left keeps
-    the margin on both sides.  A candidate whose column is nearly in the
-    current span, whose leverage is within eta of the limit, whose kappa is
-    near press()'s rank threshold, or whose bound is not finite is unsafe:
-    it is always refitted, and if it is picked, the fit is recomputed by QR.
+    This step and press() are both backward stable, so each stays close to
+    the exact fit of [Phi, c] (least-squares perturbation, Golub & Van Loan
+    5.3): its leverages within eta = unit * kappa_s and its residuals within
+    unit * (|y| + |[Phi, c]| |x| + kappa |r|).  Here x holds the fitted
+    coefficients, kappa_s and kappa bound the condition number of [Phi, c]
+    with unit columns and with its own, and unit is 16 sqrt(N k) eps, 16
+    times the usual growth of rounding errors in Householder and SVD based
+    fits; over random, near-collinear, rescaled and recorded candidate sets
+    the two differed by at most 0.5 sqrt(N k) eps times the same terms.
+    That bounds press()'s double for the candidate to [lo, hi].  A candidate
+    is left out only when lo shows that it cannot pass _improves (lo >=
+    threshold), or that a refitted candidate is lower (lo > the smallest
+    hi); so the stop when none is left keeps the margin on both sides.  A
+    candidate whose column is nearly in the current span, whose leverage is
+    within eta of the limit, whose kappa is near press()'s rank threshold,
+    or whose bound is not finite is unsafe: it is always refitted.
     """
+    N, k = Phi.shape[0], Phi.shape[1] + 1
+    Q, R = np.linalg.qr(Phi)
+    Qty = Q.T @ y
+    h = _row_norms2(Q)
+    r = y - Q @ Qty
+    r_inv = _upper_inverse(R)
+    coef = r_inv @ Qty
+    phi_norm2 = _row_norms2(Phi.T)
+    row2 = _row_norms2(r_inv)
+    inv_f2, inv_f2_scaled = row2.sum(), phi_norm2 @ row2
+    # einsum, not a matrix product: the first BLAS dgemm call in a process
+    # maps about 0.25 MB more of the library, 0.6% of a wide243 run's RSS
+    CtQ = np.einsum("ij,jk->ik", C, Q)
+    z = np.einsum("ij,kj->ik", CtQ, r_inv)   # row i: R^-1 Q'c_i, c_i on Phi
+    with np.errstate(all="ignore"):
+        # in place, so that few m x N arrays are alive at once (written as
+        # expressions, this raised wide243's peak RSS by 0.3 MB)
+        q = C
+        q -= np.einsum("ik,jk->ij", CtQ, Q)          # c_perp
+        perp2 = _row_norms2(q)
+        perp = np.sqrt(perp2)
+        q /= perp[:, None]
+        qtr = q @ r
+        den = q * q
+        den += h
+        np.subtract(1.0, den, out=den)   # 1 - h'
+        loo = q * qtr[:, None]
+        np.subtract(r, loo, out=loo)     # r'
+        loo /= den
+        root = np.sqrt(_row_norms2(loo))
+        gap = den.min(axis=1)
+        del den, loo
 
-    def __init__(self, Phi: np.ndarray, y: np.ndarray, columns: List[np.ndarray]):
-        self.y = y
-        self.y_norm = math.sqrt(y @ y)
-        self.C = np.array(columns)            # one candidate per row
-        self.c_norm2 = _row_norms2(self.C)
-        self.recompute(Phi)
-
-    def recompute(self, Phi: np.ndarray) -> None:
-        Q, R = np.linalg.qr(Phi)
-        Qty = Q.T @ self.y
-        self.Q = Q
-        self.h = _row_norms2(Q)
-        self.r = self.y - Q @ Qty
-        self.r_inv = _upper_inverse(R)
-        self.coef = self.r_inv @ Qty
-        self._norms(_row_norms2(Phi.T))
-
-    def _norms(self, phi_norm2: np.ndarray) -> None:
-        """Per-fit terms of the bounds, from the squared column norms of Phi."""
-        self.phi_norm2 = phi_norm2
-        self.phi_sum = phi_norm2.sum()
-        row2 = _row_norms2(self.r_inv)
-        self.inv_f2, self.inv_f2_scaled = row2.sum(), phi_norm2 @ row2
-        self.r_norm = math.sqrt(self.r @ self.r)
-
-    def refit(self, remaining: List[int], threshold: float) -> np.ndarray:
-        """Mask of the candidates `remaining` (indices into the columns) that
-        must go through press()."""
-        Q, h, r = self.Q, self.h, self.r
-        N, k = Q.shape[0], Q.shape[1] + 1
-        C, c_norm2 = self.C[remaining], self.c_norm2[remaining]
-        # einsum, not a matrix product: the first BLAS dgemm call in a process
-        # maps about 0.25 MB more of the library, 0.6% of a wide243 run's RSS
-        CtQ = np.einsum("ij,jk->ik", C, Q)
-        z = np.einsum("ij,kj->ik", CtQ, self.r_inv)   # row i: R^-1 Q'c_i, c_i on Phi
-        with np.errstate(all="ignore"):
-            # in place, so that few m x N arrays are alive at once (written
-            # as expressions, this raised wide243's peak RSS by 0.3 MB); C
-            # is a copy, taken by fancy indexing
-            q = C
-            q -= np.einsum("ik,jk->ij", CtQ, Q)          # c_perp
-            perp2 = _row_norms2(q)
-            perp = np.sqrt(perp2)
-            q /= perp[:, None]
-            qtr = q @ r
-            den = q * q
-            den += h
-            np.subtract(1.0, den, out=den)   # 1 - h'
-            loo = q * qtr[:, None]
-            np.subtract(r, loo, out=loo)     # r'
-            loo /= den
-            root = np.sqrt(_row_norms2(loo))
-            gap = den.min(axis=1)
-            del den, loo
-
-            # [[R^-1, -z / |c_perp|], [0, 1 / |c_perp|]] inverts the R factor of
-            # [Phi, c]; Frobenius norms bound the 2-norms in kappa and kappa_s
-            beta = qtr / perp                # c's fitted coefficient
-            zz, wz = _row_norms2(z), np.einsum("ij,ij,j->i", z, z, self.phi_norm2)
-            norm2 = self.phi_sum + c_norm2
-            unit = 16.0 * math.sqrt(N * k) * _EPS
-            kappa = np.sqrt(norm2 * (self.inv_f2 + (zz + 1.0) / perp2))
-            eta = unit * np.sqrt(k * (self.inv_f2_scaled + (wz + c_norm2) / perp2))
-            fitted = np.sqrt(norm2 * (_row_norms2(self.coef - z * beta[:, None]) + beta * beta))
-            gap -= eta
-            # |sqrt(press()) - root| <= margin, the sums' rounding included
-            margin = ((eta * root + unit * (self.y_norm + fitted + kappa * self.r_norm)) / gap
-                      + N * _EPS * root)
-            lo, hi = root - margin, root + margin
-            safe = ((perp2 > _SCREEN_SPAN_TOL ** 2 * c_norm2)
-                    & (gap > 1.0 - _LEVERAGE_LIMIT)
-                    & (kappa < 1.0 / (_RANK_GUARD * max(N, k) * _EPS))
-                    & np.isfinite(hi))
-        self._update = (q, z, beta, perp, safe)
-        if not safe.any():
-            return ~safe
-        return ~safe | ((lo < math.sqrt(threshold)) & (lo <= hi[safe].min()))
-
-    def append(self, i: int, Phi: np.ndarray) -> None:
-        """Add candidate i of the last refit() call; Phi holds it as its last column."""
-        q, z, beta, perp, safe = self._update
-        if not safe[i]:
-            self.recompute(Phi)
-            return
-        # one reorthogonalization keeps Q orthonormal to working precision
-        qi = q[i] - self.Q @ (q[i] @ self.Q)
-        qi /= math.sqrt(qi @ qi)
-        self.Q = np.column_stack([self.Q, qi])
-        self.h = self.h + qi * qi
-        self.r = self.r - qi * (qi @ self.r)
-        k = self.r_inv.shape[0]
-        r_inv = np.zeros((k + 1, k + 1))
-        r_inv[:k, :k] = self.r_inv
-        r_inv[:k, k] = -z[i] / perp[i]
-        r_inv[k, k] = 1.0 / perp[i]
-        self.r_inv = r_inv
-        self.coef = np.append(self.coef - z[i] * beta[i], beta[i])
-        self._norms(np.append(self.phi_norm2, Phi[:, -1] @ Phi[:, -1]))
+        # [[R^-1, -z / |c_perp|], [0, 1 / |c_perp|]] inverts the R factor of
+        # [Phi, c]; Frobenius norms bound the 2-norms in kappa and kappa_s
+        beta = qtr / perp                # c's fitted coefficient
+        zz, wz = _row_norms2(z), np.einsum("ij,ij,j->i", z, z, phi_norm2)
+        norm2 = phi_norm2.sum() + c_norm2
+        unit = 16.0 * math.sqrt(N * k) * _EPS
+        kappa = np.sqrt(norm2 * (inv_f2 + (zz + 1.0) / perp2))
+        eta = unit * np.sqrt(k * (inv_f2_scaled + (wz + c_norm2) / perp2))
+        fitted = np.sqrt(norm2 * (_row_norms2(coef - z * beta[:, None]) + beta * beta))
+        gap -= eta
+        # |sqrt(press()) - root| <= margin, the sums' rounding included
+        margin = ((eta * root + unit * (math.sqrt(y @ y) + fitted + kappa * math.sqrt(r @ r)))
+                  / gap + N * _EPS * root)
+        lo, hi = root - margin, root + margin
+        safe = ((perp2 > _SCREEN_SPAN_TOL ** 2 * c_norm2)
+                & (gap > 1.0 - _LEVERAGE_LIMIT)
+                & (kappa < 1.0 / (_RANK_GUARD * max(N, k) * _EPS))
+                & np.isfinite(hi))
+    if not safe.any():
+        return ~safe
+    return ~safe | ((lo < math.sqrt(threshold)) & (lo <= hi[safe].min()))
 
 
 def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
@@ -252,7 +208,7 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
     addition strictly decreases it.  Ties go to the lowest candidate index.
     Returns (selected indices in selection order, PRESS of the offset plus
     the selected columns in that order).  Each step refits, through press(),
-    only the candidates that _Screen cannot rule out; the result is the same
+    only the candidates that _screen cannot rule out; the result is the same
     as refitting them all.
     """
     # the one input check: press() and fit_weights() trust their callers
@@ -273,17 +229,15 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
     current = press(Phi, y)
     selected: List[int] = []
     remaining = list(range(len(columns)))
-    # the screen needs a finite PRESS to improve on and more rows than a
-    # trial has columns
-    screen = None
-    if len(columns) >= _SCREEN_MIN and np.isfinite(current) and N > 2:
-        screen = _Screen(Phi, y, columns)
+    C = np.array(columns).reshape(len(columns), N)   # one candidate per row
+    c_norm2 = _row_norms2(C)
 
     while remaining:
         candidates = remaining
-        screened = screen is not None and len(remaining) >= _SCREEN_MIN and N > Phi.shape[1] + 1
-        if screened:
-            refit = screen.refit(remaining, current * (1.0 - _PRESS_REL_TOL))
+        # the screen needs more rows than a trial has columns
+        if len(remaining) >= _SCREEN_MIN and N > Phi.shape[1] + 1:
+            refit = _screen(Phi, y, C[remaining], c_norm2[remaining],
+                            current * (1.0 - _PRESS_REL_TOL))
             candidates = [j for j, keep in zip(remaining, refit) if keep]
         best_idx = None
         best_press = current
@@ -297,8 +251,6 @@ def forward_regression_press(bases: Sequence[np.ndarray], y: np.ndarray,
         if best_idx is None:
             break
         Phi = np.column_stack([Phi, columns[best_idx]])
-        if screened and len(remaining) > _SCREEN_MIN:
-            screen.append(remaining.index(best_idx), Phi)
         current = best_press
         selected.append(best_idx)
         remaining.remove(best_idx)

@@ -87,6 +87,7 @@ def _reference(train: Dataset) -> float:
 def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = None,
                   progress: Optional[ProgressFn] = None) -> TradeoffSet:
     """Evolve models on the training set; returns the archived tradeoff.
+    Raises DataError, before any draw, when train has no design variable.
 
     The cyclic garbage collector is paused while the initial population is
     built and the generations run.  The loop makes tens of thousands of
@@ -97,6 +98,8 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
     collector paused too.  The caller's collector state is restored on every
     exit, an exception from `progress` included.
     """
+    if train.n_vars < 1:
+        raise DataError("training data has no design-variable column to build bases from")
     g = grammar if grammar is not None else _resolve_grammar(cfg)[0]
     if cfg.max_depth < g.min_depth(g.start):
         raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "

@@ -118,6 +118,30 @@ def test_run_bad_data_exits_3(pm_files, tmp_path, capsys):
     assert "oops" in capsys.readouterr().err
 
 
+def test_run_without_design_variables_exits_3_and_eval_still_works(tmp_path, capsys):
+    """A training file holding only the target has nothing to build bases
+    from: run exits 3 before any draw.  A zero-variable model still
+    evaluates on such a file."""
+    target_only = tmp_path / "y_only.csv"
+    target_only.write_text("y\n1.0\n2.0\n4.0\n")
+    code = main(["run", "--train", str(target_only), "--test", str(target_only),
+                 "--target", "y", "--out", str(tmp_path / "o"), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err
+    assert "no design-variable column" in captured.err
+
+    model = tmp_path / "model.json"
+    model.write_text('{"model": {"bases": [], "coeffs": [2.0]}, "var_names": [], '
+                     '"target_name": "y", "target_log_scaled": false, '
+                     '"train_reference": 2.0, "B": 10.0}')
+    preds = tmp_path / "p.csv"
+    code = main(["eval", "--model", str(model), "--data", str(target_only),
+                 "--out", str(preds)])
+    assert code == 0
+    assert preds.read_text() == "prediction\n2.0\n2.0\n2.0\n"
+
+
 def test_run_seed_flag_repeats_identically(pm_files, tmp_path):
     train_path, test_path, cfg_path = pm_files
     dirs = [str(tmp_path / "r1"), str(tmp_path / "r2")]

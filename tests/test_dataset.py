@@ -232,8 +232,10 @@ def test_scale_target_log10_identities():
 
 def test_scale_target_log10_rejects_nonpositive():
     ds = Dataset(("x",), np.ones((2, 1)), np.array([1.0, 0.0]), "y")
-    with pytest.raises(DataError, match="log-scale"):
+    with pytest.raises(DataError) as exc:
         scale_target_log10(ds)
+    # the plain float, not numpy's repr np.float64(0.0)
+    assert str(exc.value) == "row 2: target 0.0 is <= 0, cannot log-scale"
 
 
 def test_scale_round_trip_within_tolerance():
