@@ -34,19 +34,19 @@ process for every run.
 
 `--layer pipeline` (the default) times one `run_pipeline` call with export,
 on the training and test grids of the perfbench workload.  `--layer sag`
-evolves each seed untimed and then times `simplify_after_generation` on the
-front.  `--layer eval` ignores `--workload` and times one round of
-`canonsr eval` calls through the tree's `cli.main`, one per stored model in
-`perfbench/models/`, on perfbench's 20,000-row predict_bulk sweep drawn
-from the seed; the sweep CSV is written once per seed, untimed, and a
-reference slice runs after every eval call.  The tool prints, per seed, both
-median times, the ratio new/old and whether the outputs of every run match
-(export files, simplified models or every predictions file, hashed with
-sha256), then the median ratio, the seeds the new tree won and whether
-every hash matched.  With `--layer sag` it also prints each side's output
-hash and how often its SAG pass calls `fit.press`, counted in one more,
-untimed pass, so a change to the candidate screen shows whether it refits
-the same candidates.
+evolves each seed's front once per side, untimed, and every timed pass runs
+`simplify_after_generation` on that one front.  `--layer eval` ignores
+`--workload` and times one round of `canonsr eval` calls through the tree's
+`cli.main`, one per stored model in `perfbench/models/`, on perfbench's
+20,000-row predict_bulk sweep drawn from the seed; the sweep CSV is written
+once per seed, untimed, and a reference slice runs after every eval call.
+The tool prints, per seed, both median times, the ratio new/old and whether
+the outputs of every run match (export files, simplified models or every
+predictions file, hashed with sha256), then the median ratio, the seeds the
+new tree won and whether every hash matched.  With `--layer sag` it also
+prints each side's output hash and how often its SAG pass calls `fit.press`,
+counted in one more, untimed pass, so a change to the candidate screen shows
+whether it refits the same candidates.
 """
 
 import argparse
@@ -122,6 +122,7 @@ class Side:
         names = workloads.var_names(X_train.shape[1])
         self.train = tree.Dataset(names, X_train, y_train, workloads.TARGET)
         self.test = tree.Dataset(names, X_test, y_test, workloads.TARGET)
+        self.fronts = {}    # seed -> evolved front, shared by the seed's SAG passes
 
     def config(self, seed: int):
         return self.tree.RunConfig(population=self.w["population"],
@@ -132,7 +133,9 @@ class Side:
         a function to call after each generation."""
         cfg = self.config(seed)
         if layer == "sag":
-            front = self.tree.run_evolution(cfg, self.train)
+            if seed not in self.fronts:
+                self.fronts[seed] = self.tree.run_evolution(cfg, self.train)
+            front = self.fronts[seed]
             return lambda tick: self.tree.simplify_after_generation(front, self.train, cfg)
         out = tempfile.mkdtemp(prefix="ab_", dir=self.work_dir)
         if layer == "eval":

@@ -25,7 +25,7 @@ from canonsr.dataset import (Dataset, DoePlan, doe_full_factorial, load_csv,
                              oracle_dataset, write_points_csv)
 from canonsr.draws import Draws
 from canonsr.evolve import (ParetoArchive, _environmental_selection, apply_operator,
-                            fit_model, init_population, nondominated_sort,
+                            fit_model, fit_models, init_population, nondominated_sort,
                             nsga2_generation)
 from canonsr.expr import (Model, eval_basis_matrix, eval_model_matrix, model_to_dict,
                           stored_column, tree_to_dict)
@@ -109,6 +109,45 @@ def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
             bases.append(tree)
     model = benchmark(fit_model, bases, X, y, ref, cfg)
     assert model.valid and model.coeffs.shape == (16,)
+
+
+class _OffspringArchive(ParetoArchive):
+    """Keeps the offspring of the last generation that reached the archive."""
+
+    def merge_all(self, candidates):
+        self.offspring = list(candidates)
+        super().merge_all(candidates)
+
+
+@pytest.fixture(scope="module")
+def pm81_offspring(pm81):
+    """The bases of the 200 offspring of generation 6 of a pm_like run
+    (population 200), whose trees keep their columns from that generation."""
+    X, y, ref = pm81
+    cfg = RunConfig(population=200, seed=12)
+    g = load_default_grammar()
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(g, 4, X, y, ref, cfg, rng)
+    archive = _OffspringArchive()
+    for _ in range(6):
+        pop = nsga2_generation(pop, X, y, ref, g, cfg, rng, archive)
+    return [m.bases for m in archive.offspring], cfg
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["fit_models", "fit_model_each"])
+def test_fit_200_offspring_81_rows(benchmark, pm81, pm81_offspring, batched):
+    """One generation's fits: one fit_models call, with one least-squares
+    call per basis count, against one fit_model call per offspring."""
+    X, y, ref = pm81
+    bases_list, cfg = pm81_offspring
+    if batched:
+        models = benchmark(fit_models, bases_list, X, y, ref, cfg)
+    else:
+        models = benchmark(lambda: [fit_model(b, X, y, ref, cfg) for b in bases_list])
+    expected = [fit_model(b, X, y, ref, cfg) for b in bases_list]
+    assert len(models) == 200
+    assert [(m.train_error, None if m.coeffs is None else m.coeffs.tobytes()) for m in models] \
+        == [(m.train_error, None if m.coeffs is None else m.coeffs.tobytes()) for m in expected]
 
 
 def _grow_trees(make_rng, count=200, seed=4):

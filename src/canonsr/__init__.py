@@ -17,7 +17,7 @@ from .fit import forward_regression_press, nmse
 from .grammar import (Grammar, GrammarError, crossover_sites,
                       default_grammar_text, load_default_grammar,
                       parse_grammar, random_tree, validate)
-from .evolve import (ParetoArchive, crowding_distance, fit_model,
+from .evolve import (ParetoArchive, crowding_distance, fit_model, fit_models,
                      nondominated_sort, nsga2_generation)
 from .pipeline import (TradeoffSet, export, filter_test_tradeoff,
                        load_model_json, run_evolution, run_pipeline,
@@ -35,8 +35,8 @@ __all__ = [
     "Grammar", "GrammarError", "crossover_sites", "default_grammar_text",
     "load_default_grammar", "parse_grammar",
     "random_tree", "validate",
-    "ParetoArchive", "crowding_distance", "fit_model", "nondominated_sort",
-    "nsga2_generation",
+    "ParetoArchive", "crowding_distance", "fit_model", "fit_models",
+    "nondominated_sort", "nsga2_generation",
     "TradeoffSet", "export", "filter_test_tradeoff", "load_model_json",
     "run_evolution", "run_pipeline", "simplify_after_generation",
 ]

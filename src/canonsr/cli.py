@@ -8,7 +8,6 @@ cannot be read and an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -59,14 +58,6 @@ def _progress_printer(every: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _make_out_dir(path: str) -> None:
-    """Create an output directory before any work is spent on filling it."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def cmd_run(args) -> int:
     values = load_config_values(args.config)
     if args.seed is not None:
@@ -77,7 +68,6 @@ def cmd_run(args) -> int:
     if args.log_target:
         train = scale_target_log10(train)
         test = scale_target_log10(test)
-    _make_out_dir(args.out)
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)
     _print_front(ts, cfg)
@@ -138,8 +128,6 @@ def cmd_bench(args) -> int:
     cfg = make_config(dict(population=200, generations=args.generations,
                            seed=args.seed),
                       "invalid configuration")
-    if args.out is not None:
-        _make_out_dir(args.out)
     progress = None if args.quiet else _progress_printer(max(1, cfg.generations // 10))
     started = time.perf_counter()
     ts = run_pipeline(cfg, train, test, out_dir=args.out, progress=progress)

@@ -8,6 +8,8 @@ nondominated valid individual seen so far.
 Trees are immutable.  An operator rebuilds only the path from a basis root
 to the node it changes and shares everything else with the parents, so an
 offspring reuses the stored columns and complexities of unchanged bases.
+Fits are batched: fit_models fits a population, or a generation's new
+offspring, with one least-squares call per basis count.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def nondominated_sort(points: Sequence[Objectives]) -> List[List[int]]:
     its members in the order the classic peeling loop appends them: by the
     position of their last dominator in the previous front, then by index.
     That order feeds the stable crowding-distance tie-breaks.  No objective
-    may be NaN; fit_model marks an invalid model with +inf error.
+    may be NaN; fit_models marks an invalid model with +inf error.
     """
     return list(_fronts(points))
 
@@ -149,27 +151,47 @@ class ParetoArchive:
 # fitness evaluation
 # ---------------------------------------------------------------------------
 
+def fit_models(bases_list: Sequence[Sequence[BasisTree]], X: np.ndarray, y: np.ndarray,
+               reference: float, cfg: RunConfig) -> List[Model]:
+    """Least-squares fits of the linear weights of each model in `bases_list`;
+    a model with a non-finite basis column is invalid.
+
+    Columns are read from the trees (see stored_column).  The models with
+    one basis count are fitted in one fit_weights call, and each gets the
+    coefficients and error a fit of its own gives, byte for byte.  The
+    coefficients are read-only, so models with the same bases may share them."""
+    models: List[Model] = [None] * len(bases_list)
+    groups = {}     # basis count -> [(index, complexity, columns)]
+    for i, bases in enumerate(bases_list):
+        cpx = complexity_of_bases(bases, cfg.wb, cfg.wvc)
+        columns = []
+        for tree in bases:
+            col, finite = stored_column(tree, X, cfg.B)
+            if not finite:
+                models[i] = Model(bases=list(bases), coeffs=None, train_error=INF,
+                                  complexity=cpx, valid=False)
+                break
+            columns.append(col)
+        else:
+            groups.setdefault(len(bases), []).append((i, cpx, columns))
+    for k, group in groups.items():
+        Phi = np.ones((len(group), X.shape[0], k + 1))    # offset column first
+        if k:
+            Phi.transpose(0, 2, 1)[:, 1:] = [columns for _, _, columns in group]
+        for P, coeffs, (i, cpx, _) in zip(Phi, fit_weights(Phi, y), group):
+            coeffs.flags.writeable = False
+            error = _error(P @ coeffs, y, reference)
+            valid = math.isfinite(error)
+            models[i] = Model(bases=list(bases_list[i]), coeffs=coeffs,
+                              train_error=error if valid else INF,
+                              complexity=cpx, valid=valid)
+    return models
+
+
 def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
               reference: float, cfg: RunConfig) -> Model:
-    """Least-squares fit of the linear weights; non-finite bases invalidate.
-
-    Columns are read from the trees (see stored_column).  The coefficients
-    are read-only, so models with the same bases may share them."""
-    cpx = complexity_of_bases(bases, cfg.wb, cfg.wvc)
-    Phi = np.ones((X.shape[0], len(bases) + 1))    # offset column first
-    for j, tree in enumerate(bases, start=1):
-        col, finite = stored_column(tree, X, cfg.B)
-        if not finite:
-            return Model(bases=list(bases), coeffs=None, train_error=INF,
-                         complexity=cpx, valid=False)
-        Phi[:, j] = col
-    coeffs = fit_weights(Phi, y)
-    coeffs.flags.writeable = False
-    error = _error(Phi @ coeffs, y, reference)
-    valid = math.isfinite(error)
-    return Model(bases=list(bases), coeffs=coeffs,
-                 train_error=error if valid else INF,
-                 complexity=cpx, valid=valid)
+    """fit_models for one model."""
+    return fit_models([bases], X, y, reference, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +418,7 @@ def init_population(g: Grammar, n_vars: int, X: np.ndarray, y: np.ndarray,
         nb = int(rng.integers(1, cfg.max_bases + 1))
         all_bases.append([random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)
                           for _ in range(nb)])
-    return [fit_model(b, X, y, reference, cfg) for b in all_bases]
+    return fit_models(all_bases, X, y, reference, cfg)
 
 
 def _rank_and_crowding(objs: Sequence[Objectives]) -> Tuple[List[int], List[float]]:
@@ -469,16 +491,14 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     offspring_bases = offspring_bases[: len(pop)]
 
     # an offspring with the very bases of a parent or an earlier offspring,
-    # in order, shares that model's fit
+    # in order, shares that model's fit; the others are fitted in one call
     fitted = {tuple(map(id, m.bases)): m for m in pop}
-    offspring: List[Model] = []
-    for bases in offspring_bases:
-        key = tuple(map(id, bases))
-        if key in fitted:
-            offspring.append(replace(fitted[key], bases=list(bases)))
-        else:
-            offspring.append(fit_model(bases, X, y, reference, cfg))
-            fitted[key] = offspring[-1]
+    keys = [tuple(map(id, bases)) for bases in offspring_bases]
+    new = {key: bases for key, bases in zip(keys, offspring_bases) if key not in fitted}
+    fresh = dict(zip(new, fit_models(list(new.values()), X, y, reference, cfg)))
+    fitted.update(fresh)
+    offspring = [fresh.pop(key) if key in fresh else replace(fitted[key], bases=list(bases))
+                 for key, bases in zip(keys, offspring_bases)]
 
     archive.merge_all(offspring)
     combined = pop + offspring

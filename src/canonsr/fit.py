@@ -20,10 +20,28 @@ _LEVERAGE_LIMIT = 1.0 - 1e-12
 _PRESS_REL_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
+try:   # what np.linalg.lstsq calls; numpy < 2 splits the gufunc in two
+    from numpy.linalg._linalg import _raise_linalgerror_lstsq as _lstsq_failed
+    from numpy.linalg._umath_linalg import lstsq as _lstsq
+except ImportError:
+    _lstsq = None
+
 
 def fit_weights(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients; minimum-norm solution if Phi is rank deficient."""
-    return np.linalg.lstsq(Phi, y, rcond=None)[0]
+    """Least-squares coefficients of y on Phi, minimum-norm where Phi is rank
+    deficient.  Phi is one (m, k) matrix, m >= 1, giving (k,), or a stack
+    (b, m, k) solved in one LAPACK call, giving (b, k).  Each solution is
+    np.linalg.lstsq(Phi_i, y, rcond=None)[0] byte for byte: this calls the
+    gufunc that wraps, with its rcond, signature and error state, but without
+    the Python overhead that outweighs LAPACK on a search's small fits."""
+    m, k = Phi.shape[-2:]
+    if _lstsq is None:
+        if Phi.ndim == 2:
+            return np.linalg.lstsq(Phi, y, rcond=None)[0]
+        return np.array([np.linalg.lstsq(P, y, rcond=None)[0] for P in Phi])
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _lstsq(Phi, y[:, None], _EPS * max(m, k), signature="ddd->ddid")[0][..., 0]
 
 
 def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> float:

@@ -21,8 +21,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, _finite_decades, _positive_finite
 from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
-from .evolve import (ParetoArchive, fit_model, init_population, nsga2_generation,
-                     pareto_insert)
+from .evolve import (ParetoArchive, fit_model, fit_models, init_population,
+                     nsga2_generation, pareto_insert)
 from .expr import (Model, _flag, _number, eval_model_matrix, model_from_dict, model_to_dict,
                    stored_column, to_canonical_text)
 from .fit import forward_regression_press, nmse, press
@@ -80,6 +80,16 @@ def _reference(train: Dataset) -> float:
     return ref
 
 
+def _checked_reference(cfg: RunConfig, train: Dataset, g: Grammar) -> float:
+    """_reference(train), after the checks that refuse a run before any draw."""
+    if train.n_vars < 1:
+        raise DataError("training data has no design-variable column to build bases from")
+    if cfg.max_depth < g.min_depth(g.start):
+        raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "
+                          f"derivation depth {g.min_depth(g.start):.0f}")
+    return _reference(train)
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -98,14 +108,9 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
     collector paused too.  The caller's collector state is restored on every
     exit, an exception from `progress` included.
     """
-    if train.n_vars < 1:
-        raise DataError("training data has no design-variable column to build bases from")
     g = grammar if grammar is not None else _resolve_grammar(cfg)[0]
-    if cfg.max_depth < g.min_depth(g.start):
-        raise ConfigError(f"max_depth {cfg.max_depth} is below the grammar's minimum "
-                          f"derivation depth {g.min_depth(g.start):.0f}")
+    reference = _checked_reference(cfg, train, g)
     rng = Draws(cfg.seed)
-    reference = _reference(train)
     X, y = train.X, train.y
 
     archive = ParetoArchive()
@@ -140,21 +145,21 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
     """
     X, y = train.X, train.y
     reference = _reference(train)
-    out: List[Model] = []
-    for m in ts.models:
+    out: List[Model] = list(ts.models)
+    pruned = {}     # index in out -> the bases forward regression kept
+    for i, m in enumerate(ts.models):
         if not m.bases:
-            out.append(m)
             continue
         columns = [stored_column(t, X, cfg.B)[0] for t in m.bases]
         selected, pruned_press = forward_regression_press(columns, y)
         if sorted(selected) == list(range(len(m.bases))):
-            out.append(m)
             continue
         original_press = press(np.column_stack([np.ones(len(y))] + columns), y)
         if original_press < pruned_press:
-            out.append(m)
             continue
-        out.append(fit_model([m.bases[j] for j in selected], X, y, reference, cfg))
+        pruned[i] = [m.bases[j] for j in selected]
+    for i, m in zip(pruned, fit_models(list(pruned.values()), X, y, reference, cfg)):
+        out[i] = m
     return replace(ts, models=pareto_reduce(out, "train"))
 
 
@@ -277,8 +282,20 @@ def load_model_json(path: str) -> dict:
 def run_pipeline(cfg: RunConfig, train: Dataset, test: Dataset,
                  out_dir: Optional[str] = None,
                  progress: Optional[ProgressFn] = None) -> TradeoffSet:
-    """Evolve, simplify, filter on test error, optionally export."""
+    """Evolve, simplify, filter on test error, optionally export.
+
+    The data and config are checked, and out_dir is created, before any
+    draw: a refused run spends no time and leaves no directory behind."""
     g, g_text = _resolve_grammar(cfg)
+    _checked_reference(cfg, train, g)
+    if set(test.var_names) != set(train.var_names):
+        raise DataError(f"test variables {sorted(test.var_names)} do not match the "
+                        f"training variables {sorted(train.var_names)}")
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
     ts = run_evolution(cfg, train, grammar=g, progress=progress)
     ts = simplify_after_generation(ts, train, cfg)
     ts = filter_test_tradeoff(ts, test, cfg)

@@ -130,6 +130,7 @@ def test_run_without_design_variables_exits_3_and_eval_still_works(tmp_path, cap
     assert code == 3
     assert "Traceback" not in captured.err
     assert "no design-variable column" in captured.err
+    assert not (tmp_path / "o").exists()
 
     model = tmp_path / "model.json"
     model.write_text('{"model": {"bases": [], "coeffs": [2.0]}, "var_names": [], '
@@ -140,6 +141,50 @@ def test_run_without_design_variables_exits_3_and_eval_still_works(tmp_path, cap
                  "--out", str(preds)])
     assert code == 0
     assert preds.read_text() == "prediction\n2.0\n2.0\n2.0\n"
+
+
+def _two_var_files(tmp_path, test_names):
+    """A 10-row train CSV over x1, x2 and a test CSV over `test_names`, and
+    a config of population 10 and 20 generations."""
+    X = np.linspace(1.0, 2.0, 20).reshape(10, 2)
+    y = X[:, 0] + X[:, 1] ** 2
+    train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+    write_points_csv(("x1", "x2", "y"), np.column_stack([X, y]), train)
+    write_points_csv(test_names + ("y",), np.column_stack([X, y]), test)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("population = 10\ngenerations = 20\n")
+    return ["run", "--config", str(cfg), "--train", train, "--test", test, "--target", "y"]
+
+
+def test_run_test_variables_differ_exits_3_before_generation_1(tmp_path, capsys):
+    """A test CSV over other variables is refused before any generation
+    runs, and the refused run leaves no output directory."""
+    out = tmp_path / "outdir"
+    code = main(_two_var_files(tmp_path, ("x1", "x3")) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "test variables ['x1', 'x3'] do not match the training variables " \
+           "['x1', 'x2']" in captured.err
+    assert "generation" not in captured.out
+    assert not out.exists()
+
+
+def test_run_unwritable_out_exits_3_before_generation_1(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main(_two_var_files(tmp_path, ("x2", "x1")) + ["--out", str(blocker / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "cannot create output directory" in captured.err
+    assert "generation" not in captured.out
+
+
+def test_run_test_columns_in_another_order_run(tmp_path, capsys):
+    out = tmp_path / "outdir"
+    code = main(_two_var_files(tmp_path, ("x2", "x1")) + ["--out", str(out)])
+    assert code == 0
+    assert "generation 20/20" in capsys.readouterr().out
+    assert (out / "front.csv").exists()
 
 
 def test_run_seed_flag_repeats_identically(pm_files, tmp_path):

@@ -1,16 +1,20 @@
 """NSGA-II machinery and variation-operator tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 import canonsr.evolve as evolve
 from canonsr.config import RunConfig
 from canonsr.evolve import (ParetoArchive, apply_operator, crowding_distance,
-                            dominates, fit_model, init_population,
+                            dominates, fit_model, fit_models, init_population,
                             nondominated_sort, nsga2_generation,
                             vc_exponent_mutate, vc_onepoint_crossover,
                             weight_cauchy_mutate)
-from canonsr.expr import Model, VCLeaf, WeightLeaf, tree_depth, tree_to_dict
+from canonsr.expr import (Model, NTNode, VCLeaf, WeightLeaf, complexity_of_bases,
+                          stored_column, tree_depth, tree_to_dict)
+from canonsr.fit import _error
 from canonsr.grammar import load_default_grammar, random_tree, validate
 
 INF = float("inf")
@@ -334,6 +338,64 @@ def test_fit_model_invalid_on_nonfinite_basis():
     assert not m.valid
     assert m.train_error == INF
     assert m.complexity > 0
+
+
+def _fit_one_by_one(bases, X, y, reference, cfg):
+    """fit_model as it was before fits were batched: one np.linalg.lstsq call
+    per model, on a matrix of its own."""
+    cpx = complexity_of_bases(bases, cfg.wb, cfg.wvc)
+    Phi = np.ones((X.shape[0], len(bases) + 1))
+    for j, tree in enumerate(bases, start=1):
+        col, finite = stored_column(tree, X, cfg.B)
+        if not finite:
+            return Model(bases=list(bases), coeffs=None, train_error=INF,
+                         complexity=cpx, valid=False)
+        Phi[:, j] = col
+    coeffs = np.linalg.lstsq(Phi, y, rcond=None)[0]
+    error = _error(Phi @ coeffs, y, reference)
+    valid = math.isfinite(error)
+    return Model(bases=list(bases), coeffs=coeffs, train_error=error if valid else INF,
+                 complexity=cpx, valid=valid)
+
+
+def _same_fit(a, b):
+    assert a.bases == b.bases and a.bases is not b.bases
+    assert (a.valid, a.complexity, a.test_error) == (b.valid, b.complexity, b.test_error)
+    assert a.train_error == b.train_error
+    if b.coeffs is None:
+        assert a.coeffs is None
+    else:
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_models_equals_one_fit_per_model(seed):
+    """Invalid bases, basis counts 0 to 5, repeats and the empty basis list,
+    mixed in one call, each fit byte for byte as fit_model and the unbatched
+    fit give it."""
+    cfg = _cfg()
+    rng = np.random.default_rng(seed)
+    X, y, ref = _train_data(n_vars=4, n=30, seed=seed)
+    X[0, 3] = 0.0           # 1/x4 is inf on row 0; the random trees use x1-x3 only
+    inverse = NTNode("REPVC", 0, [VCLeaf([0, 0, 0, -1])])
+    bases_list = [[random_tree(G, cfg.max_depth, rng, 3, B=cfg.B)
+                   for _ in range(int(rng.integers(0, 6)))] for _ in range(25)]
+    bases_list += [[], [inverse], bases_list[3] + [inverse], bases_list[5],
+                   list(bases_list[5]), bases_list[0], []]
+    order = rng.permutation(len(bases_list))
+    bases_list = [bases_list[i] for i in order]
+
+    models = fit_models(bases_list, X, y, ref, cfg)
+    assert len(models) == len(bases_list)
+    assert len({len(b) for b in bases_list}) >= 4
+    assert sum(not m.valid for m in models) >= 2 and sum(m.valid for m in models) >= 10
+    for bases, m in zip(bases_list, models):
+        assert all(a is b for a, b in zip(m.bases, bases))
+        _same_fit(m, fit_model(bases, X, y, ref, cfg))
+        _same_fit(m, _fit_one_by_one(bases, X, y, ref, cfg))
+        if m.coeffs is not None:
+            assert not m.coeffs.flags.writeable
+    assert fit_models([], X, y, ref, cfg) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import canonsr.fit as fit
 from canonsr.fit import _error, fit_weights, forward_regression_press, nmse, press
 
 INF = float("inf")
@@ -87,6 +90,54 @@ def test_residual_orthogonality_property():
         coeffs = fit_weights(Phi, y)
         residual = y - Phi @ coeffs
         assert np.max(np.abs(Phi.T @ residual)) <= 1e-8 * np.linalg.norm(y)
+
+
+def _stack(kind, rng, b, m, k):
+    """b matrices m x k of one kind; 'wide' ones have fewer rows than columns."""
+    if kind == "offset only":
+        return np.ones((b, m, 1)) * rng.uniform(0.5, 2.0, size=(b, 1, 1))
+    if kind == "wide":
+        return rng.standard_normal((b, max(1, k - 2), k))
+    Phi = rng.standard_normal((b, m, k))
+    Phi[:, :, 0] = 1.0                                  # the offset column
+    if kind == "rank deficient":                        # rank 2 < k
+        Phi = Phi[:, :, :2] @ rng.standard_normal((b, 2, k))
+    elif kind == "duplicated column":
+        Phi[:, :, -1] = Phi[:, :, 1]
+    return Phi
+
+
+def _lstsq_bytes(Phi, y):
+    return [np.linalg.lstsq(P, y, rcond=None)[0].tobytes() for P in Phi]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "rank deficient", "duplicated column",
+                             "offset only", "wide"]),
+       b=st.integers(1, 6), m=st.integers(3, 90), k=st.integers(3, 9))
+def test_fit_weights_on_a_stack_is_lstsq_byte_for_byte(seed, kind, b, m, k):
+    rng = np.random.default_rng(seed)
+    Phi = _stack(kind, rng, b, m, k)
+    y = rng.standard_normal(Phi.shape[1])
+    stacked = fit_weights(Phi, y)
+    assert stacked.shape == (b, Phi.shape[2])
+    assert [row.tobytes() for row in stacked] == _lstsq_bytes(Phi, y)
+    assert [fit_weights(P, y).tobytes() for P in Phi] == _lstsq_bytes(Phi, y)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicated column", "offset only", "wide"])
+def test_fit_weights_without_the_gufunc_loops_over_lstsq(monkeypatch, kind):
+    """numpy < 2 has no lstsq gufunc; fit_weights then calls np.linalg.lstsq."""
+    rng = np.random.default_rng(13)
+    Phi = _stack(kind, rng, 4, 30, 5)
+    y = rng.standard_normal(Phi.shape[1])
+    expected = _lstsq_bytes(Phi, y)
+    monkeypatch.setattr(fit, "_lstsq", None)
+    stacked = fit_weights(Phi, y)
+    assert stacked.shape == (4, Phi.shape[2])
+    assert [row.tobytes() for row in stacked] == expected
+    assert [fit_weights(P, y).tobytes() for P in Phi] == expected
 
 
 def test_problem_validation():

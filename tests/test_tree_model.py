@@ -242,20 +242,21 @@ class _RecordingArchive(ParetoArchive):
 
 
 def _generations(seed, count, monkeypatch):
-    """Run `count` generations; returns the populations, offspring and fit calls."""
+    """Run `count` generations; returns the populations, offspring and the
+    bases of every model the generations sent to fit_models."""
     g = load_default_grammar()
     cfg = RunConfig(population=20, generations=count, max_bases=5, seed=seed)
     rng = np.random.default_rng(seed)
     calls = []
-    real_fit = evolve.fit_model
+    real_fit = evolve.fit_models
 
-    def counted_fit(*args):
-        calls.append(args[0])
-        return real_fit(*args)
+    def counted_fit(bases_list, *args):
+        calls.extend(bases_list)
+        return real_fit(bases_list, *args)
 
     pops = [init_population(g, N_VARS, X, Y, REFERENCE, cfg, rng)]
     archive = _RecordingArchive()
-    monkeypatch.setattr(evolve, "fit_model", counted_fit)
+    monkeypatch.setattr(evolve, "fit_models", counted_fit)
     for _ in range(count):
         pops.append(nsga2_generation(pops[-1], X, Y, REFERENCE, g, cfg, rng, archive))
     monkeypatch.undo()
