@@ -79,12 +79,17 @@ def cmd_sample(args) -> int:
     names, centers = load_centers_csv(args.centers)
     try:
         plan = DoePlan(centers=centers, dx=args.dx, budget=args.budget)
-        if args.mode == "factorial":
-            points = doe_full_factorial(plan)
-        else:
-            points = doe_latin_hypercube(plan, args.n, np.random.default_rng(args.seed))
+        with np.errstate(over="ignore", invalid="ignore"):     # refused below
+            if args.mode == "factorial":
+                points = doe_full_factorial(plan)
+            else:
+                points = doe_latin_hypercube(plan, args.n, np.random.default_rng(args.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=0))
+    if bad.size:
+        raise ConfigError(f"--dx {args.dx!r} around centre {names[bad[0]]} = "
+                          f"{float(centers[bad[0]])!r} gives design points that are not finite")
     write_points_csv(names, points, args.out)
     print(f"wrote {points.shape[0]} design points ({points.shape[1]} variables) to {args.out}")
     return EXIT_OK
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sample count for lhs mode (default 100)")
     p_sample.add_argument("--mode", choices=("factorial", "lhs"), default="factorial")
     p_sample.add_argument("--budget", type=int, default=10000,
-                          help="maximum sample count for factorial mode")
+                          help="maximum sample count in either mode (default 10000)")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True, help="output CSV path")
     p_sample.set_defaults(fn=cmd_sample)

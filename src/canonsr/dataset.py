@@ -278,6 +278,8 @@ def doe_latin_hypercube(plan: DoePlan, n: int, rng) -> np.ndarray:
     """n stratified samples of [c*(1-dx), c*(1+dx)] per variable, one per bin."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > plan.budget:
+        raise ValueError(f"latin hypercube of {n} samples is over budget {plan.budget}")
     d = plan.n_vars
     out = np.empty((n, d), dtype=float)
     for i in range(d):

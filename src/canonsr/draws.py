@@ -7,9 +7,10 @@ Generator call.  It reads the PCG64 raw stream and repeats numpy's C code:
 - bounded integers use Lemire's method on 32-bit words ("Fast random integer
   generation in an interval", ACM TOMACS 2019).  A raw word gives its low
   half first and keeps the high half for the next 32-bit draw, as PCG64's
-  `next_uint32` does;
+  `next_uint32` does.  Tree growth and tournaments call this draw as
+  `below(n)`, without `integers`' checks (through `below_of`);
 - `choice(n, size=k, replace=False)` is Floyd's algorithm, then a shuffle
-  with the same bounded integers;
+  with the same bounded integers (`floyd_sample`);
 - doubles are `(raw >> 11) * 2**-53`, one whole word each.
 
 Fronts therefore depend only on the PCG64 raw stream, which numpy keeps
@@ -19,7 +20,7 @@ drawing something else.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -37,9 +38,10 @@ class Draws:
         self._raw = self._gen.bit_generator.random_raw
         self._spare = None          # high half of the last raw word, if unused
 
-    def _below(self, n: int) -> int:
-        """Uniform integer in [0, n) for 1 <= n < 2**32: numpy's
-        buffered_bounded_lemire_uint32 with rng = n - 1."""
+    def below(self, n: int) -> int:
+        """`integers(n)` for an int 1 <= n < 2**32, unchecked: numpy's
+        buffered_bounded_lemire_uint32 with rng = n - 1.  Call it only with
+        the length of a nonempty sequence; any other n draws garbage."""
         if n == 1:
             return 0                # numpy draws nothing for a range of one
         while True:
@@ -65,11 +67,11 @@ class Draws:
             raise ValueError(f"integers({low!r}, {high!r}) is not emulated: "
                              f"needs ints with 1 <= high - low < 2**32")
         if size is None:
-            return low + self._below(high - low)
+            return low + self.below(high - low)
         if not (isinstance(size, int) and size >= 0):
             raise ValueError(f"integers size {size!r} is not emulated: needs an int >= 0")
         n = high - low
-        return np.array([low + self._below(n) for _ in range(size)], dtype=np.int64)
+        return np.array([low + self.below(n) for _ in range(size)], dtype=np.int64)
 
     def choice(self, a: int, size: int, replace: bool = True) -> List[int]:
         """`Generator.choice(a, size=k, replace=False).tolist()` for an int `a`, k <= 10000."""
@@ -78,18 +80,7 @@ class Draws:
             raise ValueError(f"choice({a!r}, size={size!r}, replace={replace!r}) is not "
                              f"emulated: needs replace=False, an int 1 <= a < 2**32 "
                              f"and 0 <= size <= min(a, {_FLOYD_MAX})")
-        picked = []
-        seen = set()
-        for j in range(a - size, a):
-            val = self._below(j + 1)
-            if val in seen:
-                val = j
-            seen.add(val)
-            picked.append(val)
-        for i in range(size - 1, 0, -1):
-            j = self._below(i + 1)
-            picked[i], picked[j] = picked[j], picked[i]
-        return picked
+        return floyd_sample(self.below, a, size)
 
     def random(self) -> float:
         """`Generator.random()`: a double in [0, 1) from one raw word."""
@@ -111,3 +102,25 @@ class Draws:
         spare half-word of the 32-bit draws where it was.
         """
         return self._gen.standard_cauchy()
+
+
+def below_of(rng) -> Callable[[int], int]:
+    """`Draws.below`, or the same draws from a numpy Generator's `integers(n)`."""
+    if isinstance(rng, Draws):
+        return rng.below
+    return lambda n: int(rng.integers(n))
+
+
+def floyd_sample(below: Callable[[int], int], a: int, k: int) -> List[int]:
+    """`Generator.choice(a, size=k, replace=False).tolist()` for 0 <= k <= a,
+    drawn through `below`: Floyd's algorithm, then a shuffle of the picks."""
+    picked, seen = [], set()
+    for j in range(a - k, a):
+        val = below(j + 1)
+        val = j if val in seen else val
+        seen.add(val)
+        picked.append(val)
+    for i in range(k - 1, 0, -1):
+        j = below(i + 1)
+        picked[i], picked[j] = picked[j], picked[i]
+    return picked

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .config import OPERATOR_NAMES, RunConfig
+from .draws import below_of
 from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
                    complexity_of_bases, leaf_count, repair_all_zero_vc, replace_at,
                    stored_column, tree_depth, walk)
@@ -433,9 +434,9 @@ def _rank_and_crowding(objs: Sequence[Objectives]) -> Tuple[List[int], List[floa
     return rank, crowd
 
 
-def _tournament(rank: List[int], crowd: List[float], rng) -> int:
-    i = int(rng.integers(len(rank)))
-    j = int(rng.integers(len(rank)))
+def _tournament(rank: List[int], crowd: List[float], below) -> int:
+    i = below(len(rank))
+    j = below(len(rank))
     if rank[j] < rank[i] or (rank[j] == rank[i] and crowd[j] > crowd[i]):
         return j
     return i
@@ -473,12 +474,13 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     w = np.array([cfg.operator_weights[n] for n in OPERATOR_NAMES])
     cdf = (w / w.sum()).cumsum()
     cdf = (cdf / cdf[-1]).tolist()
+    below = below_of(rng)
 
     offspring_bases: List[List[BasisTree]] = []
     guard = 0
     while len(offspring_bases) < len(pop):
         name = OPERATOR_NAMES[bisect_right(cdf, rng.random())]
-        parents = [pop[_tournament(rank, crowd, rng)] for _ in OPERATORS[name][1]]
+        parents = [pop[_tournament(rank, crowd, below)] for _ in OPERATORS[name][1]]
         result = apply_operator(name, parents, g, n_vars, cfg, rng)
         guard += result is None
         if result is None and guard > 100 * len(pop):

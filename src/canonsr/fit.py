@@ -29,13 +29,13 @@ except ImportError:
 
 def fit_weights(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on Phi, minimum-norm where Phi is rank
-    deficient.  Phi is one (m, k) matrix, m >= 1, giving (k,), or a stack
-    (b, m, k) solved in one LAPACK call, giving (b, k).  Each solution is
-    np.linalg.lstsq(Phi_i, y, rcond=None)[0] byte for byte: this calls the
-    gufunc that wraps, with its rcond, signature and error state, but without
-    the Python overhead that outweighs LAPACK on a search's small fits."""
+    deficient.  Phi is one (m, k) matrix, giving (k,), or a stack (b, m, k)
+    solved in one LAPACK call, giving (b, k).  Each solution is
+    np.linalg.lstsq(Phi_i, y, rcond=None)[0] byte for byte, zeros if m = 0:
+    this calls the gufunc that wraps, with its rcond, signature and error
+    state, but without the Python overhead that outweighs LAPACK on small fits."""
     m, k = Phi.shape[-2:]
-    if _lstsq is None:
+    if _lstsq is None or m == 0:    # the gufunc leaves a zero-row solution unwritten
         if Phi.ndim == 2:
             return np.linalg.lstsq(Phi, y, rcond=None)[0]
         return np.array([np.linalg.lstsq(P, y, rcond=None)[0] for P in Phi])

@@ -15,6 +15,7 @@ import re
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .draws import below_of, floyd_sample
 from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
                    NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, token_text,
                    walk)
@@ -192,12 +193,11 @@ def load_default_grammar() -> Grammar:
 _VC_INIT_EXPONENTS = (-2, -1, 1, 2)
 
 
-def _random_vc(n_vars: int, rng) -> VCLeaf:
+def _random_vc(n_vars: int, below) -> VCLeaf:
     # start simple: 1..3 variables present, small exponents
-    k = int(rng.integers(1, min(3, n_vars) + 1))
     exponents = [0] * n_vars
-    for dim in rng.choice(n_vars, size=k, replace=False):
-        exponents[dim] = _VC_INIT_EXPONENTS[rng.integers(4)]
+    for dim in floyd_sample(below, n_vars, 1 + below(min(3, n_vars))):
+        exponents[dim] = _VC_INIT_EXPONENTS[below(4)]
     return VCLeaf(exponents)
 
 
@@ -206,7 +206,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
     """Grow a random derivation tree of depth <= max_depth from `start`.
 
     Alternatives are chosen uniformly among those that can still terminate
-    within the remaining depth budget.
+    within the remaining depth budget, from a `Draws` or a numpy Generator.
     """
     symbol = start or g.start
     if max_depth < g.min_depth(symbol):
@@ -214,27 +214,29 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
             f"max_depth {max_depth} below the minimum derivation depth "
             f"{g.min_depth(symbol):.0f} of {symbol!r}")
 
-    # a float bound admits what its floor admits, since depths are whole
-    return _grow(symbol, int(max_depth), g.rules, g._feasible, rng, n_vars, -2.0 * B, 2.0 * B)
+    # a float bound admits what its floor admits, since depths are whole;
+    # lo + span * random() is the double Generator.uniform(lo, lo + span) draws
+    return _grow(symbol, int(max_depth), g.rules, g._feasible, below_of(rng), rng.random,
+                 n_vars, -2.0 * B, 4.0 * B)
 
 
-def _grow(sym: str, budget: int, rules, feasible_by_budget, rng, n_vars: int,
-          lo: float, hi: float) -> NTNode:
+def _grow(sym: str, budget: int, rules, feasible_by_budget, below, random, n_vars: int,
+          lo: float, span: float) -> NTNode:
     # a module-level function, not a closure over itself, so that growing a
     # tree leaves no reference cycle for the garbage collector to find
     by_budget = feasible_by_budget[sym]
     feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
-    pick = feasible[rng.integers(len(feasible))]
+    pick = feasible[below(len(feasible))]
     shape = rules[sym][pick]
     children = []
     for kind, tok in shape.struct:
         if kind == "nt":
-            children.append(_grow(tok, budget - 1, rules, feasible_by_budget, rng, n_vars,
-                                  lo, hi))
+            children.append(_grow(tok, budget - 1, rules, feasible_by_budget, below, random,
+                                  n_vars, lo, span))
         elif tok == "VC":
-            children.append(_random_vc(n_vars, rng))
+            children.append(_random_vc(n_vars, below))
         elif tok == "W":
-            children.append(WeightLeaf(rng.uniform(lo, hi)))
+            children.append(WeightLeaf(lo + span * random()))
         else:
             children.append(OpLeaf(tok))
     return NTNode(sym, pick, children, shape)

@@ -279,6 +279,35 @@ def test_sample_invalid_plan_exits_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, centers, dx", [
+    ("factorial", "1e308,2\n", "1e308"),
+    ("lhs", "1e308,2\n", "1e308"),
+    ("lhs", "1,5.5e307\n", "2"),       # finite ends, but the width between them overflows
+])
+def test_sample_non_finite_points_exit_2_and_write_nothing(tmp_path, capsys, mode, centers, dx):
+    path = tmp_path / "centers.csv"
+    path.write_text("a,b\n" + centers, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    code = main(["sample", "--centers", str(path), "--mode", mode, "--dx", dx,
+                 "--out", str(out)])
+    name, value = ("a", "1e+308") if dx == "1e308" else ("b", "5.5e+307")
+    _assert_config_exit(code, capsys, f"--dx {float(dx)!r} around centre {name} = {value} "
+                                      f"gives design points that are not finite")
+    assert not out.exists()
+
+
+def test_sample_lhs_over_budget_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the design")
+    monkeypatch.setattr(np, "empty", refuse)
+    out = tmp_path / "x.csv"
+    for n, budget in (("100000000000", []), ("41", ["--budget", "40"])):
+        code = main(["sample", "--centers", _centers_csv(tmp_path, 2), "--mode", "lhs",
+                     "--n", n, *budget, "--out", str(out)])
+        _assert_config_exit(code, capsys, f"latin hypercube of {n} samples is over budget")
+        assert not out.exists()
+
+
 def test_sample_centers_ragged_row_exits_3(tmp_path, capsys):
     assert _sample_exit(tmp_path, "a,b\n1,2,3\n") == 3
     assert "row 1 has 3 values, expected 2" in capsys.readouterr().err

@@ -204,6 +204,13 @@ def test_lhs_one_sample_per_bin():
     assert counts.tolist() == [1, 1, 1]
 
 
+def test_lhs_over_budget_is_refused():
+    plan = DoePlan(centers=[1.0, 2.0], dx=0.1, budget=50)
+    assert doe_latin_hypercube(plan, 50, np.random.default_rng(1)).shape == (50, 2)
+    with pytest.raises(ValueError, match="over budget 50"):
+        doe_latin_hypercube(plan, 51, np.random.default_rng(1))
+
+
 def test_lhs_deterministic_given_seed():
     plan = DoePlan(centers=np.ones(13), dx=0.1)
     a = doe_latin_hypercube(plan, 100, np.random.default_rng(9))

@@ -8,7 +8,7 @@ import pytest
 
 from canonsr.config import RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
-from canonsr.draws import Draws
+from canonsr.draws import Draws, below_of, floyd_sample
 from canonsr.evolve import ParetoArchive, init_population, nsga2_generation
 from canonsr.expr import model_to_dict
 from canonsr.grammar import load_default_grammar
@@ -86,6 +86,41 @@ def test_range_of_one_draws_nothing():
     assert [draws.integers(1), draws.integers(7, 8)] == [0, 7]
     assert draws.choice(1, size=1, replace=False) == [0]
     assert draws.integers(9) == gen.integers(9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2 ** 31, 2 ** 32 - 1])
+def test_below_is_integers_value_for_value(n):
+    draws, gen = Draws(n), np.random.default_rng(n)
+    for count in range(1, 42):      # odd counts end with a spare half-word held
+        assert draws.below(n) == int(gen.integers(n))
+        if count % 10 == 1:
+            _assert_same_state(draws, gen)
+    _assert_same_state(draws, gen)
+
+
+def test_below_of_a_generator_draws_what_integers_draws():
+    draws = Draws(8)
+    assert below_of(draws) == draws.below
+    gen, ref = np.random.default_rng(8), np.random.default_rng(8)
+    below = below_of(gen)
+    values = [below(n) for n in (1, 2, 3, 7, 2 ** 31, 2 ** 32 - 1) * 20]
+    assert all(type(v) is int for v in values)
+    assert values == [int(ref.integers(n)) for n in (1, 2, 3, 7, 2 ** 31, 2 ** 32 - 1) * 20]
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("make_below", [lambda g: below_of(Draws(g)),
+                                        lambda g: below_of(np.random.default_rng(g))],
+                         ids=["Draws", "default_rng"])
+def test_floyd_sample_is_choice_without_replacement(make_below):
+    gen = np.random.default_rng(21)
+    below = make_below(21)
+    for _ in range(5):
+        for a in range(1, 7):
+            for k in range(a + 1):
+                picked = floyd_sample(below, a, k)
+                assert picked == gen.choice(a, size=k, replace=False).tolist(), (a, k)
+    assert below(2 ** 32 - 1) == int(gen.integers(2 ** 32 - 1))
 
 
 def test_full_permutations_match_default_rng():

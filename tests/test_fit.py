@@ -140,6 +140,22 @@ def test_fit_weights_without_the_gufunc_loops_over_lstsq(monkeypatch, kind):
     assert [fit_weights(P, y).tobytes() for P in Phi] == expected
 
 
+@pytest.mark.parametrize("path", ["gufunc", "fallback"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_fit_weights_on_zero_rows_gives_lstsq_zeros(monkeypatch, path, k):
+    """lstsq sets the solution of a zero-row problem to zeros; the gufunc
+    alone leaves its output buffer unwritten."""
+    if path == "fallback":
+        monkeypatch.setattr(fit, "_lstsq", None)
+    y = np.zeros(0)
+    expected = np.linalg.lstsq(np.zeros((0, k)), y, rcond=None)[0]
+    assert expected.tolist() == [0.0] * k
+    one = fit_weights(np.zeros((0, k)), y)
+    assert one.shape == (k,) and one.tobytes() == expected.tobytes()
+    stacked = fit_weights(np.zeros((4, 0, k)), y)
+    assert stacked.shape == (4, k) and stacked.tobytes() == np.zeros((4, k)).tobytes()
+
+
 def test_problem_validation():
     """forward_regression_press checks its inputs once; press and fit_weights
     trust it."""
