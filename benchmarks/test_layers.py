@@ -58,7 +58,7 @@ def test_load_csv_20000_rows_6_columns(benchmark, sweep_csv):
 
 
 def _model_8_bases() -> Model:
-    rng = np.random.default_rng(1)
+    rng = Draws(1)
     g = load_default_grammar()
     bases = [random_tree(g, 8, rng, N_VARS) for _ in range(8)]
     return Model(bases=bases, coeffs=np.ones(len(bases) + 1))
@@ -100,7 +100,7 @@ def pm81(pm81_train):
 def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
     X, y, ref = pm81
     cfg = RunConfig(max_bases=15)
-    rng = np.random.default_rng(2)
+    rng = Draws(2)
     g = load_default_grammar()
     bases = []
     while len(bases) < 15:
@@ -126,7 +126,7 @@ def pm81_offspring(pm81):
     X, y, ref = pm81
     cfg = RunConfig(population=200, seed=12)
     g = load_default_grammar()
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     pop = init_population(g, 4, X, y, ref, cfg, rng)
     archive = _OffspringArchive()
     for _ in range(6):
@@ -150,33 +150,30 @@ def test_fit_200_offspring_81_rows(benchmark, pm81, pm81_offspring, batched):
         == [(m.train_error, None if m.coeffs is None else m.coeffs.tobytes()) for m in expected]
 
 
-def _grow_trees(make_rng, count=200, seed=4):
+def _grow_trees(count=200, seed=4):
     g = load_default_grammar()
-    rng = make_rng(seed)
+    rng = Draws(seed)
     return [random_tree(g, 8, rng, 4) for _ in range(count)]
 
 
-@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
-                         ids=["Draws", "default_rng"])
-def test_random_tree_200_trees_depth_8_4_vars(benchmark, make_rng):
-    """Tree growth, the largest search layer, under either generator: the
-    trees are the same, only the cost of the draws differs."""
-    trees = benchmark(_grow_trees, make_rng)
-    expected = _grow_trees(np.random.default_rng)
+def test_random_tree_200_trees_depth_8_4_vars(benchmark):
+    """Tree growth, the largest search layer; every round grows the same trees."""
+    trees = benchmark(_grow_trees)
+    expected = _grow_trees()
     assert [tree_to_dict(t) for t in trees] == [tree_to_dict(t) for t in expected]
 
 
 def test_eval_basis_matrix_200_trees_81_rows(benchmark, pm81):
     """Basis evaluation without the kept columns, where per-node dispatch shows."""
     X = pm81[0]
-    trees = _grow_trees(np.random.default_rng)
+    trees = _grow_trees()
     columns = benchmark(lambda: [eval_basis_matrix(t, X, 10.0) for t in trees])
     assert all(col.shape == (81,) for col in columns)
 
 
 def test_validate_200_trees_depth_8_4_vars(benchmark):
     g = load_default_grammar()
-    trees = _grow_trees(np.random.default_rng)
+    trees = _grow_trees()
     violations = benchmark(lambda: [validate(t, g, max_depth=8, n_vars=4) for t in trees])
     assert not any(violations)
 
@@ -185,10 +182,10 @@ def test_nsga2_generation_population_200_pm_like(benchmark, pm81):
     X, y, ref = pm81
     cfg = RunConfig(population=200, generations=1, seed=3)
     g = load_default_grammar()
-    pop = init_population(g, 4, X, y, ref, cfg, np.random.default_rng(cfg.seed))
+    pop = init_population(g, 4, X, y, ref, cfg, Draws(cfg.seed))
 
     def generation():
-        rng = np.random.default_rng(cfg.seed)
+        rng = Draws(cfg.seed)
         return nsga2_generation(pop, X, y, ref, g, cfg, rng, ParetoArchive())
 
     assert len(benchmark(generation)) == cfg.population
@@ -199,8 +196,7 @@ def test_nondominated_sort_400_points_pm_like(benchmark, pm81):
     points of 400 random pm_like models, copies of one point included."""
     X, y, ref = pm81
     cfg = RunConfig(population=400, seed=5)
-    pop = init_population(load_default_grammar(), 4, X, y, ref, cfg,
-                          np.random.default_rng(cfg.seed))
+    pop = init_population(load_default_grammar(), 4, X, y, ref, cfg, Draws(cfg.seed))
     objs = [(m.train_error, m.complexity) for m in pop]
     fronts = benchmark(nondominated_sort, objs)
     assert sorted(i for front in fronts for i in front) == list(range(400))
@@ -213,7 +209,7 @@ def test_environmental_selection_2x200_pm_like(benchmark, pm81):
     X, y, ref = pm81
     cfg = RunConfig(population=200, seed=7)
     g = load_default_grammar()
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     pop = init_population(g, 4, X, y, ref, cfg, rng)
     for _ in range(10):
         pop = nsga2_generation(pop, X, y, ref, g, cfg, rng, ParetoArchive())
@@ -228,13 +224,13 @@ def test_op_weight_cauchy_mutate_15_bases(benchmark, pm81):
     """One leaf pick and rebuilt path per call, on 50 fitted 15-basis models."""
     X, y, ref = pm81
     cfg = RunConfig()
-    rng = np.random.default_rng(8)
+    rng = Draws(8)
     g = load_default_grammar()
     models = [fit_model([random_tree(g, cfg.max_depth, rng, 4, B=cfg.B) for _ in range(15)],
                         X, y, ref, cfg) for _ in range(50)]
 
     def mutate_all():
-        draws = np.random.default_rng(9)
+        draws = Draws(9)
         return [apply_operator("weight_cauchy_mutate", [m], g, 4, cfg, draws) for m in models]
 
     assert all(len(out[0]) == 15 for out in benchmark(mutate_all))
@@ -246,7 +242,7 @@ def test_simplify_after_generation_15_models_81_rows(benchmark, pm81_train, pm81
     same train.X."""
     X, y, ref = pm81
     cfg = RunConfig()
-    rng = np.random.default_rng(6)
+    rng = Draws(6)
     g = load_default_grammar()
     models = []
     while len(models) < 15:

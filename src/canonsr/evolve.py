@@ -22,7 +22,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .config import OPERATOR_NAMES, RunConfig
-from .draws import below_of
+from .draws import floyd_sample
 from .expr import (INF, BasisTree, Model, NTNode, Path, VCLeaf, WeightLeaf,
                    complexity_of_bases, leaf_count, repair_all_zero_vc, replace_at,
                    stored_column, tree_depth, walk)
@@ -212,7 +212,7 @@ def vc_onepoint_crossover(a: VCLeaf, b: VCLeaf, rng) -> Tuple[VCLeaf, VCLeaf]:
     d = len(a.exponents)
     if d == 1:
         return a, b
-    k = int(rng.integers(1, d))
+    k = 1 + rng.below(d - 1)
     ea = a.exponents[:k] + b.exponents[k:]
     eb = b.exponents[:k] + a.exponents[k:]
     return (VCLeaf(repair_all_zero_vc(ea, rng)),
@@ -222,26 +222,26 @@ def vc_onepoint_crossover(a: VCLeaf, b: VCLeaf, rng) -> Tuple[VCLeaf, VCLeaf]:
 def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = 5) -> VCLeaf:
     """Step one exponent by +/-1, clamped to the cap; repairs all-zero results."""
     exps = list(vc.exponents)
-    dim = int(rng.integers(len(exps)))
-    step = 1 if rng.integers(2) == 0 else -1
+    dim = rng.below(len(exps))
+    step = 1 if rng.below(2) == 0 else -1
     exps[dim] = int(np.clip(exps[dim] + step, -exp_cap, exp_cap))
     return VCLeaf(repair_all_zero_vc(exps, rng))
 
 
 # ---------------------------------------------------------------------------
-# model-level operators.  Each takes (parents, grammar, n_vars, cfg, rng) and
-# returns a list of offspring bases; apply_operator first checks every
-# parent against its requirement in OPERATORS.  Site lists are in preorder,
-# basis by basis, and every random draw happens in a fixed order, so a seed
-# always gives the same offspring.
+# model-level operators.  Each takes (parents, grammar, n_vars, cfg, rng),
+# with rng the run's Draws, and returns a list of offspring bases;
+# apply_operator first checks every parent against its requirement in
+# OPERATORS.  Site lists are in preorder, basis by basis, and every random
+# draw happens in a fixed order, so a seed always gives the same offspring.
 # ---------------------------------------------------------------------------
 
 def _nonempty_subset(items: Sequence, rng) -> List:
     # uniform over nonempty subsets, by rejection
     while True:
-        mask = rng.integers(0, 2, size=len(items))
-        if mask.any():
-            return [items[i] for i in range(len(items)) if mask[i]]
+        mask = [rng.below(2) for _ in items]
+        if any(mask):
+            return [item for item, keep in zip(items, mask) if keep]
 
 
 def op_basis_set_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
@@ -249,14 +249,14 @@ def op_basis_set_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunCo
         return apply_operator("basis_add", parents[:1], g, n_vars, cfg, rng)
     chosen = [tree for p in parents for tree in _nonempty_subset(p.bases, rng)]
     if len(chosen) > cfg.max_bases:
-        keep = sorted(rng.choice(len(chosen), size=cfg.max_bases, replace=False))
-        chosen = [chosen[int(i)] for i in keep]
+        keep = sorted(floyd_sample(rng.below, len(chosen), cfg.max_bases))
+        chosen = [chosen[i] for i in keep]
     return [chosen]
 
 
 def op_basis_delete(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     bases = list(parents[0].bases)
-    bases.pop(int(rng.integers(len(bases))))
+    bases.pop(rng.below(len(bases)))
     return [bases]
 
 
@@ -267,7 +267,7 @@ def op_basis_add(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng)
 def op_basis_copy_in(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     p, donor = parents
     sites = [site for tree in donor.bases for site in crossover_sites(tree, "REPVC")]
-    return [list(p.bases) + [sites[int(rng.integers(len(sites)))]]]
+    return [list(p.bases) + [sites[rng.below(len(sites))]]]
 
 
 def _nt_sites(tree: BasisTree) -> List[Tuple[NTNode, Path]]:
@@ -288,8 +288,8 @@ def _with_node(bases: Sequence[BasisTree], site: Site, node) -> List[BasisTree]:
 def op_subtree_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     """Swap same-symbol subtrees; retries on depth violations, then gives up."""
     p1, p2 = parents
-    i1 = int(rng.integers(len(p1.bases)))
-    i2 = int(rng.integers(len(p2.bases)))
+    i1 = rng.below(len(p1.bases))
+    i2 = rng.below(len(p2.bases))
     t1, t2 = p1.bases[i1], p2.bases[i2]
     sites1, sites2 = _nt_sites(t1), _nt_sites(t2)
     shared = sorted({n.symbol for n, _ in sites1} & {n.symbol for n, _ in sites2})
@@ -297,12 +297,12 @@ def op_subtree_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConf
     if not shared:
         return [b1, b2]
 
-    symbol = shared[int(rng.integers(len(shared)))]
+    symbol = shared[rng.below(len(shared))]
     s1 = [s for s in sites1 if s[0].symbol == symbol]
     s2 = [s for s in sites2 if s[0].symbol == symbol]
     for _ in range(10):
-        n1, path1 = s1[int(rng.integers(len(s1)))]
-        n2, path2 = s2[int(rng.integers(len(s2)))]
+        n1, path1 = s1[rng.below(len(s1))]
+        n2, path2 = s2[rng.below(len(s2))]
         if (len(path1) + tree_depth(n2) > cfg.max_depth
                 or len(path2) + tree_depth(n1) > cfg.max_depth):
             continue
@@ -315,9 +315,9 @@ def op_subtree_crossover(parents: Parents, g: Grammar, n_vars: int, cfg: RunConf
 def op_subtree_mutate(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig, rng):
     """Regrow a uniformly chosen subtree within the remaining depth budget."""
     p = parents[0]
-    i = int(rng.integers(len(p.bases)))
+    i = rng.below(len(p.bases))
     sites = _nt_sites(p.bases[i])
-    node, path = sites[int(rng.integers(len(sites)))]
+    node, path = sites[rng.below(len(sites))]
     budget = cfg.max_depth - len(path)
     fresh = random_tree(g, budget, rng, n_vars, B=cfg.B, start=node.symbol)
     return [_with_node(p.bases, (i, path, node), fresh)]
@@ -326,7 +326,7 @@ def op_subtree_mutate(parents: Parents, g: Grammar, n_vars: int, cfg: RunConfig,
 def _pick_leaf(bases: Sequence[BasisTree], counts: List[int], leaf_type, rng) -> Site:
     """One uniform draw over the `leaf_type` leaves of `bases`, numbered basis
     by basis in preorder; only the basis holding the drawn leaf is walked."""
-    k = int(rng.integers(sum(counts)))
+    k = rng.below(sum(counts))
     i = 0
     while k >= counts[i]:
         k -= counts[i]
@@ -416,7 +416,7 @@ def init_population(g: Grammar, n_vars: int, X: np.ndarray, y: np.ndarray,
     """Random individuals with basis counts uniform in [1, max_bases]."""
     all_bases = []
     for _ in range(cfg.population):
-        nb = int(rng.integers(1, cfg.max_bases + 1))
+        nb = 1 + rng.below(cfg.max_bases)
         all_bases.append([random_tree(g, cfg.max_depth, rng, n_vars, B=cfg.B)
                           for _ in range(nb)])
     return fit_models(all_bases, X, y, reference, cfg)
@@ -474,13 +474,12 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     w = np.array([cfg.operator_weights[n] for n in OPERATOR_NAMES])
     cdf = (w / w.sum()).cumsum()
     cdf = (cdf / cdf[-1]).tolist()
-    below = below_of(rng)
 
     offspring_bases: List[List[BasisTree]] = []
     guard = 0
     while len(offspring_bases) < len(pop):
         name = OPERATOR_NAMES[bisect_right(cdf, rng.random())]
-        parents = [pop[_tournament(rank, crowd, below)] for _ in OPERATORS[name][1]]
+        parents = [pop[_tournament(rank, crowd, rng.below)] for _ in OPERATORS[name][1]]
         result = apply_operator(name, parents, g, n_vars, cfg, rng)
         guard += result is None
         if result is None and guard > 100 * len(pop):

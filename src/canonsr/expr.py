@@ -419,8 +419,8 @@ def repair_all_zero_vc(exponents: List[int], rng) -> List[int]:
     if any(exponents):
         return exponents
     out = list(exponents)
-    dim = int(rng.integers(len(out)))
-    out[dim] = 1 if rng.integers(2) == 0 else -1
+    dim = rng.below(len(out))
+    out[dim] = 1 if rng.below(2) == 0 else -1
     return out
 
 

@@ -15,7 +15,7 @@ import re
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .draws import below_of, floyd_sample
+from .draws import floyd_sample
 from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
                    NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, token_text,
                    walk)
@@ -206,7 +206,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
     """Grow a random derivation tree of depth <= max_depth from `start`.
 
     Alternatives are chosen uniformly among those that can still terminate
-    within the remaining depth budget, from a `Draws` or a numpy Generator.
+    within the remaining depth budget; `rng` is the run's `Draws`.
     """
     symbol = start or g.start
     if max_depth < g.min_depth(symbol):
@@ -216,7 +216,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 
     # a float bound admits what its floor admits, since depths are whole;
     # lo + span * random() is the double Generator.uniform(lo, lo + span) draws
-    return _grow(symbol, int(max_depth), g.rules, g._feasible, below_of(rng), rng.random,
+    return _grow(symbol, int(max_depth), g.rules, g._feasible, rng.below, rng.random,
                  n_vars, -2.0 * B, 4.0 * B)
 
 

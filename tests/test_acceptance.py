@@ -11,6 +11,7 @@ import pytest
 
 from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
+from canonsr.draws import Draws
 from canonsr.evolve import apply_operator, dominates, fit_model, nondominated_sort
 from canonsr.expr import Model, NTNode, VCLeaf, complexity_of_bases, tree_depth
 from canonsr.fit import fit_weights, press
@@ -44,7 +45,7 @@ def _pm_datasets():
 def test_criterion_1_grammar_closure():
     started = time.perf_counter()
     cfg = RunConfig(population=30, generations=1, max_bases=15, max_depth=8, seed=101)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     X = np.random.default_rng(1).uniform(0.5, 1.5, size=(12, 4))
     y = X[:, 0] + X[:, 1]
     ref = float(np.max(np.abs(y)))
@@ -60,7 +61,7 @@ def test_criterion_1_grammar_closure():
     while applications < 10000:
         name = OPERATOR_NAMES[i % len(OPERATOR_NAMES)]
         i += 1
-        parents = [pool[int(rng.integers(len(pool)))] for _ in range(2)]
+        parents = [pool[rng.below(len(pool))] for _ in range(2)]
         result = apply_operator(name, parents, G, 4, cfg, rng)
         if result is None:
             continue

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import canonsr.expr as expr
+from canonsr.draws import Draws
 from canonsr.expr import (COMBO_TABLE_DOUBLES, NTNode, VCLeaf, WeightLeaf, _mask_nonfinite,
                           check_tree, eval_basis_matrix, interpret_weight, stored_column,
                           vc_column)
@@ -58,7 +59,7 @@ def trees():
     text = default_grammar_text().replace("# REPOP  =>", "REPOP  =>").replace(
         "# 4OP    =>", "4OP    =>")
     g = parse_grammar(text)
-    rng = np.random.default_rng(23)
+    rng = Draws(23)
     return [random_tree(g, 6, rng, N_VARS) for _ in range(N_TREES)]
 
 

@@ -1,6 +1,6 @@
-"""Draws against numpy.random.default_rng: the same values, draw for draw."""
+"""Draws' primitives against the numpy.random.default_rng calls they stand for:
+the same values, draw for draw, and the same generator state after them."""
 
-import math
 import random
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 from canonsr.config import RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
-from canonsr.draws import Draws, below_of, floyd_sample
+from canonsr.draws import Draws, floyd_sample
 from canonsr.evolve import ParetoArchive, init_population, nsga2_generation
 from canonsr.expr import model_to_dict
 from canonsr.grammar import load_default_grammar
@@ -18,30 +18,38 @@ EDGE_N = (1, 2, 3, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 2, 
 
 
 def _random_call(script: random.Random):
-    """One call canonsr makes, with arguments drawn from `script`."""
+    """One draw the search makes, with arguments drawn from `script`: its
+    kind, the draw through Draws' primitives and the numpy call it stands for."""
     kind = script.randrange(8)
     if kind == 0:
         n = script.choice(EDGE_N) if script.random() < 0.3 else script.randint(1, 40)
-        return "integers", (n,), {}
+        return "below", (lambda d: d.below(n)), (lambda g: int(g.integers(n)))
     if kind == 1:
         low = script.randint(-5, 5)
         high = low + (script.choice(EDGE_N) if script.random() < 0.2 else script.randint(1, 16))
-        return "integers", (low, high), {}
+        return ("offset below", (lambda d: low + d.below(high - low)),
+                (lambda g: int(g.integers(low, high))))
     if kind == 2:
-        return "integers", (0, 2), {"size": script.randint(0, 20)}
+        k = script.randint(0, 20)
+        return ("bits", (lambda d: [d.below(2) for _ in range(k)]),
+                (lambda g: g.integers(0, 2, size=k).tolist()))
     if kind == 3:
-        n = 2 ** 32 - 1 if script.random() < 0.1 else script.randint(1, 20)
-        k = n if n <= 20 and script.random() < 0.3 else script.randint(0, min(n, 20))
-        return "choice", (n,), {"size": k, "replace": False}
+        a = 2 ** 32 - 1 if script.random() < 0.1 else script.randint(1, 20)
+        k = a if a <= 20 and script.random() < 0.3 else script.randint(0, min(a, 20))
+        return ("floyd_sample", (lambda d: floyd_sample(d.below, a, k)),
+                (lambda g: g.choice(a, size=k, replace=False).tolist()))
     if kind == 4:
         B = script.choice((0.5, 10.0, 300.0))
-        return "uniform", (-2.0 * B, 2.0 * B), {}
+        lo, span = -2.0 * B, 4.0 * B
+        return ("scaled random", (lambda d: lo + span * d.random()),
+                (lambda g: g.uniform(lo, lo + span)))
     if kind == 5:
-        return "random", (), {}
-    return "standard_cauchy", (), {}
+        return "random", (lambda d: d.random()), (lambda g: g.random())
+    return "standard_cauchy", (lambda d: d.standard_cauchy()), (lambda g: g.standard_cauchy())
 
 
 def _assert_same_state(draws: Draws, gen: np.random.Generator):
+    """The PCG64 state, with Draws' spare half-word as numpy's buffered uint32."""
     ours, theirs = draws._gen.bit_generator.state, gen.bit_generator.state
     assert ours["state"] == theirs["state"]
     assert (draws._spare is not None) == bool(theirs["has_uint32"])
@@ -56,19 +64,14 @@ def test_mixed_call_scripts_match_default_rng(block):
         script = random.Random(seed)
         draws, gen = Draws(seed), np.random.default_rng(seed)
         for _ in range(80):
-            name, args, kwargs = _random_call(script)
-            if name == "standard_cauchy" and draws._spare is not None:
+            kind, ours, theirs = _random_call(script)
+            if kind == "standard_cauchy" and draws._spare is not None:
                 cauchy_on_spare += 1
-            ours = getattr(draws, name)(*args, **kwargs)
-            theirs = getattr(gen, name)(*args, **kwargs)
-            if name == "choice":    # a list, as numpy's .tolist() gives it
-                assert type(ours) is list and all(type(v) is int for v in ours)
-                assert ours == theirs.tolist(), (seed, name, args, kwargs)
-            elif isinstance(theirs, np.ndarray):
-                assert ours.dtype == theirs.dtype
-                assert ours.tolist() == theirs.tolist(), (seed, name, args, kwargs)
-            else:
-                assert ours == theirs, (seed, name, args, kwargs)
+            got, want = ours(draws), theirs(gen)
+            assert type(got) is type(want)
+            if type(got) is list:
+                assert all(type(v) is int for v in got)
+            assert got == want, (seed, kind)
         _assert_same_state(draws, gen)
     assert cauchy_on_spare > 0
 
@@ -76,16 +79,17 @@ def test_mixed_call_scripts_match_default_rng(block):
 @pytest.mark.parametrize("n", EDGE_N)
 def test_every_range_edge_matches_default_rng(n):
     draws, gen = Draws(n), np.random.default_rng(n)
-    assert [draws.integers(n) for _ in range(300)] == [int(gen.integers(n))
-                                                      for _ in range(300)]
+    assert [draws.below(n) for _ in range(300)] == [int(gen.integers(n)) for _ in range(300)]
     _assert_same_state(draws, gen)
 
 
 def test_range_of_one_draws_nothing():
     draws, gen = Draws(5), np.random.default_rng(5)
-    assert [draws.integers(1), draws.integers(7, 8)] == [0, 7]
-    assert draws.choice(1, size=1, replace=False) == [0]
-    assert draws.integers(9) == gen.integers(9)
+    assert [draws.below(1), 7 + draws.below(1)] == [0, 7]
+    assert floyd_sample(draws.below, 1, 1) == [0]
+    assert floyd_sample(draws.below, 4, 0) == []
+    _assert_same_state(draws, gen)
+    assert draws.below(9) == gen.integers(9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2 ** 31, 2 ** 32 - 1])
@@ -98,73 +102,56 @@ def test_below_is_integers_value_for_value(n):
     _assert_same_state(draws, gen)
 
 
-def test_below_of_a_generator_draws_what_integers_draws():
-    draws = Draws(8)
-    assert below_of(draws) == draws.below
-    gen, ref = np.random.default_rng(8), np.random.default_rng(8)
-    below = below_of(gen)
-    values = [below(n) for n in (1, 2, 3, 7, 2 ** 31, 2 ** 32 - 1) * 20]
-    assert all(type(v) is int for v in values)
-    assert values == [int(ref.integers(n)) for n in (1, 2, 3, 7, 2 ** 31, 2 ** 32 - 1) * 20]
-    assert gen.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("make_below", [lambda g: below_of(Draws(g)),
-                                        lambda g: below_of(np.random.default_rng(g))],
-                         ids=["Draws", "default_rng"])
-def test_floyd_sample_is_choice_without_replacement(make_below):
-    gen = np.random.default_rng(21)
-    below = make_below(21)
+def test_floyd_sample_is_choice_without_replacement():
+    draws, gen = Draws(21), np.random.default_rng(21)
     for _ in range(5):
         for a in range(1, 7):
             for k in range(a + 1):
-                picked = floyd_sample(below, a, k)
+                picked = floyd_sample(draws.below, a, k)
                 assert picked == gen.choice(a, size=k, replace=False).tolist(), (a, k)
-    assert below(2 ** 32 - 1) == int(gen.integers(2 ** 32 - 1))
+    # numpy uses Floyd's algorithm for a <= 10000 or k <= a // 50: the edge
+    # of that domain for a large a
+    assert floyd_sample(draws.below, 20000, 400) == gen.choice(20000, size=400,
+                                                               replace=False).tolist()
+    _assert_same_state(draws, gen)
+    assert draws.below(2 ** 32 - 1) == int(gen.integers(2 ** 32 - 1))
 
 
 def test_full_permutations_match_default_rng():
     draws, gen = Draws(11), np.random.default_rng(11)
     for n in range(1, 40):
-        assert (draws.choice(n, size=n, replace=False)
+        assert (floyd_sample(draws.below, n, n)
                 == gen.choice(n, size=n, replace=False).tolist())
+    _assert_same_state(draws, gen)
 
 
 @pytest.mark.parametrize("call", [
-    lambda d: d.integers(0),
-    lambda d: d.integers(-1),
-    lambda d: d.integers(5, 5),
-    lambda d: d.integers(2 ** 32),
-    lambda d: d.integers(-1, 2 ** 32 - 1),
-    lambda d: d.integers(5.0),
-    lambda d: d.integers(True, 3),
-    lambda d: d.integers(np.int64(5)),
-    lambda d: d.integers(0, 2, size=(2, 2)),
-    lambda d: d.integers(0, 2, size=-1),
-    lambda d: d.integers(5, dtype=np.int32),
-    lambda d: d.integers(5, endpoint=True),
-    lambda d: d.choice(4, size=2),
-    lambda d: d.choice(4, size=2, replace=True),
-    lambda d: d.choice(4, size=5, replace=False),
-    lambda d: d.choice(0, size=0, replace=False),
-    lambda d: d.choice(2 ** 32, size=1, replace=False),
-    lambda d: d.choice([1, 2, 3], size=1, replace=False),
-    lambda d: d.choice(20000, size=10001, replace=False),
-    lambda d: d.choice(4, size=2, replace=False, p=[0.25] * 4),
-    lambda d: d.uniform(1.0, 0.0),
-    lambda d: d.uniform(0.0, math.inf),
-    lambda d: d.uniform(-1e308, 1e308),
-    lambda d: d.uniform(0.0, math.nan),
-    lambda d: d.uniform(0.0, 1.0, size=3),
+    lambda d: d.below(5, size=2),
     lambda d: d.random(size=2),
     lambda d: d.standard_cauchy(size=2),
 ])
-def test_calls_outside_the_emulated_subset_raise(call):
+def test_array_draws_raise(call):
     draws = Draws(0)
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(TypeError):
         call(draws)
     # nothing was drawn on the way to the error
     _assert_same_state(draws, np.random.default_rng(0))
+
+
+class _GeneratorDraws:
+    """The three draws the search makes, from a numpy Generator's own methods."""
+
+    def __init__(self, seed: int):
+        self.gen = np.random.default_rng(seed)
+
+    def below(self, n: int) -> int:
+        return int(self.gen.integers(n))
+
+    def random(self) -> float:
+        return self.gen.random()
+
+    def standard_cauchy(self) -> float:
+        return self.gen.standard_cauchy()
 
 
 def test_evolution_is_the_same_under_either_generator():
@@ -174,9 +161,11 @@ def test_evolution_is_the_same_under_either_generator():
     cfg = RunConfig(population=30, generations=2, seed=7)
     g = load_default_grammar()
     fronts = []
-    for rng in (Draws(cfg.seed), np.random.default_rng(cfg.seed)):
+    draws, adapter = Draws(cfg.seed), _GeneratorDraws(cfg.seed)
+    for rng in (draws, adapter):
         pop = init_population(g, 4, train.X, train.y, ref, cfg, rng)
         for _ in range(cfg.generations):
             pop = nsga2_generation(pop, train.X, train.y, ref, g, cfg, rng, ParetoArchive())
         fronts.append([model_to_dict(m) for m in pop])
     assert fronts[0] == fronts[1]
+    _assert_same_state(draws, adapter.gen)

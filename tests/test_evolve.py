@@ -7,6 +7,7 @@ import pytest
 
 import canonsr.evolve as evolve
 from canonsr.config import RunConfig
+from canonsr.draws import Draws, floyd_sample
 from canonsr.evolve import (ParetoArchive, apply_operator, crowding_distance,
                             dominates, fit_model, fit_models, init_population,
                             nondominated_sort, nsga2_generation,
@@ -35,7 +36,7 @@ def _train_data(n_vars=3, n=20, seed=0):
 
 
 def _random_model(cfg, n_vars, rng, X, y, ref, n_bases=None):
-    nb = n_bases if n_bases is not None else int(rng.integers(1, cfg.max_bases + 1))
+    nb = n_bases if n_bases is not None else 1 + rng.below(cfg.max_bases)
     bases = [random_tree(G, cfg.max_depth, rng, n_vars, B=cfg.B) for _ in range(nb)]
     return fit_model(bases, X, y, ref, cfg)
 
@@ -110,16 +111,16 @@ def test_crowding_permutation_invariant():
 # ---------------------------------------------------------------------------
 
 def test_cauchy_mutation_stays_in_bounds():
-    rng = np.random.default_rng(22)
+    rng = Draws(22)
     for _ in range(2000):
-        w = WeightLeaf(float(rng.uniform(-20, 20)))
+        w = WeightLeaf(-20.0 + 40.0 * rng.random())
         out = weight_cauchy_mutate(w, 10.0, rng)
         assert abs(out.stored) <= 20.0
 
 
 def test_cauchy_mutation_step_statistics():
     # standard Cauchy: median |step| = 1, signs split evenly
-    rng = np.random.default_rng(23)
+    rng = Draws(23)
     w = WeightLeaf(0.0)
     steps = np.array([weight_cauchy_mutate(w, 1e9, rng).stored
                       for _ in range(100000)])
@@ -130,7 +131,7 @@ def test_cauchy_mutation_step_statistics():
 
 def test_vc_crossover_cut_enumeration():
     # d=2 has a single cut point; children are the suffix swaps, repaired
-    rng = np.random.default_rng(24)
+    rng = Draws(24)
     a, b = VCLeaf([1, 0]), VCLeaf([0, 2])
     c1, c2 = vc_onepoint_crossover(a, b, rng)
     assert c1.exponents == (1, 2)
@@ -140,7 +141,7 @@ def test_vc_crossover_cut_enumeration():
 
 
 def test_vc_crossover_identical_parents():
-    rng = np.random.default_rng(25)
+    rng = Draws(25)
     a = VCLeaf([2, -1, 1])
     c1, c2 = vc_onepoint_crossover(a, VCLeaf([2, -1, 1]), rng)
     assert c1.exponents == (2, -1, 1)
@@ -148,17 +149,17 @@ def test_vc_crossover_identical_parents():
 
 
 def test_vc_crossover_single_dim_returns_copies():
-    rng = np.random.default_rng(26)
+    rng = Draws(26)
     c1, c2 = vc_onepoint_crossover(VCLeaf([2]), VCLeaf([-1]), rng)
     assert (c1.exponents, c2.exponents) == ((2,), (-1,))
 
 
 def test_vc_crossover_children_subset_of_parent_exponents():
-    rng = np.random.default_rng(27)
+    rng = Draws(27)
     for _ in range(500):
-        d = int(rng.integers(2, 6))
-        a = VCLeaf(rng.integers(-2, 3, size=d))
-        b = VCLeaf(rng.integers(-2, 3, size=d))
+        d = 2 + rng.below(4)
+        a = VCLeaf([-2 + rng.below(5) for _ in range(d)])
+        b = VCLeaf([-2 + rng.below(5) for _ in range(d)])
         c1, c2 = vc_onepoint_crossover(a, b, rng)
         for child in (c1, c2):
             if not any(child.exponents):
@@ -173,23 +174,23 @@ def test_vc_crossover_children_subset_of_parent_exponents():
 
 
 def test_vc_mutate_clamps_at_cap():
-    rng = np.random.default_rng(28)
+    rng = Draws(28)
     out = vc_exponent_mutate(VCLeaf([2]), rng, exp_cap=2)
     assert out.exponents[0] in (1, 2)             # +1 clamps, -1 steps down
 
 
 def test_vc_mutate_repairs_zero():
-    rng = np.random.default_rng(29)
+    rng = Draws(29)
     for _ in range(200):
         out = vc_exponent_mutate(VCLeaf([1]), rng, exp_cap=5)
         assert any(out.exponents)
 
 
 def test_vc_mutate_l1_distance_at_most_two():
-    rng = np.random.default_rng(30)
+    rng = Draws(30)
     for _ in range(1000):
-        d = int(rng.integers(1, 5))
-        exps = [int(e) for e in rng.integers(-3, 4, size=d)]
+        d = 1 + rng.below(4)
+        exps = [-3 + rng.below(7) for _ in range(d)]
         if not any(exps):
             exps[0] = 1
         vc = VCLeaf(exps)
@@ -203,7 +204,7 @@ def test_vc_mutate_l1_distance_at_most_two():
 # ---------------------------------------------------------------------------
 
 def _fitted_pair(cfg, seed=31):
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     X, y, ref = _train_data()
     p1 = _random_model(cfg, 3, rng, X, y, ref, n_bases=2)
     p2 = _random_model(cfg, 3, rng, X, y, ref, n_bases=3)
@@ -212,7 +213,7 @@ def _fitted_pair(cfg, seed=31):
 
 def test_basis_set_crossover_single_basis_parents():
     cfg = _cfg()
-    rng = np.random.default_rng(32)
+    rng = Draws(32)
     X, y, ref = _train_data()
     p1 = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
     p2 = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
@@ -235,7 +236,7 @@ def test_basis_set_crossover_child_count_and_provenance():
 
 def test_basis_delete_to_constant():
     cfg = _cfg()
-    rng = np.random.default_rng(33)
+    rng = Draws(33)
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=1)
     (child,) = apply_operator("basis_delete", [p], G, 3, cfg, rng)
@@ -244,7 +245,7 @@ def test_basis_delete_to_constant():
 
 def test_basis_add_respects_cap():
     cfg = _cfg(max_bases=2)
-    rng = np.random.default_rng(34)
+    rng = Draws(34)
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=2)
     assert apply_operator("basis_add", [p], G, 3, cfg, rng) is None  # requirement fails: resample
@@ -261,7 +262,7 @@ def test_basis_copy_in_validates():
 
 def test_subtree_crossover_single_vc_trees_swap():
     cfg = _cfg()
-    rng = np.random.default_rng(36)
+    rng = Draws(36)
     X, y, ref = _train_data()
     a = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
     b = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
@@ -282,7 +283,7 @@ def test_subtree_crossover_outputs_validate_and_respect_depth():
 
 def test_subtree_mutate_outputs_validate():
     cfg = _cfg()
-    rng = np.random.default_rng(38)
+    rng = Draws(38)
     X, y, ref = _train_data()
     p = _random_model(cfg, 3, rng, X, y, ref, n_bases=2)
     for _ in range(200):
@@ -294,7 +295,7 @@ def test_subtree_mutate_outputs_validate():
 
 def test_mutating_single_vc_tree_at_root_regrows():
     cfg = _cfg()
-    rng = np.random.default_rng(39)
+    rng = Draws(39)
     X, y, ref = _train_data()
     p = fit_model([random_tree(G, 1, rng, 3)], X, y, ref, cfg)
     (child,) = apply_operator("subtree_mutate", [p], G, 3, cfg, rng)
@@ -303,7 +304,7 @@ def test_mutating_single_vc_tree_at_root_regrows():
 
 def test_operator_preconditions_trigger_resampling():
     cfg = _cfg()
-    rng = np.random.default_rng(40)
+    rng = Draws(40)
     X, y, ref = _train_data()
     constant = fit_model([], X, y, ref, cfg)
     assert apply_operator("basis_delete", [constant], G, 3, cfg, rng) is None
@@ -374,15 +375,15 @@ def test_fit_models_equals_one_fit_per_model(seed):
     mixed in one call, each fit byte for byte as fit_model and the unbatched
     fit give it."""
     cfg = _cfg()
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     X, y, ref = _train_data(n_vars=4, n=30, seed=seed)
     X[0, 3] = 0.0           # 1/x4 is inf on row 0; the random trees use x1-x3 only
     inverse = NTNode("REPVC", 0, [VCLeaf([0, 0, 0, -1])])
     bases_list = [[random_tree(G, cfg.max_depth, rng, 3, B=cfg.B)
-                   for _ in range(int(rng.integers(0, 6)))] for _ in range(25)]
+                   for _ in range(rng.below(6))] for _ in range(25)]
     bases_list += [[], [inverse], bases_list[3] + [inverse], bases_list[5],
                    list(bases_list[5]), bases_list[0], []]
-    order = rng.permutation(len(bases_list))
+    order = floyd_sample(rng.below, len(bases_list), len(bases_list))
     bases_list = [bases_list[i] for i in order]
 
     models = fit_models(bases_list, X, y, ref, cfg)
@@ -404,7 +405,7 @@ def test_fit_models_equals_one_fit_per_model(seed):
 
 def test_generation_closure_and_archive_nondominated(monkeypatch):
     cfg = _cfg(population=20)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     X, y, ref = _train_data()
     archive = ParetoArchive()
     pop = init_population(G, 3, X, y, ref, cfg, rng)
@@ -437,7 +438,7 @@ def test_generation_closure_and_archive_nondominated(monkeypatch):
 def test_fixed_seed_identical_archives():
     def run():
         cfg = _cfg(population=20, seed=5)
-        rng = np.random.default_rng(cfg.seed)
+        rng = Draws(cfg.seed)
         X, y, ref = _train_data()
         archive = ParetoArchive()
         pop = init_population(G, 3, X, y, ref, cfg, rng)
@@ -451,7 +452,7 @@ def test_fixed_seed_identical_archives():
 
 def test_archive_monotone_improvement():
     cfg = _cfg(population=20, seed=6)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     X, y, ref = _train_data()
     archive = ParetoArchive()
     pop = init_population(G, 3, X, y, ref, cfg, rng)

@@ -214,10 +214,11 @@ def test_eval_lte_selects_by_comparison():
 
 
 def test_eval_basis_never_raises_on_any_random_tree():
+    from canonsr.draws import Draws
     from canonsr.grammar import load_default_grammar, random_tree
     g = load_default_grammar()
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-2.0, 2.0, size=(7, 3))
+    rng = Draws(3)
+    X = np.array([[-2.0 + 4.0 * rng.random() for _ in range(3)] for _ in range(7)])
     for _ in range(300):
         tree = random_tree(g, 8, rng, n_vars=3)
         col = eval_basis_matrix(tree, X, B)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from canonsr.draws import Draws
 from canonsr.expr import (GRAMMAR_OP_TOKENS, SHAPES, Model, NTNode, OpLeaf,
                           VCLeaf, WeightLeaf, eval_basis_matrix, replace_at, to_canonical_text,
                           token_text, tree_depth, tree_from_dict, tree_to_dict, walk)
@@ -83,7 +84,7 @@ def test_restated_lhs_appends_alternatives():
     assert "4OP" in g.rules
     assert len(g.rules["REPOP"]) == 4
     # generation through the extended rule stays sound
-    rng = np.random.default_rng(99)
+    rng = Draws(99)
     seen_4op = False
     for _ in range(2000):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
@@ -113,7 +114,7 @@ def test_unknown_operator_terminal_rejected():
 def test_commenting_out_operators_removes_them_from_derivations():
     text = default_grammar_text().replace("'SIN' | 'COS' | ", "")
     g = parse_grammar(text)
-    rng = np.random.default_rng(0)
+    rng = Draws(0)
     for _ in range(10000):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
         used = _op_names_used(tree)
@@ -164,8 +165,8 @@ def _table_text(*extra):
 def test_every_table_entry_parses_checks_evaluates_and_renders():
     g = parse_grammar(_table_text())
     assert {id(alt) for alts in g.rules.values() for alt in alts} == set(map(id, SHAPES.values()))
-    rng = np.random.default_rng(21)
-    X = rng.uniform(0.5, 1.5, size=(5, 3))
+    rng = Draws(21)
+    X = np.array([[0.5 + rng.random() for _ in range(3)] for _ in range(5)])
     uses = {}                                   # shape -> (a tree using it, path to the node)
     for _ in range(2000):
         tree = random_tree(g, 8, rng, n_vars=3)
@@ -261,7 +262,7 @@ def test_operator_rule_refuses_payload_terminals():
 
 def test_depth_one_tree_is_single_vc():
     g = load_default_grammar()
-    rng = np.random.default_rng(2)
+    rng = Draws(2)
     for _ in range(50):
         tree = random_tree(g, 1, rng, n_vars=N_VARS)
         assert tree.symbol == "REPVC"
@@ -271,7 +272,7 @@ def test_depth_one_tree_is_single_vc():
 
 def test_ten_thousand_trees_validate_and_respect_depth():
     g = load_default_grammar()
-    rng = np.random.default_rng(3)
+    rng = Draws(3)
     for _ in range(10000):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
         assert tree_depth(tree) <= 8
@@ -280,13 +281,8 @@ def test_ten_thousand_trees_validate_and_respect_depth():
 
 def test_fixed_seed_gives_identical_tree_sequence():
     g = load_default_grammar()
-    a = [tree_to_dict(random_tree(g, 8, np.random.default_rng(7), n_vars=N_VARS))
-         for _ in range(1)]
-    seq1 = [tree_to_dict(t) for t in
-            (random_tree(g, 8, rng, n_vars=N_VARS)
-             for rng in [np.random.default_rng(7)] * 1)]
-    rng1 = np.random.default_rng(12)
-    rng2 = np.random.default_rng(12)
+    rng1 = Draws(12)
+    rng2 = Draws(12)
     for _ in range(100):
         t1 = random_tree(g, 8, rng1, n_vars=N_VARS)
         t2 = random_tree(g, 8, rng2, n_vars=N_VARS)
@@ -295,7 +291,7 @@ def test_fixed_seed_gives_identical_tree_sequence():
 
 def test_initial_vc_density():
     g = load_default_grammar()
-    rng = np.random.default_rng(4)
+    rng = Draws(4)
     for _ in range(500):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
         for node, _ in walk(tree):
@@ -307,7 +303,7 @@ def test_initial_vc_density():
 
 def test_weight_leaves_within_bounds():
     g = load_default_grammar()
-    rng = np.random.default_rng(5)
+    rng = Draws(5)
     for _ in range(500):
         tree = random_tree(g, 8, rng, n_vars=N_VARS, B=10.0)
         for node, _ in walk(tree):
@@ -321,7 +317,7 @@ def test_weight_leaves_within_bounds():
 
 def test_random_trees_are_valid():
     g = load_default_grammar()
-    rng = np.random.default_rng(6)
+    rng = Draws(6)
     tree = random_tree(g, 8, rng, n_vars=N_VARS)
     assert validate(tree, g, n_vars=N_VARS) == []
 
@@ -354,7 +350,7 @@ def test_depth_counts_nonterminal_levels_and_validate_bounds_it():
     assert tree_depth(tree) == 4
     assert validate(tree, g, max_depth=4, n_vars=1) == []
     assert validate(tree, g, max_depth=3, n_vars=1) == ["depth 4 exceeds max_depth 3"]
-    rng = np.random.default_rng(9)
+    rng = Draws(9)
     for _ in range(300):
         tree = random_tree(g, 8, rng, n_vars=N_VARS)
         levels = [len(path) + 1 for node, path in walk(tree) if isinstance(node, NTNode)]
@@ -399,7 +395,7 @@ def test_sites_present_in_one_op_tree():
 
 def test_sites_match_on_copies():
     g = load_default_grammar()
-    rng = np.random.default_rng(8)
+    rng = Draws(8)
     tree = random_tree(g, 8, rng, n_vars=N_VARS)
     for symbol in ("REPVC", "REPOP", "REPADD", "MAYBEW", "2ARGS", "1OP", "2OP"):
         a = crossover_sites(tree, symbol)

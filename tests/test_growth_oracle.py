@@ -2,11 +2,13 @@
 
 reference_random_tree and reference_random_vc are random_tree and _random_vc
 as they were when every node filtered its symbol's alternatives by minimum
-depth and every draw went through int().  The grammar now keeps the feasible
-alternatives per depth budget, so any difference in which alternative is
-picked, or in how many draws are made, shows here as a different tree or a
-different generator state.  Grown nodes are handed the shape of the
-alternative picked; each must be the one their children's tokens look up.
+depth and every draw was a numpy Generator call.  random_tree draws from
+`Draws(seed)` and the reference from `numpy.random.default_rng(seed)`; the
+grammar now keeps the feasible alternatives per depth budget, so any
+difference in which alternative is picked, or in how many draws are made,
+shows here as a different tree or a different generator state.  Grown nodes
+are handed the shape of the alternative picked; each must be the one their
+children's tokens look up.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from canonsr.draws import Draws
 from canonsr.expr import _BY_CHILDREN, NTNode, OpLeaf, VCLeaf, WeightLeaf, tree_to_dict, walk
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
+from test_draws import _assert_same_state
 
 _VC_INIT_EXPONENTS = (-2, -1, 1, 2)
 
@@ -75,22 +78,14 @@ GRAMMAR_TEXTS = {
                    "REPADD => 'W' '*' REPVC | REPADD '+' REPADD\n"
                    "1OP => 'INV' | 'LOG10' | 'SQ'\n"),
 }
-TREES = 10_000 // (2 * len(GRAMMAR_TEXTS))
+TREES = 10_000 // len(GRAMMAR_TEXTS)
 
 
-def _state(rng):
-    if isinstance(rng, Draws):
-        return rng._gen.bit_generator.state, rng._spare
-    return rng.bit_generator.state
-
-
-@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
-                         ids=["Draws", "default_rng"])
 @pytest.mark.parametrize("name", sorted(GRAMMAR_TEXTS))
-def test_random_tree_grows_the_reference_trees_and_draws(name, make_rng):
+def test_random_tree_grows_the_reference_trees_and_draws(name):
     g = parse_grammar(GRAMMAR_TEXTS[name])
     seed = sorted(GRAMMAR_TEXTS).index(name) + 1000
-    rng, reference_rng = make_rng(seed), make_rng(seed)
+    rng, reference_rng = Draws(seed), np.random.default_rng(seed)
     cases = np.random.default_rng(seed)
     symbols = sorted(g.rules)
     for _ in range(TREES):
@@ -105,5 +100,5 @@ def test_random_tree_grows_the_reference_trees_and_draws(name, make_rng):
         tree = random_tree(g, budget, rng, n_vars, B=B, start=start)
         expected = reference_random_tree(g, budget, reference_rng, n_vars, B=B, start=start)
         assert tree_to_dict(tree) == tree_to_dict(expected)
-        assert _state(rng) == _state(reference_rng)
+        _assert_same_state(rng, reference_rng)
         assert_shapes_looked_up(tree)

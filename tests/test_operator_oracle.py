@@ -3,8 +3,11 @@
 reference_leaf_site is how the leaf operators picked a site when they listed
 every (basis, path, leaf) of a model through walk and drew one entry.  They
 now draw the same index from per-basis leaf counts and walk only the basis
-that holds it, so any difference in the site picked, or in how many draws
-are made, shows here as a different site or a different generator state.
+that holds it.  The reference leaf operators are evolve's as they were when
+every draw was a numpy Generator call.  The operators draw from
+`Draws(seed)` and the references from `numpy.random.default_rng(seed)`, so
+any difference in the site picked, in the offspring, or in how many draws
+are made, shows here as a different site, offspring or generator state.
 
 replace_at hands each rebuilt node its old shape, except where the new child
 differs from the old one in kind, symbol or operator; every node of every
@@ -16,12 +19,11 @@ import pytest
 
 from canonsr.config import RunConfig
 from canonsr.draws import Draws
-from canonsr.evolve import (OPERATORS, _pick_leaf, apply_operator, fit_model,
-                            vc_exponent_mutate, vc_onepoint_crossover,
-                            weight_cauchy_mutate)
+from canonsr.evolve import OPERATORS, _pick_leaf, apply_operator, fit_model
 from canonsr.expr import (_BY_CHILDREN, Model, NTNode, OpLeaf, VCLeaf, WeightLeaf,
                           basis_complexity, leaf_count, replace_at, tree_to_dict, walk)
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
+from test_draws import _assert_same_state
 
 # the 4OP rule, commented out in the packaged grammar, grows bases whose
 # operands are all weights: bases without a variable combo
@@ -33,10 +35,8 @@ CFG = RunConfig(max_bases=15, max_depth=6)
 N_VARS = 3
 
 
-def _state(rng):
-    if isinstance(rng, Draws):
-        return rng._gen.bit_generator.state, rng._spare
-    return rng.bit_generator.state
+def _state(draws):
+    return draws._gen.bit_generator.state, draws._spare
 
 
 def assert_shapes_looked_up(tree):
@@ -68,15 +68,13 @@ def _fitted(bases):
     return fit_model(bases, X, X[:, 0] + 1.0, 2.5, CFG)
 
 
-@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
-                         ids=["Draws", "default_rng"])
 @pytest.mark.parametrize("grammar", sorted(GRAMMARS))
-def test_leaf_picks_match_the_listed_sites_and_draws(grammar, make_rng):
+def test_leaf_picks_match_the_listed_sites_and_draws(grammar):
     g = GRAMMARS[grammar]
-    cases = np.random.default_rng(sorted(GRAMMARS).index(grammar) + 300)
-    rng, reference_rng = make_rng(31), make_rng(31)
+    cases = Draws(sorted(GRAMMARS).index(grammar) + 300)
+    rng, reference_rng = Draws(31), np.random.default_rng(31)
     for _ in range(300):
-        bases = _bases(g, int(cases.integers(0, 16)), cases)
+        bases = _bases(g, cases.below(16), cases)
         if cases.random() < 0.5:
             _fitted(bases)          # counts kept with the complexity, as in a run
         for leaf_type in (WeightLeaf, VCLeaf):
@@ -86,12 +84,12 @@ def test_leaf_picks_match_the_listed_sites_and_draws(grammar, make_rng):
                 assert site is None
             else:
                 assert site[:2] == expected[:2] and site[2] is expected[2]
-            assert _state(rng) == _state(reference_rng)
+            _assert_same_state(rng, reference_rng)
 
 
 def test_leaf_counts_and_complexity_share_one_memo():
     g = GRAMMARS["with_4op"]
-    rng = np.random.default_rng(5)
+    rng = Draws(5)
     for tree in _bases(g, 200, rng):
         nodes = [node for node, _ in walk(tree)]
         fresh = NTNode(tree.symbol, tree.alt, tree.children)
@@ -103,12 +101,46 @@ def test_leaf_counts_and_complexity_share_one_memo():
         assert [leaf_count(tree, t) for t in (WeightLeaf, VCLeaf)] == expected
 
 
+def reference_repair_all_zero_vc(exponents, rng):
+    if any(exponents):
+        return exponents
+    out = list(exponents)
+    dim = int(rng.integers(len(out)))
+    out[dim] = 1 if rng.integers(2) == 0 else -1
+    return out
+
+
+def reference_weight_cauchy_mutate(w, B, rng):
+    step = rng.standard_cauchy()
+    return WeightLeaf(float(np.clip(w.stored + step, -2.0 * B, 2.0 * B)))
+
+
+def reference_vc_onepoint_crossover(a, b, rng):
+    d = len(a.exponents)
+    if d == 1:
+        return a, b
+    k = int(rng.integers(1, d))
+    ea = a.exponents[:k] + b.exponents[k:]
+    eb = b.exponents[:k] + a.exponents[k:]
+    return (VCLeaf(reference_repair_all_zero_vc(ea, rng)),
+            VCLeaf(reference_repair_all_zero_vc(eb, rng)))
+
+
+def reference_vc_exponent_mutate(vc, rng, exp_cap):
+    exps = list(vc.exponents)
+    dim = int(rng.integers(len(exps)))
+    step = 1 if rng.integers(2) == 0 else -1
+    exps[dim] = int(np.clip(exps[dim] + step, -exp_cap, exp_cap))
+    return VCLeaf(reference_repair_all_zero_vc(exps, rng))
+
+
 def _reference_weight_mutate(p, cfg, rng):
     site = reference_leaf_site(p.bases, WeightLeaf, rng)
     if site is None:
         return None
     out = list(p.bases)
-    out[site[0]] = replace_at(out[site[0]], site[1], weight_cauchy_mutate(site[2], cfg.B, rng))
+    out[site[0]] = replace_at(out[site[0]], site[1],
+                              reference_weight_cauchy_mutate(site[2], cfg.B, rng))
     return [out]
 
 
@@ -117,7 +149,8 @@ def _reference_exponent_mutate(p, cfg, rng):
     if site is None:
         return None
     out = list(p.bases)
-    out[site[0]] = replace_at(out[site[0]], site[1], vc_exponent_mutate(site[2], rng, cfg.exp_cap))
+    out[site[0]] = replace_at(out[site[0]], site[1],
+                              reference_vc_exponent_mutate(site[2], rng, cfg.exp_cap))
     return [out]
 
 
@@ -128,7 +161,7 @@ def _reference_vc_crossover(p1, p2, cfg, rng):
         return None
     site1 = s1[int(rng.integers(len(s1)))]
     site2 = s2[int(rng.integers(len(s2)))]
-    c1, c2 = vc_onepoint_crossover(site1[2], site2[2], rng)
+    c1, c2 = reference_vc_onepoint_crossover(site1[2], site2[2], rng)
     out = []
     for p, (i, path, leaf), c in ((p1, site1, c1), (p2, site2, c2)):
         bases = list(p.bases)
@@ -147,35 +180,32 @@ def _dicts(result):
     return None if result is None else [[tree_to_dict(t) for t in b] for b in result]
 
 
-@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
-                         ids=["Draws", "default_rng"])
 @pytest.mark.parametrize("name", sorted(REFERENCE_OPS))
-def test_leaf_operators_give_the_reference_offspring(name, make_rng):
+def test_leaf_operators_give_the_reference_offspring(name):
     g = GRAMMARS["with_4op"]
-    cases = np.random.default_rng(sorted(REFERENCE_OPS).index(name) + 400)
-    rng, reference_rng = make_rng(41), make_rng(41)
+    cases = Draws(sorted(REFERENCE_OPS).index(name) + 400)
+    rng, reference_rng = Draws(41), np.random.default_rng(41)
     for _ in range(150):
-        parents = [Model(bases=_bases(g, int(cases.integers(0, 16)), cases))
+        parents = [Model(bases=_bases(g, cases.below(16), cases))
                    for _ in OPERATORS[name][1]]
         result = apply_operator(name, parents, g, N_VARS, CFG, rng)
         assert _dicts(result) == _dicts(REFERENCE_OPS[name](*parents, CFG, reference_rng))
-        assert _state(rng) == _state(reference_rng)
+        _assert_same_state(rng, reference_rng)
 
 
 def test_vc_crossover_checks_both_parents_before_drawing():
     g = GRAMMARS["packaged"]
-    with_vcs = Model(bases=_bases(g, 3, np.random.default_rng(7)))
+    with_vcs = Model(bases=_bases(g, 3, Draws(7)))
     weights_only = NTNode("REPVC", 2, [NTNode("REPOP", 3, [
         NTNode("4OP", 0, [OpLeaf("lte0")]),
         *(NTNode("MAYBEW", 0, [WeightLeaf(float(k))]) for k in range(4))])])
     assert (leaf_count(weights_only, WeightLeaf), leaf_count(weights_only, VCLeaf)) == (4, 0)
     for parents in ((with_vcs, Model(bases=[weights_only])), (with_vcs, Model()),
                     (Model(bases=[weights_only]), with_vcs)):
-        for make_rng in (Draws, np.random.default_rng):
-            rng = make_rng(8)
-            before = _state(rng)
-            assert apply_operator("vc_onepoint_crossover", parents, g, N_VARS, CFG, rng) is None
-            assert _state(rng) == before
+        rng = Draws(8)
+        before = _state(rng)
+        assert apply_operator("vc_onepoint_crossover", parents, g, N_VARS, CFG, rng) is None
+        assert _state(rng) == before
 
 
 def _has_bases(m):
@@ -219,19 +249,17 @@ def _random_parent(pools, cases):
     return Model(bases=[pool[int(cases.integers(len(pool)))] for _ in range(count)])
 
 
-@pytest.mark.parametrize("make_rng", [Draws, np.random.default_rng],
-                         ids=["Draws", "default_rng"])
 @pytest.mark.parametrize("name", sorted(REQUIREMENTS))
-def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(name, make_rng):
+def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(name):
     g = GRAMMARS["with_4op"]
-    trees = _bases(g, 300, np.random.default_rng(71))
+    trees = _bases(g, 300, Draws(71))
     # any basis, bases without a weight leaf, bases without a variable combo
     pools = [trees] + [[t for t in trees if not _holds(leaf_type)(Model(bases=[t]))]
                        for leaf_type in (WeightLeaf, VCLeaf)]
     assert all(pools)
     assert len(OPERATORS[name][1]) == len(REQUIREMENTS[name])
     cases = np.random.default_rng(sorted(REQUIREMENTS).index(name) + 700)
-    rng = make_rng(72)
+    rng = Draws(72)
     outcomes = set()
     for _ in range(200):
         parents = [_random_parent(pools, cases) for _ in REQUIREMENTS[name]]
@@ -247,11 +275,11 @@ def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(n
 @pytest.mark.parametrize("grammar", sorted(GRAMMARS))
 def test_every_rebuilt_node_holds_the_shape_its_children_look_up(grammar):
     g = GRAMMARS[grammar]
-    cases = np.random.default_rng(sorted(GRAMMARS).index(grammar) + 500)
-    rng = np.random.default_rng(51)
+    cases = Draws(sorted(GRAMMARS).index(grammar) + 500)
+    rng = Draws(51)
     for name, (_, requirements) in sorted(OPERATORS.items()):
         for _ in range(60):
-            parents = [Model(bases=_bases(g, int(cases.integers(0, 6)), cases))
+            parents = [Model(bases=_bases(g, cases.below(6), cases))
                        for _ in requirements]
             for bases in apply_operator(name, parents, g, N_VARS, CFG, rng) or []:
                 for tree in bases:
@@ -260,11 +288,11 @@ def test_every_rebuilt_node_holds_the_shape_its_children_look_up(grammar):
 
 def test_replace_at_looks_up_shapes_around_an_off_form_child():
     g = GRAMMARS["packaged"]
-    rng = np.random.default_rng(61)
+    rng = Draws(61)
     off_form = 0
     for tree in _bases(g, 200, rng):
         sites = [(node, path) for node, path in walk(tree) if path]
-        node, path = sites[int(rng.integers(len(sites)))]
+        node, path = sites[rng.below(len(sites))]
         # a leaf of another kind mostly puts the parent outside the form
         other = WeightLeaf(1.0) if type(node) is VCLeaf else VCLeaf([1, 0, 0])
         broken = replace_at(tree, path, other)

@@ -1,7 +1,7 @@
 """Pin the text and the values of deeply evolved trees.
 
 2,000 trees grown under the packaged grammar with its 4OP rule switched on
-(max_depth 8, 3 variables, numpy seed 11) are rendered at sig_figs 17 and
+(max_depth 8, 3 variables, `Draws` seed 11) are rendered at sig_figs 17 and
 evaluated on a fixed 12-row X.  The sha256 of all texts and of all column
 bytes must stay as pinned: a change to how trees evaluate or render that
 moves any of them moves a digest.  NaN payloads are folded to one NaN
@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from canonsr.draws import Draws
 from canonsr.expr import Model, eval_basis_matrix, to_canonical_text
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
 
@@ -27,7 +28,7 @@ def trees():
     text = default_grammar_text().replace("# REPOP  =>", "REPOP  =>").replace(
         "# 4OP    =>", "4OP    =>")
     g = parse_grammar(text)
-    rng = np.random.default_rng(11)
+    rng = Draws(11)
     return [random_tree(g, 8, rng, len(NAMES)) for _ in range(N_TREES)]
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from canonsr.config import RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
+from canonsr.draws import Draws
 from canonsr.evolve import _environmental_selection, crowding_distance, init_population
 from canonsr.evolve import nondominated_sort
 from canonsr.grammar import load_default_grammar
@@ -77,7 +78,7 @@ def test_same_survivors_on_a_pm_like_population():
     ref = float(np.max(np.abs(train.y)))
     cfg = RunConfig(population=200, max_depth=6, seed=4)
     pop = init_population(load_default_grammar(), 4, train.X, train.y, ref, cfg,
-                          np.random.default_rng(cfg.seed))
+                          Draws(cfg.seed))
     objs = [(m.train_error, m.complexity) for m in pop]
     # the population twice over: every point has a copy, as after a
     # generation of offspring that share their parents' fits

@@ -13,6 +13,7 @@ import canonsr.evolve as evolve
 import canonsr.expr as expr
 from canonsr.config import OPERATOR_NAMES, RunConfig
 from canonsr.dataset import Dataset, DoePlan, doe_full_factorial
+from canonsr.draws import Draws, floyd_sample
 from canonsr.evolve import (OPERATORS, ParetoArchive, apply_operator, fit_model,
                             init_population, nsga2_generation)
 from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_complexity,
@@ -21,6 +22,7 @@ from canonsr.expr import (NTNode, OpLeaf, VCLeaf, WeightLeaf, basis_complexity,
 from canonsr.fit import fit_weights, nmse
 from canonsr.grammar import (GrammarError, default_grammar_text, load_default_grammar,
                              parse_grammar, random_tree, validate)
+from test_draws import _assert_same_state
 
 N_VARS = 3
 X = doe_full_factorial(DoePlan(centers=np.array([1.0, 2.0, 0.5]), dx=0.1))
@@ -38,7 +40,7 @@ def _parents(g, cfg, rng, count):
     """Fitted models with 0..max_bases random bases, so trees carry stored columns."""
     out = []
     for _ in range(count):
-        nb = int(rng.integers(0, cfg.max_bases + 1))
+        nb = rng.below(cfg.max_bases + 1)
         bases = [random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B) for _ in range(nb)]
         out.append(fit_model(bases, X, Y, REFERENCE, cfg))
     return out
@@ -55,7 +57,7 @@ def _snapshot(m):
 def test_operator_leaves_parents_unchanged(name, seed):
     g = load_default_grammar()
     cfg = _cfg()
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     parents = _parents(g, cfg, rng, 2)
     before = [_snapshot(p) for p in parents]
     for _ in range(5):
@@ -77,7 +79,7 @@ def _restricted_grammar(rng):
         r"^(\w+)\s*=>(.*(?:\n\s+\|.*)*)", default_grammar_text(), re.M) for alt in rhs.split("|")]
     kept = set(range(len(pairs)))
     g = parse_grammar(default_grammar_text())
-    for k in rng.permutation(len(pairs))[: len(pairs) // 2]:
+    for k in floyd_sample(rng.below, len(pairs), len(pairs) // 2):
         text = "\n".join(f"{lhs} => {alt}" for i, (lhs, alt) in enumerate(pairs)
                          if i in kept and i != k)
         try:
@@ -85,7 +87,7 @@ def _restricted_grammar(rng):
         except GrammarError as exc:
             assert "no terminating derivation" in str(exc) or "undefined" in str(exc)
             continue
-        kept.discard(int(k))
+        kept.discard(k)
     return g
 
 
@@ -93,7 +95,7 @@ def _restricted_grammar(rng):
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 1), max_depth=st.sampled_from([5, 6, 8]))
 def test_operators_keep_trees_valid_on_restricted_grammars(name, seed, max_depth):
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     g = _restricted_grammar(rng)
     assume(g.min_depth(g.start) <= max_depth)
     cfg = _cfg(max_depth=max_depth)
@@ -111,8 +113,8 @@ def test_operators_keep_trees_valid_on_restricted_grammars(name, seed, max_depth
 def test_json_round_trip_predicts_bit_identically(seed):
     g = load_default_grammar()
     cfg = _cfg()
-    rng = np.random.default_rng(seed)
-    sweep = rng.uniform(0.5, 2.5, size=(50, N_VARS))
+    rng = Draws(seed)
+    sweep = np.array([[0.5 + 2.0 * rng.random() for _ in range(N_VARS)] for _ in range(50)])
     for m in _parents(g, cfg, rng, 3):
         if not m.valid:
             continue
@@ -141,15 +143,23 @@ def _fresh_fit(bases, cfg):
     return coeffs, nmse(Phi @ coeffs, Y, REFERENCE), cpx
 
 
+def _finite_on_X(g, cfg, rng):
+    """A random basis whose column on X is finite, grown afresh until it is."""
+    while True:
+        tree = random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B)
+        if np.isfinite(eval_basis_matrix(tree, X, cfg.B)).all():
+            return tree
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_stored_columns_fit_like_fresh_evaluation(seed):
     g = load_default_grammar()
     cfg = _cfg()
-    rng = np.random.default_rng(seed)
-    bases = [random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B) for _ in range(4)]
+    rng = Draws(seed)
+    bases = [_finite_on_X(g, cfg, rng) for _ in range(4)]
     first = fit_model(bases, X, Y, REFERENCE, cfg)
-    assume(first.valid)
+    assert first.valid
     again = fit_model(bases, X, Y, REFERENCE, cfg)      # every column read back
     coeffs, error, cpx = _fresh_fit(bases, cfg)
     for m in (first, again):
@@ -173,7 +183,7 @@ def _counting_eval(monkeypatch):
 def test_stored_column_is_read_back_not_reevaluated(monkeypatch):
     g = load_default_grammar()
     cfg = _cfg()
-    tree = random_tree(g, cfg.max_depth, np.random.default_rng(3), N_VARS)
+    tree = random_tree(g, cfg.max_depth, Draws(3), N_VARS)
     calls = _counting_eval(monkeypatch)
     col = stored_column(tree, X, cfg.B)[0]
     assert stored_column(tree, X, cfg.B)[0] is col
@@ -184,7 +194,7 @@ def test_stored_column_is_read_back_not_reevaluated(monkeypatch):
 
 def test_other_X_or_B_never_reuses_a_column(monkeypatch):
     g = load_default_grammar()
-    rng = np.random.default_rng(5)
+    rng = Draws(5)
     # a tree with a weight, so B changes its column
     tree = next(t for t in (random_tree(g, 8, rng, N_VARS) for _ in range(100))
                 if '"kind": "w"' in json.dumps(tree_to_dict(t)))
@@ -201,10 +211,10 @@ def test_other_X_or_B_never_reuses_a_column(monkeypatch):
 def test_unchanged_vc_crossover_keeps_parent_bases(monkeypatch):
     g = load_default_grammar()
     cfg = _cfg()
-    tree = random_tree(g, 1, np.random.default_rng(7), N_VARS)   # a single VC leaf
+    tree = random_tree(g, 1, Draws(7), N_VARS)   # a single VC leaf
     p1 = fit_model([tree], X, Y, REFERENCE, cfg)
     p2 = fit_model([tree_from_dict(tree_to_dict(tree))], X, Y, REFERENCE, cfg)
-    rng = np.random.default_rng(11)
+    rng = Draws(11)
     expect = np.random.default_rng(11)
     offspring = apply_operator("vc_onepoint_crossover", [p1, p2], g, N_VARS, cfg, rng)
     assert offspring[0][0] is p1.bases[0]
@@ -212,7 +222,7 @@ def test_unchanged_vc_crossover_keeps_parent_bases(monkeypatch):
     expect.integers(1)                                   # one VC site in each parent
     expect.integers(1)
     expect.integers(1, N_VARS)                           # the cut point
-    assert rng.bit_generator.state == expect.bit_generator.state
+    _assert_same_state(rng, expect)
     calls = _counting_eval(monkeypatch)
     fit_model(offspring[0], X, Y, REFERENCE, cfg)
     assert calls == []                                   # the parent's column is reused
@@ -246,7 +256,7 @@ def _generations(seed, count, monkeypatch):
     bases of every model the generations sent to fit_models."""
     g = load_default_grammar()
     cfg = RunConfig(population=20, generations=count, max_bases=5, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     calls = []
     real_fit = evolve.fit_models
 
@@ -317,9 +327,9 @@ def _walk_complexity(tree, wb, wvc):
 @given(seed=st.integers(0, 2 ** 32 - 1), wb=st.sampled_from([0.0, 1.0, 2.5]))
 def test_complexity_matches_the_walk_fold_bit_for_bit(seed, wb):
     g = load_default_grammar()
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     for _ in range(10):
-        tree = random_tree(g, int(rng.integers(1, 9)), rng, N_VARS)
+        tree = random_tree(g, 1 + rng.below(8), rng, N_VARS)
         for wvc in (0.1, 1 / 3, 0.25):
             fresh = tree_from_dict(tree_to_dict(tree))
             assert basis_complexity(fresh, wb, wvc).hex() == \
