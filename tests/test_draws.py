@@ -1,7 +1,13 @@
 """Draws' primitives against the numpy.random.default_rng calls they stand for:
-the same values, draw for draw, and the same generator state after them."""
+the same values, draw for draw, and the same generator state after them.
+floyd_sample is also checked exactly, over every sequence of values its
+draws can take: each ordered sample comes out equally often."""
 
+import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,12 +115,84 @@ def test_floyd_sample_is_choice_without_replacement():
             for k in range(a + 1):
                 picked = floyd_sample(draws.below, a, k)
                 assert picked == gen.choice(a, size=k, replace=False).tolist(), (a, k)
-    # numpy uses Floyd's algorithm for a <= 10000 or k <= a // 50: the edge
-    # of that domain for a large a
-    assert floyd_sample(draws.below, 20000, 400) == gen.choice(20000, size=400,
-                                                               replace=False).tolist()
     _assert_same_state(draws, gen)
     assert draws.below(2 ** 32 - 1) == int(gen.integers(2 ** 32 - 1))
+
+
+# numpy uses Floyd's algorithm for a <= 10000 or k <= a // 50: the corners
+# of that domain
+@pytest.mark.parametrize("a,k", [(10000, 300), (10000, 10000), (10001, 200), (20000, 400)])
+def test_floyd_sample_is_choice_at_the_edge_of_numpys_floyd_domain(a, k):
+    draws, gen = Draws(a + k), np.random.default_rng(a + k)
+    assert floyd_sample(draws.below, a, k) == gen.choice(a, size=k, replace=False).tolist()
+    _assert_same_state(draws, gen)
+
+
+def every_draw_sequence(fn):
+    """fn(below) over every sequence of values `below` can return, each with
+    its probability when every value in [0, n) is equally likely: a
+    depth-first replay that steps the last draw on, like an odometer."""
+    fixed = []          # [value, n] for each draw of the sequence replayed
+    while True:
+        at = 0
+
+        def below(n):
+            nonlocal at
+            if at == len(fixed):
+                fixed.append([0, n])
+            value, m = fixed[at]
+            assert m == n       # a replayed prefix asks for the same ranges
+            at += 1
+            return value
+
+        result = fn(below)
+        assert at == len(fixed)
+        yield result, math.prod(Fraction(1, n) for _, n in fixed)
+        while fixed and fixed[-1][0] == fixed[-1][1] - 1:
+            fixed.pop()
+        if not fixed:
+            return
+        fixed[-1][0] += 1
+
+
+@pytest.mark.parametrize("a,k", [(a, k) for a in range(1, 6) for k in range(1, a + 1)])
+def test_floyd_sample_draws_every_ordered_sample_equally_often(a, k):
+    weight = Counter()
+    for picked, p in every_draw_sequence(lambda below: floyd_sample(below, a, k)):
+        weight[tuple(picked)] += p
+    assert set(weight) == set(itertools.permutations(range(a), k))
+    assert set(weight.values()) == {Fraction(1, math.perm(a, k))}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 20])
+def test_bit_lists_are_integers_with_size(k):
+    # the mask of evolve._nonempty_subset, from either half of a word
+    draws, gen = Draws(k), np.random.default_rng(k)
+    for _ in range(25):
+        assert [draws.below(2) for _ in range(k)] == gen.integers(0, 2, size=k).tolist()
+        _assert_same_state(draws, gen)
+
+
+@pytest.mark.parametrize("B", [0.5, 10.0, 300.0])
+def test_scaled_doubles_are_uniform(B):
+    # a weight leaf grown by random_tree: lo + span * random() in [-2B, 2B)
+    lo, span = -2.0 * B, 4.0 * B
+    draws, gen = Draws(int(B)), np.random.default_rng(int(B))
+    for _ in range(200):
+        got = lo + span * draws.random()
+        assert got == gen.uniform(lo, lo + span)
+        assert lo <= got < lo + span
+    _assert_same_state(draws, gen)
+
+
+def test_random_and_standard_cauchy_match_their_namesakes():
+    draws, gen = Draws(3), np.random.default_rng(3)
+    for count in range(200):
+        if count % 3 == 0:          # a spare half-word held through some draws
+            assert draws.below(7) == int(gen.integers(7))
+        assert draws.random() == gen.random()
+        assert draws.standard_cauchy() == gen.standard_cauchy()
+        _assert_same_state(draws, gen)
 
 
 def test_full_permutations_match_default_rng():

@@ -1,6 +1,9 @@
 """NSGA-II machinery and variation-operator tests."""
 
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from canonsr.expr import (Model, NTNode, VCLeaf, WeightLeaf, complexity_of_bases
                           stored_column, tree_depth, tree_to_dict)
 from canonsr.fit import _error
 from canonsr.grammar import load_default_grammar, random_tree, validate
+from test_draws import every_draw_sequence
 
 INF = float("inf")
 G = load_default_grammar()
@@ -221,6 +225,43 @@ def test_basis_set_crossover_single_basis_parents():
     assert len(child) == 2                        # one from each parent
     assert tree_to_dict(child[0]) == tree_to_dict(p1.bases[0])
     assert tree_to_dict(child[1]) == tree_to_dict(p2.bases[0])
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _OneRound:
+    """`below` for one round of a rejection loop: a draw past the first
+    `n` means the round was rejected."""
+
+    def __init__(self, below, n):
+        self._below, self._left = below, n
+
+    def below(self, m):
+        if not self._left:
+            raise _Rejected
+        self._left -= 1
+        return self._below(m)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_nonempty_subset_draws_every_subset_equally_often(n):
+    items = [f"basis{i}" for i in range(n)]
+
+    def one_round(below):
+        try:
+            return tuple(evolve._nonempty_subset(items, _OneRound(below, n)))
+        except _Rejected:
+            return None
+
+    weight = Counter()
+    for subset, p in every_draw_sequence(one_round):
+        weight[subset] += p
+    # the empty mask is drawn again; every other subset keeps the item order
+    subsets = {s for r in range(1, n + 1) for s in itertools.combinations(items, r)}
+    assert set(weight) == subsets | {None}
+    assert set(weight.values()) == {Fraction(1, 2 ** n)}
 
 
 def test_basis_set_crossover_child_count_and_provenance():

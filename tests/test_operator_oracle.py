@@ -3,8 +3,9 @@
 reference_leaf_site is how the leaf operators picked a site when they listed
 every (basis, path, leaf) of a model through walk and drew one entry.  They
 now draw the same index from per-basis leaf counts and walk only the basis
-that holds it.  The reference leaf operators are evolve's as they were when
-every draw was a numpy Generator call.  The operators draw from
+that holds it.  The reference operators are evolve's as they were when
+every draw was a numpy Generator call; the model-level ones grow trees with
+test_growth_oracle's reference_random_tree.  The operators draw from
 `Draws(seed)` and the references from `numpy.random.default_rng(seed)`, so
 any difference in the site picked, in the offspring, or in how many draws
 are made, shows here as a different site, offspring or generator state.
@@ -21,9 +22,11 @@ from canonsr.config import RunConfig
 from canonsr.draws import Draws
 from canonsr.evolve import OPERATORS, _pick_leaf, apply_operator, fit_model
 from canonsr.expr import (_BY_CHILDREN, Model, NTNode, OpLeaf, VCLeaf, WeightLeaf,
-                          basis_complexity, leaf_count, replace_at, tree_to_dict, walk)
-from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
+                          basis_complexity, leaf_count, replace_at, tree_depth,
+                          tree_to_dict, walk)
+from canonsr.grammar import crossover_sites, default_grammar_text, parse_grammar, random_tree
 from test_draws import _assert_same_state
+from test_growth_oracle import reference_random_tree
 
 # the 4OP rule, commented out in the packaged grammar, grows bases whose
 # operands are all weights: bases without a variable combo
@@ -270,6 +273,108 @@ def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(n
             assert _state(rng) == before
         outcomes.add(result is None)
     assert outcomes == {False, True}
+
+
+def _reference_nonempty_subset(items, rng):
+    while True:
+        mask = rng.integers(0, 2, size=len(items))
+        if mask.any():
+            return [items[i] for i in range(len(items)) if mask[i]]
+
+
+def _reference_basis_add(parents, g, cfg, rng):
+    return [list(parents[0].bases)
+            + [reference_random_tree(g, cfg.max_depth, rng, N_VARS, B=cfg.B)]]
+
+
+def _reference_basis_set_crossover(parents, g, cfg, rng):
+    if not (parents[0].bases and parents[1].bases):
+        return _reference_basis_add(parents[:1], g, cfg, rng)
+    chosen = [tree for p in parents for tree in _reference_nonempty_subset(p.bases, rng)]
+    if len(chosen) > cfg.max_bases:
+        keep = sorted(rng.choice(len(chosen), size=cfg.max_bases, replace=False))
+        chosen = [chosen[int(i)] for i in keep]
+    return [chosen]
+
+
+def _reference_basis_delete(parents, g, cfg, rng):
+    bases = list(parents[0].bases)
+    bases.pop(int(rng.integers(len(bases))))
+    return [bases]
+
+
+def _reference_basis_copy_in(parents, g, cfg, rng):
+    p, donor = parents
+    sites = [site for tree in donor.bases for site in crossover_sites(tree, "REPVC")]
+    return [list(p.bases) + [sites[int(rng.integers(len(sites)))]]]
+
+
+def _reference_nt_sites(tree):
+    return [(node, path) for node, path in walk(tree) if type(node) is NTNode]
+
+
+def _reference_subtree_crossover(parents, g, cfg, rng):
+    p1, p2 = parents
+    i1 = int(rng.integers(len(p1.bases)))
+    i2 = int(rng.integers(len(p2.bases)))
+    t1, t2 = p1.bases[i1], p2.bases[i2]
+    sites1, sites2 = _reference_nt_sites(t1), _reference_nt_sites(t2)
+    shared = sorted({n.symbol for n, _ in sites1} & {n.symbol for n, _ in sites2})
+    b1, b2 = list(p1.bases), list(p2.bases)
+    if not shared:
+        return [b1, b2]
+    symbol = shared[int(rng.integers(len(shared)))]
+    s1 = [s for s in sites1 if s[0].symbol == symbol]
+    s2 = [s for s in sites2 if s[0].symbol == symbol]
+    for _ in range(10):
+        n1, path1 = s1[int(rng.integers(len(s1)))]
+        n2, path2 = s2[int(rng.integers(len(s2)))]
+        if (len(path1) + tree_depth(n2) > cfg.max_depth
+                or len(path2) + tree_depth(n1) > cfg.max_depth):
+            continue
+        b1[i1] = replace_at(t1, path1, n2)
+        b2[i2] = replace_at(t2, path2, n1)
+        return [b1, b2]
+    return [b1, b2]
+
+
+def _reference_subtree_mutate(parents, g, cfg, rng):
+    p = parents[0]
+    i = int(rng.integers(len(p.bases)))
+    sites = _reference_nt_sites(p.bases[i])
+    node, path = sites[int(rng.integers(len(sites)))]
+    fresh = reference_random_tree(g, cfg.max_depth - len(path), rng, N_VARS, B=cfg.B,
+                                  start=node.symbol)
+    out = list(p.bases)
+    out[i] = replace_at(out[i], path, fresh)
+    return [out]
+
+
+MODEL_REFERENCE_OPS = {"basis_add": _reference_basis_add,
+                       "basis_copy_in": _reference_basis_copy_in,
+                       "basis_delete": _reference_basis_delete,
+                       "basis_set_crossover": _reference_basis_set_crossover,
+                       "subtree_crossover": _reference_subtree_crossover,
+                       "subtree_mutate": _reference_subtree_mutate}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REFERENCE_OPS))
+@pytest.mark.parametrize("grammar", sorted(GRAMMARS))
+def test_model_operators_give_the_reference_offspring(grammar, name):
+    g = GRAMMARS[grammar]
+    pools = [_bases(g, 300, Draws(sorted(GRAMMARS).index(grammar) + 81))]
+    cases = np.random.default_rng(sorted(MODEL_REFERENCE_OPS).index(name) + 800)
+    rng, reference_rng = Draws(81), np.random.default_rng(81)
+    outcomes = set()
+    for _ in range(150):
+        parents = [_random_parent(pools, cases) for _ in REQUIREMENTS[name]]
+        result = apply_operator(name, parents, g, N_VARS, CFG, rng)
+        expected = (None if _fails(name, parents)
+                    else MODEL_REFERENCE_OPS[name](parents, g, CFG, reference_rng))
+        assert _dicts(result) == _dicts(expected)
+        _assert_same_state(rng, reference_rng)
+        outcomes.add(result is None)
+    assert False in outcomes
 
 
 @pytest.mark.parametrize("grammar", sorted(GRAMMARS))
