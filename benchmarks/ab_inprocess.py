@@ -44,9 +44,10 @@ The tool prints, per seed, both median times, the ratio new/old and whether
 the outputs of every run match (export files, simplified models or every
 predictions file, hashed with sha256), then the median ratio, the seeds the
 new tree won and whether every hash matched.  With `--layer sag` it also
-prints each side's output hash and how often its SAG pass calls `fit.press`,
-counted in one more, untimed pass, so a change to the candidate screen shows
-whether it refits the same candidates.
+prints each side's output hash and how many matrices its SAG pass scores
+through `fit.press`, counted in one more, untimed pass: 1 for each call on
+one matrix and b for each call on a stack of b, so the same work counts the
+same whether or not the calls are stacked.
 """
 
 import argparse
@@ -168,15 +169,16 @@ class Side:
         return digest
 
 
-def press_calls(side: Side, seed: int) -> int:
-    """press() calls of one untimed SAG pass, through every module that holds press."""
+def press_matrices(side: Side, seed: int) -> int:
+    """Matrices press() scores in one untimed SAG pass, through every module
+    that holds press."""
     press = side.tree.fit.press
-    calls = 0
+    matrices = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return press(*args)
+    def counted(Phi, y):
+        nonlocal matrices
+        matrices += 1 if Phi.ndim == 2 else len(Phi)
+        return press(Phi, y)
 
     holders = [m for m in (side.tree.fit, side.tree.pipeline) if m.press is press]
     call = side.prepare("sag", seed)
@@ -187,7 +189,7 @@ def press_calls(side: Side, seed: int) -> int:
     finally:
         for module in holders:
             module.press = press
-    return calls
+    return matrices
 
 
 def timed(side: Side, layer: str, seed: int):
@@ -221,7 +223,7 @@ def main(argv=None) -> int:
     old = Side(load_tree(args.old_src, "canonsr_old"), args.workload, work_dir.name)
     new = Side(load_tree(args.new_src, "canonsr_new"), args.workload, work_dir.name)
     timed_slice()    # the first slice in a process runs cold
-    ratios, wins, same, same_calls = [], 0, True, True
+    ratios, wins, same, same_scored = [], 0, True, True
     for i, seed in enumerate(_seeds(args.seeds)):
         a, b = (old, new) if i % 2 == 0 else (new, old)
         times = {id(old): [], id(new): []}
@@ -237,10 +239,10 @@ def main(argv=None) -> int:
         same &= seed_same
         verdict = "same" if seed_same else "DIFFERENT"
         if args.layer == "sag":
-            calls = {id(side): press_calls(side, seed) for side in (a, b)}
-            same_calls &= calls[id(old)] == calls[id(new)]
-            print(f"seed {seed}: old {t_old:.4f} s {calls[id(old)]} press "
-                  f"{min(digests[id(old)])[:12]}  new {t_new:.4f} s {calls[id(new)]} press "
+            scored = {id(side): press_matrices(side, seed) for side in (a, b)}
+            same_scored &= scored[id(old)] == scored[id(new)]
+            print(f"seed {seed}: old {t_old:.4f} s {scored[id(old)]} press "
+                  f"{min(digests[id(old)])[:12]}  new {t_new:.4f} s {scored[id(new)]} press "
                   f"{min(digests[id(new)])[:12]}  ratio {t_new / t_old:.3f}  {verdict}")
         else:
             print(f"seed {seed}: old {t_old:.4f} s  new {t_new:.4f} s  "
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
     print(f"median ratio {statistics.median(ratios):.3f}; new faster on {wins} of "
           f"{len(ratios)} seeds; outputs {'all the same' if same else 'DIFFER'}"
           + ("" if args.layer != "sag" else
-             f"; press() calls {'the same' if same_calls else 'DIFFER'}"))
+             f"; press() matrices {'the same' if same_scored else 'DIFFER'}"))
     work_dir.cleanup()
     return 0 if same else 1
 

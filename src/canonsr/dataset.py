@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ def _parse_cell(cell: str, row: int, col_name: str, line: int) -> float:
     except ValueError:
         raise DataError(f"row {row}, column {col_name!r}: non-numeric cell {cell!r} "
                         f"(line {line})") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"row {row}, column {col_name!r}: non-finite value {cell!r} "
                         f"(line {line})")
     return value
