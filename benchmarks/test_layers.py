@@ -114,9 +114,9 @@ def test_fit_model_15_stored_columns_81_rows(benchmark, pm81):
 class _OffspringArchive(ParetoArchive):
     """Keeps the offspring of the last generation that reached the archive."""
 
-    def merge_all(self, candidates):
+    def merge(self, candidates):
         self.offspring = list(candidates)
-        super().merge_all(candidates)
+        super().merge(candidates)
 
 
 @pytest.fixture(scope="module")

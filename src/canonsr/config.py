@@ -34,6 +34,14 @@ class ConfigError(ValueError):
 
 # a double holds at most 17 significant decimal digits
 _MAX_SIG_FIGS = 17
+# grammar._grow, expr._eval, expr._render, replace_at and tree_to_dict each
+# recurse once per tree level, so a deep enough bound overflows Python's call
+# stack; at depth 20 the default grammar's random trees already average about
+# 1,100 nodes (200 trees, 4 variables), so no useful run is refused
+_MAX_DEPTH = 100
+# Draws.below(n) holds for n < 2**32 only (above 2**32 it accepts no draw and
+# never returns), and init_population draws a basis count below max_bases
+_MAX_BASES = 2 ** 32 - 1
 
 
 def _positive_finite(value: float) -> bool:
@@ -77,8 +85,10 @@ class RunConfig:
             raise ValueError("config field 'B' is too large: 10**B must be finite")
         if self.seed < 0:
             raise ValueError("config field 'seed' must be zero or positive")
-        if self.sig_figs > _MAX_SIG_FIGS:
-            raise ValueError(f"config field 'sig_figs' must be at most {_MAX_SIG_FIGS}")
+        for name, ceiling in (("sig_figs", _MAX_SIG_FIGS), ("max_depth", _MAX_DEPTH),
+                              ("max_bases", _MAX_BASES)):
+            if getattr(self, name) > ceiling:
+                raise ValueError(f"config field {name!r} must be at most {ceiling}")
         unknown = set(self.operator_weights) - set(OPERATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown operator name(s) in weights: {sorted(unknown)}")

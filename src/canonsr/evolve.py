@@ -37,6 +37,7 @@ Parents = Sequence[Model]          # an operator's parents, one per requirement
 # dominance machinery
 # ---------------------------------------------------------------------------
 
+# the dominance _fronts decides, kept as the tests' reference for it
 def dominates(a: Objectives, b: Objectives) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
@@ -97,36 +98,33 @@ def crowding_distance(front: Sequence[Objectives]) -> List[float]:
     return dist
 
 
-def pareto_insert(kept: List[Model], candidate: Model,
-                  objective: Callable[[Model], Objectives]) -> bool:
-    """Add `candidate` to the mutually nondominated list `kept`, in place.
-
-    The candidate is refused when a kept model has the same objective pair
-    (the first model wins) or dominates it; otherwise the kept models it
-    dominates are dropped and it is appended.  Returns whether it was added.
-    """
-    obj = objective(candidate)
-    survivors: List[Model] = []
-    for m in kept:
-        other = objective(m)
-        if other == obj or dominates(other, obj):
-            return False
-        if not dominates(obj, other):
-            survivors.append(m)
-    kept[:] = survivors
-    kept.append(candidate)
-    return True
-
-
-def _train_objective(m: Model) -> Objectives:
+def train_objective(m: Model) -> Objectives:
+    """A model's objective pair, as selection, the archive and SAG read it."""
     return (m.train_error, m.complexity)
+
+
+def pareto_front(models: Sequence[Model],
+                 objective: Callable[[Model], Objectives] = train_objective) -> List[Model]:
+    """The models on the first front of _fronts, one per objective pair (the
+    first in `models`), in ascending complexity.
+
+    These are the models that inserting `models` one by one into a mutually
+    nondominated list keeps, a model being refused when a kept one has its
+    objective pair or dominates it.
+    """
+    objs = [objective(m) for m in models]
+    first = {}
+    for i in next(_fronts(objs), ()):
+        first.setdefault(objs[i], i)
+    return [models[i] for i in sorted(first.values(), key=lambda i: objs[i][1])]
 
 
 class ParetoArchive:
     """Run-wide nondominated set over (train error, complexity).
 
-    At most one model is kept per exact objective pair (first wins), so the
-    archive maps to a strictly monotone tradeoff curve.
+    `models` is pareto_front of every valid model merged so far: one model
+    per objective pair (the first merged), so the archive maps to a strictly
+    monotone tradeoff curve.
     """
 
     def __init__(self):
@@ -135,17 +133,10 @@ class ParetoArchive:
     def __len__(self) -> int:
         return len(self.models)
 
-    def merge(self, candidate: Model) -> bool:
-        if not candidate.valid or not np.isfinite(candidate.train_error):
-            return False
-        return pareto_insert(self.models, candidate, _train_objective)
-
-    def merge_all(self, candidates: Sequence[Model]) -> None:
-        for m in candidates:
-            self.merge(m)
-
-    def tradeoff(self) -> List[Model]:
-        return sorted(self.models, key=lambda m: m.complexity)
+    def merge(self, candidates: Sequence[Model]) -> None:
+        """Add a batch; invalid models and non-finite train errors are dropped."""
+        kept = [m for m in candidates if m.valid and math.isfinite(m.train_error)]
+        self.models = pareto_front(self.models + kept)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ def vc_onepoint_crossover(a: VCLeaf, b: VCLeaf, rng) -> Tuple[VCLeaf, VCLeaf]:
             VCLeaf(repair_all_zero_vc(eb, rng)))
 
 
-def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = 5) -> VCLeaf:
+def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = RunConfig.exp_cap) -> VCLeaf:
     """Step one exponent by +/-1, clamped to the cap; repairs all-zero results."""
     exps = list(vc.exponents)
     dim = rng.below(len(exps))
@@ -466,7 +457,7 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     if len(pop) != cfg.population:
         raise ValueError(f"population size {len(pop)} != configured {cfg.population}")
     n_vars = X.shape[1]
-    objs = [(m.train_error, m.complexity) for m in pop]
+    objs = [train_objective(m) for m in pop]
     rank, crowd = _rank_and_crowding(objs)
     # the cumulative distribution Generator.choice(p=...) builds from the
     # normalised operator weights; bisect_right on it picks the index that
@@ -501,7 +492,7 @@ def nsga2_generation(pop: List[Model], X: np.ndarray, y: np.ndarray,
     offspring = [fresh.pop(key) if key in fresh else replace(fitted[key], bases=list(bases))
                  for key, bases in zip(keys, offspring_bases)]
 
-    archive.merge_all(offspring)
+    archive.merge(offspring)
     combined = pop + offspring
-    combined_objs = objs + [(m.train_error, m.complexity) for m in offspring]
+    combined_objs = objs + [train_objective(m) for m in offspring]
     return _environmental_selection(combined, combined_objs, len(pop))

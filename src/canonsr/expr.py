@@ -22,6 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import RunConfig
+
 INF = float("inf")
 
 
@@ -625,8 +627,8 @@ def _times(left: str, body: NTNode, right: str) -> str:
     return f"{left} * {right}"
 
 
-def to_canonical_text(m: Model, var_names: Sequence[str], sig_figs: int = 3,
-                      log_scaled: bool = False, B: float = 10.0) -> str:
+def to_canonical_text(m: Model, var_names: Sequence[str], sig_figs: int = RunConfig.sig_figs,
+                      log_scaled: bool = False, B: float = RunConfig.B) -> str:
     """Deterministic infix rendering: offset first, then one term per basis."""
     if m.coeffs is None:
         raise ValueError("model has no fitted coefficients")

@@ -15,6 +15,7 @@ import re
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .config import RunConfig
 from .draws import floyd_sample
 from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
                    NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, token_text,
@@ -202,7 +203,7 @@ def _random_vc(n_vars: int, below) -> VCLeaf:
 
 
 def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
-                B: float = 10.0, start: Optional[str] = None) -> BasisTree:
+                B: float = RunConfig.B, start: Optional[str] = None) -> BasisTree:
     """Grow a random derivation tree of depth <= max_depth from `start`.
 
     Alternatives are chosen uniformly among those that can still terminate
@@ -246,8 +247,9 @@ def _grow(sym: str, budget: int, rules, feasible_by_budget, below, random, n_var
 # validation and crossover sites
 # ---------------------------------------------------------------------------
 
-def validate(tree: BasisTree, g: Grammar, max_depth: int = 8, B: float = 10.0,
-             exp_cap: int = 5, n_vars: Optional[int] = None) -> List[str]:
+def validate(tree: BasisTree, g: Grammar, max_depth: int = RunConfig.max_depth,
+             B: float = RunConfig.B, exp_cap: int = RunConfig.exp_cap,
+             n_vars: Optional[int] = None) -> List[str]:
     """Return a list of violations (empty list means the tree is valid): the
     defects check_tree finds against the grammar's alternatives, then the
     root symbol, the depth bound, the exponent cap and all-zero variable

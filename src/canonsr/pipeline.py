@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, _finite_decades, _positive_finite
 from .dataset import DataError, Dataset, columns_by_name
 from .draws import Draws
 from .evolve import (ParetoArchive, fit_model, fit_models, init_population,
-                     nsga2_generation, pareto_insert)
+                     nsga2_generation, pareto_front)
 from .expr import (Model, _flag, _number, eval_model_matrix, model_from_dict, model_to_dict,
                    stored_column, to_canonical_text)
 from .fit import forward_regression_press, nmse, press
@@ -43,21 +43,6 @@ class TradeoffSet:
 
     def __len__(self) -> int:
         return len(self.models)
-
-
-def _objective(m: Model, which: str) -> Tuple[float, float]:
-    err = m.train_error if which == "train" else m.test_error
-    if err is None:
-        raise ValueError("model has no test error; run filter_test_tradeoff after scoring")
-    return (float(err), float(m.complexity))
-
-
-def pareto_reduce(models: Sequence[Model], which: str = "train") -> List[Model]:
-    """Keep one model per objective point, drop dominated ones, sort by complexity."""
-    kept: List[Model] = []
-    for m in models:
-        pareto_insert(kept, m, lambda model: _objective(model, which))
-    return sorted(kept, key=lambda m: m.complexity)
 
 
 def _resolve_grammar(cfg: RunConfig) -> Tuple[Grammar, str]:
@@ -115,12 +100,12 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
 
     archive = ParetoArchive()
     # the offset-only model is always available as a zero-complexity baseline
-    archive.merge(fit_model([], X, y, reference, cfg))
+    archive.merge([fit_model([], X, y, reference, cfg)])
     enabled = gc.isenabled()
     gc.disable()
     try:
         pop = init_population(g, train.n_vars, X, y, reference, cfg, rng)
-        archive.merge_all(pop)
+        archive.merge(pop)
         for gen in range(cfg.generations):
             pop = nsga2_generation(pop, X, y, reference, g, cfg, rng, archive)
             if progress is not None:
@@ -129,8 +114,8 @@ def run_evolution(cfg: RunConfig, train: Dataset, grammar: Optional[Grammar] = N
         if enabled:
             gc.enable()
 
-    # the archive is already nondominated with one model per objective pair
-    return TradeoffSet(models=archive.tradeoff(), var_names=train.var_names,
+    # the archive's models are already the front, in ascending complexity
+    return TradeoffSet(models=archive.models, var_names=train.var_names,
                        train_reference=reference, target_name=train.target_name,
                        target_log_scaled=train.target_log_scaled)
 
@@ -160,7 +145,7 @@ def simplify_after_generation(ts: TradeoffSet, train: Dataset, cfg: RunConfig) -
         pruned[i] = [m.bases[j] for j in selected]
     for i, m in zip(pruned, fit_models(list(pruned.values()), X, y, reference, cfg)):
         out[i] = m
-    return replace(ts, models=pareto_reduce(out, "train"))
+    return replace(ts, models=pareto_front(out))
 
 
 def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:
@@ -174,7 +159,8 @@ def score_test_errors(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> Tradeof
 def filter_test_tradeoff(ts: TradeoffSet, test: Dataset, cfg: RunConfig) -> TradeoffSet:
     """Keep only models nondominated in (test error, complexity)."""
     scored = score_test_errors(ts, test, cfg)
-    return replace(scored, models=pareto_reduce(scored.models, "test"))
+    return replace(scored, models=pareto_front(
+        scored.models, lambda m: (m.test_error, m.complexity)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ def _parse_config(text):
 
 def test_config_defaults_and_overrides():
     cfg = _parse_config("population = 64\nwvc = 0.5\n"
-                            "operator.subtree_mutate.weight = 2.5\n# note\n")
+                            "operator.subtree_mutate.weight = 2.5\n# note\n"
+                            "max_depth = 100\nmax_bases = 4294967295\n")  # the ceilings
     assert cfg.population == 64
+    assert (cfg.max_depth, cfg.max_bases) == (100, 2 ** 32 - 1)
     assert cfg.wvc == 0.5
     assert cfg.operator_weights["subtree_mutate"] == 2.5
     assert cfg.operator_weights["weight_cauchy_mutate"] == 5.0   # default kept
@@ -456,6 +458,20 @@ def test_run_huge_B_exits_2(pm_files, tmp_path, capsys):
     # finite, but 10**B and the [-2B, 2B] weight range overflow
     code = _run_with_config(pm_files, tmp_path, "B = 1e308\n")
     _assert_config_exit(code, capsys, "'B' is too large")
+
+
+@pytest.mark.parametrize("text, message", [
+    # trees this deep would overflow the call stack while they grow
+    ("max_depth = 2000\n", "'max_depth' must be at most 100"),
+    # Draws.below(max_bases) would never return
+    ("max_bases = 4294967297\n", "'max_bases' must be at most 4294967295"),
+    ("max_bases = 4294967296\n", "'max_bases' must be at most 4294967295"),
+])
+def test_run_unrunnable_search_bounds_exit_2_before_evolution(pm_files, tmp_path, capsys,
+                                                              text, message):
+    code = _run_with_config(pm_files, tmp_path, text)
+    _assert_config_exit(code, capsys, message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_missing_grammar_file_exits_2(pm_files, tmp_path, capsys):

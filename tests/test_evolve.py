@@ -450,7 +450,7 @@ def test_generation_closure_and_archive_nondominated(monkeypatch):
     X, y, ref = _train_data()
     archive = ParetoArchive()
     pop = init_population(G, 3, X, y, ref, cfg, rng)
-    archive.merge_all(pop)
+    archive.merge(pop)
     real_apply = evolve.apply_operator
     checked = []
 
@@ -483,11 +483,11 @@ def test_fixed_seed_identical_archives():
         X, y, ref = _train_data()
         archive = ParetoArchive()
         pop = init_population(G, 3, X, y, ref, cfg, rng)
-        archive.merge_all(pop)
+        archive.merge(pop)
         for _ in range(5):
             pop = nsga2_generation(pop, X, y, ref, G, cfg, rng, archive)
         return [(m.train_error, m.complexity, [tree_to_dict(t) for t in m.bases])
-                for m in archive.tradeoff()]
+                for m in archive.models]
     assert run() == run()
 
 
@@ -497,7 +497,7 @@ def test_archive_monotone_improvement():
     X, y, ref = _train_data()
     archive = ParetoArchive()
     pop = init_population(G, 3, X, y, ref, cfg, rng)
-    archive.merge_all(pop)
+    archive.merge(pop)
 
     def best_error_at_or_below(cpx):
         errs = [m.train_error for m in archive.models if m.complexity <= cpx]
@@ -517,12 +517,13 @@ def test_archive_keeps_one_model_per_objective_point():
     archive = ParetoArchive()
     m1 = Model(bases=[], coeffs=np.array([1.0]), train_error=5.0, complexity=0.0, valid=True)
     m2 = Model(bases=[], coeffs=np.array([2.0]), train_error=5.0, complexity=0.0, valid=True)
-    assert archive.merge(m1)
-    assert not archive.merge(m2)
+    archive.merge([m1])
+    archive.merge([m2])
     assert archive.models == [m1]
 
 
 def test_archive_rejects_invalid():
     archive = ParetoArchive()
     bad = Model(bases=[], coeffs=None, train_error=INF, complexity=0.0, valid=False)
-    assert not archive.merge(bad)
+    archive.merge([bad])
+    assert archive.models == []

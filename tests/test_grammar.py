@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from canonsr.config import _MAX_DEPTH
 from canonsr.draws import Draws
 from canonsr.expr import (GRAMMAR_OP_TOKENS, SHAPES, Model, NTNode, OpLeaf,
                           VCLeaf, WeightLeaf, eval_basis_matrix, replace_at, to_canonical_text,
@@ -402,3 +403,34 @@ def test_sites_match_on_copies():
         b = crossover_sites(tree_from_dict(tree_to_dict(tree)), symbol)
         assert len(a) == len(b)
         assert [n.symbol for n in a] == [n.symbol for n in b]
+
+
+# ---------------------------------------------------------------------------
+# the max_depth ceiling
+# ---------------------------------------------------------------------------
+
+def _chain(depth):
+    """A thin REPVC -> abs(W + W * REPVC) chain tree of exactly `depth` levels."""
+    d = {"kind": "nt", "symbol": "REPVC", "alt": 0,
+         "children": [{"kind": "vc", "exponents": [1]}]}
+    for _ in range((depth - 1) // 3):
+        add = {"kind": "nt", "symbol": "REPADD", "alt": 0,
+               "children": [{"kind": "w", "stored": 10.0}, d]}
+        op = {"kind": "nt", "symbol": "REPOP", "alt": 1,
+              "children": [{"kind": "nt", "symbol": "1OP", "alt": 4,
+                            "children": [{"kind": "op", "name": "abs"}]},
+                           {"kind": "w", "stored": 10.0}, add]}
+        d = {"kind": "nt", "symbol": "REPVC", "alt": 2, "children": [op]}
+    return tree_from_dict(d)
+
+
+def test_a_tree_at_the_max_depth_ceiling_stays_within_the_call_stack():
+    tree = _chain(_MAX_DEPTH)
+    assert tree_depth(tree) == _MAX_DEPTH
+    assert validate(tree, load_default_grammar(), max_depth=_MAX_DEPTH, n_vars=1) == []
+    assert tree_depth(tree_from_dict(tree_to_dict(tree))) == _MAX_DEPTH
+    assert np.isfinite(eval_basis_matrix(tree, np.ones((2, 1)), 10.0)).all()
+    model = Model(bases=[tree], coeffs=np.array([0.0, 1.0]), train_error=0.0, valid=True)
+    assert "abs(" in to_canonical_text(model, ("x",))
+    deepest = max((path for _, path in walk(tree)), key=len)
+    assert tree_depth(replace_at(tree, deepest, VCLeaf([2]))) == _MAX_DEPTH

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import canonsr.pipeline as pipeline
 from canonsr.config import RunConfig
 from canonsr.dataset import DataError, Dataset, DoePlan, doe_full_factorial, oracle_dataset
-from canonsr.evolve import fit_model
+from canonsr.evolve import fit_model, pareto_front
 from canonsr.expr import Model, NTNode, VCLeaf, eval_basis_matrix
 from canonsr.fit import press
 from canonsr.pipeline import (TradeoffSet, export, filter_test_tradeoff,
-                              load_model_json, pareto_reduce, run_evolution,
+                              load_model_json, run_evolution,
                               run_pipeline, score_test_errors, simplify_after_generation)
 
 NAMES4 = ("x1", "x2", "x3", "x4")
@@ -115,7 +116,7 @@ def test_evolution_restores_the_collector_when_progress_raises():
 
 
 # ---------------------------------------------------------------------------
-# pareto_reduce
+# pareto_front
 # ---------------------------------------------------------------------------
 
 def _stub(train_error, complexity, test_error=None):
@@ -124,15 +125,15 @@ def _stub(train_error, complexity, test_error=None):
                  complexity=complexity, valid=True)
 
 
-def test_pareto_reduce_drops_dominated():
+def test_pareto_front_drops_dominated():
     models = [_stub(4.0, 0.0), _stub(3.7, 12.0), _stub(3.9, 13.0)]
-    kept = pareto_reduce(models, "train")
+    kept = pareto_front(models)
     assert [(m.train_error, m.complexity) for m in kept] == [(4.0, 0.0), (3.7, 12.0)]
 
 
-def test_pareto_reduce_dedupes_equal_points():
+def test_pareto_front_dedupes_equal_points():
     models = [_stub(1.0, 5.0), _stub(1.0, 5.0)]
-    assert pareto_reduce(models, "train") == [models[0]]
+    assert pareto_front(models) == [models[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +218,17 @@ def test_sag_never_increases_press():
 # test filtering
 # ---------------------------------------------------------------------------
 
-def test_filter_example_dominance():
-    train, test = _pm_datasets()
-    cfg = _desk_cfg()
+def _filter_scored(models, monkeypatch):
+    """filter_test_tradeoff on models whose test errors are already set."""
+    monkeypatch.setattr(pipeline, "score_test_errors", lambda ts, test, cfg: ts)
+    return filter_test_tradeoff(TradeoffSet(models, NAMES4, 1.0), None, None).models
+
+
+def test_filter_example_dominance(monkeypatch):
     models = [_stub(9.0, 0.0, test_error=4.0),
               _stub(8.0, 12.0, test_error=3.7),
               _stub(7.0, 13.0, test_error=3.9)]
-    kept = pareto_reduce(models, "test")
+    kept = _filter_scored(models, monkeypatch)
     assert [(m.test_error, m.complexity) for m in kept] == [(4.0, 0.0), (3.7, 12.0)]
 
 
@@ -239,11 +244,11 @@ def test_filter_computes_test_errors_and_subsets():
         assert (m.train_error, m.complexity) in train_keys
 
 
-def test_filter_identical_test_errors_keeps_minimum_complexity():
+def test_filter_identical_test_errors_keeps_minimum_complexity(monkeypatch):
     models = [_stub(5.0, 0.0, test_error=2.0),
               _stub(4.0, 10.0, test_error=2.0),
               _stub(3.0, 20.0, test_error=2.0)]
-    kept = pareto_reduce(models, "test")
+    kept = _filter_scored(models, monkeypatch)
     assert len(kept) == 1 and kept[0].complexity == 0.0
 
 

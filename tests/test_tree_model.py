@@ -246,9 +246,9 @@ class _RecordingArchive(ParetoArchive):
         super().__init__()
         self.offspring = []
 
-    def merge_all(self, candidates):
+    def merge(self, candidates):
         self.offspring.append(list(candidates))
-        super().merge_all(candidates)
+        super().merge(candidates)
 
 
 def _generations(seed, count, monkeypatch):
