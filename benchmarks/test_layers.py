@@ -14,6 +14,7 @@ wide5 factorial of the `wide243` workload.
 import contextlib
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -148,6 +149,45 @@ def test_fit_200_offspring_81_rows(benchmark, pm81, pm81_offspring, batched):
     assert len(models) == 200
     assert [(m.train_error, None if m.coeffs is None else m.coeffs.tobytes()) for m in models] \
         == [(m.train_error, None if m.coeffs is None else m.coeffs.tobytes()) for m in expected]
+
+
+def _pm81_draw_script(count=100000, seed=12):
+    """`count` draws in the mix of a pm81 run: `below` and `random` about
+    5.5 to 1, one `standard_cauchy` per about 500 draws, and `below`'s
+    ranges in the shares the run asks for them (200 is the tournament)."""
+    script = random.Random(seed)
+    ranges = script.choices((1, 2, 3, 4, 13, 200), weights=(34, 44, 56, 57, 5, 39), k=count)
+    return [("standard_cauchy", None) if script.random() < 1 / 500
+            else ("random", None) if script.random() < 1 / 6.5 else ("below", n)
+            for n in ranges]
+
+
+def _run_draws(draws, script):
+    below, uniform, cauchy = draws.below, draws.random, draws.standard_cauchy
+    return [below(n) if kind == "below" else uniform() if kind == "random" else cauchy()
+            for kind, n in script]
+
+
+def test_draws_100000_pm81_mix(benchmark):
+    """The search's draws alone: per-draw cost, with the block hand-backs
+    that `standard_cauchy` makes."""
+    script = _pm81_draw_script()
+    got = benchmark(lambda: _run_draws(Draws(12), script))
+    gen = np.random.default_rng(12)
+    assert got == [int(gen.integers(n)) if kind == "below" else
+                   gen.random() if kind == "random" else gen.standard_cauchy()
+                   for kind, n in script]
+
+
+def test_draws_1000_hand_backs(benchmark):
+    """`standard_cauchy` right after a fetch: the largest hand-back each time."""
+    def cauchy_after_fetch():
+        draws = Draws(13)
+        return [(draws.random(), draws.standard_cauchy()) for _ in range(1000)]
+
+    got = benchmark(cauchy_after_fetch)
+    gen = np.random.default_rng(13)
+    assert got == [(gen.random(), gen.standard_cauchy()) for _ in range(1000)]
 
 
 def _grow_trees(count=200, seed=4):

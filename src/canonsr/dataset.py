@@ -149,6 +149,34 @@ def _cell_values(path: str, header: List[str], cells: List[str],
 _NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 
 
+# bytes read per step of _has_long_line; at most the default field limit
+# (131072), so that only a run across chunks can exceed it
+_SCAN_CHUNK = 1 << 16
+
+
+def _has_long_line(fb, limit: int) -> bool:
+    """Whether the binary file fb holds a line longer than limit bytes, lines
+    split at '\n', '\r' or '\r\n' and counted without their ends.  The file
+    is read in chunks and each chunk scanned by bytes.find and rfind; the
+    lines inside a chunk are split only when the chunk is longer than limit."""
+    run = 0             # bytes of the line the chunks so far end in
+    while True:
+        chunk = fb.read(_SCAN_CHUNK)
+        if not chunk:
+            return False
+        last = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
+        if last < 0:
+            run += len(chunk)
+        else:
+            first = min(i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0)
+            if run + first > limit or (last - first - 1 > limit and max(
+                    map(len, chunk[first + 1:last].splitlines()), default=0) > limit):
+                return True
+            run = len(chunk) - last - 1
+        if run > limit:
+            return True
+
+
 def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
     """Header and values of a file, the header read by csv.reader and the
     rows after it by numpy's text reader; None for any file that numpy might
@@ -166,13 +194,9 @@ def _load_clean(path: str) -> Optional[Tuple[List[str], np.ndarray]]:
     """
     if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
         return None
-    limit = csv.field_size_limit()
     with open(path, "rb") as fb:
-        if max(map(len, fb), default=0) > limit:
-            # binary lines end at '\n' only: count a lone '\r' as a line end too
-            fb.seek(0)
-            if max(map(len, fb.read().splitlines()), default=0) > limit:
-                return None
+        if _has_long_line(fb, csv.field_size_limit()):
+            return None
         fb.seek(0)
         fh = io.TextIOWrapper(fb, encoding="utf-8", newline="")
         try:

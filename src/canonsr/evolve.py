@@ -149,9 +149,10 @@ def fit_models(bases_list: Sequence[Sequence[BasisTree]], X: np.ndarray, y: np.n
     a model with a non-finite basis column is invalid.
 
     Columns are read from the trees (see stored_column).  The models with
-    one basis count are fitted in one fit_weights call, and each gets the
-    coefficients and error a fit of its own gives, byte for byte.  The
-    coefficients are read-only, so models with the same bases may share them."""
+    one basis count are fitted in one fit_weights call and scored in one
+    product, and each gets the coefficients and error a fit of its own
+    gives, byte for byte.  The coefficients are read-only, so models with
+    the same bases may share them."""
     models: List[Model] = [None] * len(bases_list)
     groups = {}     # basis count -> [(index, complexity, columns)]
     for i, bases in enumerate(bases_list):
@@ -170,11 +171,12 @@ def fit_models(bases_list: Sequence[Sequence[BasisTree]], X: np.ndarray, y: np.n
         Phi = np.ones((len(group), X.shape[0], k + 1))    # offset column first
         if k:
             Phi.transpose(0, 2, 1)[:, 1:] = [columns for _, _, columns in group]
-        for P, coeffs, (i, cpx, _) in zip(Phi, fit_weights(Phi, y), group):
-            coeffs.flags.writeable = False
-            error = _error(P @ coeffs, y, reference)
+        coeffs = fit_weights(Phi, y)
+        coeffs.flags.writeable = False
+        errors = _error(np.matmul(Phi, coeffs[..., None])[..., 0], y, reference)
+        for c, error, (i, cpx, _) in zip(coeffs, errors, group):
             valid = math.isfinite(error)
-            models[i] = Model(bases=list(bases_list[i]), coeffs=coeffs,
+            models[i] = Model(bases=list(bases_list[i]), coeffs=c,
                               train_error=error if valid else INF,
                               complexity=cpx, valid=valid)
     return models

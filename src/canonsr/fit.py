@@ -10,7 +10,6 @@ stack of trial matrices.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,11 +45,13 @@ def fit_weights(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _lstsq(Phi, y[:, None], _EPS * max(m, k), signature="ddd->ddid")[0][..., 0]
 
 
-def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> float:
-    # non-finite predictions give a non-finite error; the sum and division
+def _error(pred: np.ndarray, y: np.ndarray, reference: float) -> Union[float, List[float]]:
+    # nmse's formula over the last axis: a float for one prediction, a list
+    # of floats for a stack (b, m), each row's the float it gives alone.
+    # Non-finite predictions give a non-finite error; the sum and division
     # are np.mean's own, without its Python-level wrapper
     r = (pred - y) / reference
-    return 100.0 * math.sqrt(np.add.reduce(r * r, axis=None) / r.size)
+    return (100.0 * np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1])).tolist()
 
 
 def nmse(pred: np.ndarray, y: np.ndarray, reference: float) -> float:

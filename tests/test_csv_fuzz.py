@@ -7,6 +7,8 @@ of the two paths each file takes."""
 
 import csv
 import gzip
+import io
+import random
 from typing import List
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from canonsr.cli import main
-from canonsr.dataset import DataError, Dataset, _load_clean, load_csv
+import canonsr.dataset as dataset
+from canonsr.dataset import DataError, Dataset, _has_long_line, _load_clean, load_csv
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,35 @@ def test_oversized_cell_keeps_the_field_limit_message(tmp_path):
     assert _load_clean(str(path)) is None
     with pytest.raises(DataError, match=r"field larger than field limit \(131072\)"):
         load_csv(str(path), "y")
+
+
+def test_long_line_scan_matches_splitlines(monkeypatch):
+    """_has_long_line against its definition, on bytes made of 'a', '\r' and
+    '\n' read in chunks of 1 to 9 bytes: lines straddle chunks, '\r\n'
+    splits across them, and chunks both shorter and longer than the limit."""
+    script = random.Random(5)
+    for _ in range(3000):
+        data = bytes(script.choice(b"aaaa\r\n") for _ in range(script.randint(0, 40)))
+        limit = script.randint(0, 12)
+        monkeypatch.setattr(dataset, "_SCAN_CHUNK", script.randint(1, 9))
+        want = max(map(len, data.splitlines()), default=0) > limit
+        assert _has_long_line(io.BytesIO(data), limit) == want, (data, limit)
+
+
+def _row_of_length(n):
+    return "1," + "0." + "0" * (n - 5) + "1"
+
+
+# a data row of exactly the field limit or one byte over, after rows that put
+# it across the scan's first chunk boundary
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_line_over_the_field_limit_routes_to_the_csv_path(tmp_path, eol, over):
+    limit = csv.field_size_limit()
+    assert dataset._SCAN_CHUNK < limit
+    head = "x,y" + eol + ("1,2" + eol) * ((dataset._SCAN_CHUNK - 1000) // (3 + len(eol)))
+    text = head + _row_of_length(limit + over) + eol + "3,4" + eol
+    assert _assert_same(str(tmp_path / "long.csv"), text, "y") == (not over)
 
 
 @pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])

@@ -14,7 +14,7 @@ import pytest
 
 from canonsr.config import RunConfig
 from canonsr.dataset import DoePlan, doe_full_factorial, oracle_dataset
-from canonsr.draws import Draws, floyd_sample
+from canonsr.draws import _BLOCK, Draws, floyd_sample
 from canonsr.evolve import ParetoArchive, init_population, nsga2_generation
 from canonsr.expr import model_to_dict
 from canonsr.grammar import load_default_grammar
@@ -56,11 +56,11 @@ def _random_call(script: random.Random):
 
 def _assert_same_state(draws: Draws, gen: np.random.Generator):
     """The PCG64 state, with Draws' spare half-word as numpy's buffered uint32."""
-    ours, theirs = draws._gen.bit_generator.state, gen.bit_generator.state
-    assert ours["state"] == theirs["state"]
-    assert (draws._spare is not None) == bool(theirs["has_uint32"])
-    if draws._spare is not None:
-        assert draws._spare == theirs["uinteger"]
+    (ours, spare), theirs = draws.state(), gen.bit_generator.state
+    assert ours == theirs["state"]
+    assert (spare is not None) == bool(theirs["has_uint32"])
+    if spare is not None:
+        assert spare == theirs["uinteger"]
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -71,7 +71,7 @@ def test_mixed_call_scripts_match_default_rng(block):
         draws, gen = Draws(seed), np.random.default_rng(seed)
         for _ in range(80):
             kind, ours, theirs = _random_call(script)
-            if kind == "standard_cauchy" and draws._spare is not None:
+            if kind == "standard_cauchy" and draws.state()[1] is not None:
                 cauchy_on_spare += 1
             got, want = ours(draws), theirs(gen)
             assert type(got) is type(want)
@@ -80,6 +80,79 @@ def test_mixed_call_scripts_match_default_rng(block):
             assert got == want, (seed, kind)
         _assert_same_state(draws, gen)
     assert cauchy_on_spare > 0
+
+
+def test_scripts_over_many_blocks_match_default_rng():
+    fetches = 0
+    for seed in range(6):
+        script = random.Random(1000 + seed)
+        draws, gen = Draws(seed), np.random.default_rng(seed)
+        for _ in range(400):
+            kind, ours, theirs = _random_call(script)
+            if kind == "standard_cauchy":
+                continue
+            unread = len(draws._words)
+            assert ours(draws) == theirs(gen), (seed, kind)
+            fetches += len(draws._words) > unread
+        _assert_same_state(draws, gen)
+    assert fetches >= 6 * 3         # every script reads past its second block
+
+
+def _read_words(draws, gen, count, spare):
+    """Read `count` raw words from both sources, the last through below(2)
+    so that its high half stays spare if `spare`."""
+    for _ in range(count - spare):
+        assert draws.random() == gen.random()
+    if spare:
+        assert draws.below(2) == int(gen.integers(2))
+
+
+# words read before the call: a block's last word unread, none unread (the
+# block read to its end), and a refill just made
+@pytest.mark.parametrize("read", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1])
+@pytest.mark.parametrize("spare", [False, True])
+def test_standard_cauchy_at_the_block_edges_matches_default_rng(read, spare):
+    draws, gen = Draws(read), np.random.default_rng(read)
+    _read_words(draws, gen, read, spare)
+    assert len(draws._words) == -read % _BLOCK
+    assert (draws._spare is not None) == spare
+    assert draws.standard_cauchy() == gen.standard_cauchy()
+    assert not draws._words
+    _assert_same_state(draws, gen)
+    for _ in range(_BLOCK + 3):
+        assert draws.below(7) == int(gen.integers(7))
+        assert draws.random() == gen.random()
+    _assert_same_state(draws, gen)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+def test_random_on_a_blocks_last_word_matches_default_rng(spare):
+    draws, gen = Draws(9), np.random.default_rng(9)
+    _read_words(draws, gen, _BLOCK - 1, spare)
+    assert len(draws._words) == 1
+    assert draws.random() == gen.random()       # the block's last word
+    assert not draws._words
+    assert draws.random() == gen.random()       # the next block's first
+    assert len(draws._words) == _BLOCK - 1
+    _assert_same_state(draws, gen)
+
+
+def test_state_sees_a_draw_served_from_the_block():
+    """Draws that differ only in a draw read from the fetched block leave the
+    bit generator alike; state() tells them apart, by the word read or by
+    the spare half-word."""
+    def drawn(bits):
+        draws = Draws(4)
+        draws.random()              # fetches a block
+        for _ in range(bits):
+            draws.below(2)
+        return draws
+
+    for fewer, more in ((0, 1), (1, 2)):
+        a, b = drawn(fewer), drawn(more)
+        assert a._gen.bit_generator.state == b._gen.bit_generator.state
+        assert a.state() != b.state()
+    assert drawn(1).state()[0] == drawn(2).state()[0]     # below(2) twice: one word
 
 
 @pytest.mark.parametrize("n", EDGE_N)

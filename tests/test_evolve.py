@@ -18,7 +18,7 @@ from canonsr.evolve import (ParetoArchive, apply_operator, crowding_distance,
                             weight_cauchy_mutate)
 from canonsr.expr import (Model, NTNode, VCLeaf, WeightLeaf, complexity_of_bases,
                           stored_column, tree_depth, tree_to_dict)
-from canonsr.fit import _error
+from canonsr.fit import _error, fit_weights
 from canonsr.grammar import load_default_grammar, random_tree, validate
 from test_draws import every_draw_sequence
 
@@ -438,6 +438,66 @@ def test_fit_models_equals_one_fit_per_model(seed):
         if m.coeffs is not None:
             assert not m.coeffs.flags.writeable
     assert fit_models([], X, y, ref, cfg) == []
+
+
+def _fit_and_score_one(bases, X, y, ref, cfg):
+    """One model's own fit_weights(P, y) and fit._error(P @ c, y, ref)."""
+    P = np.ones((X.shape[0], len(bases) + 1))
+    for j, tree in enumerate(bases, 1):
+        P[:, j] = stored_column(tree, X, cfg.B)[0]
+    coeffs = fit_weights(P, y)
+    return coeffs, _error(P @ coeffs, y, ref)
+
+
+def _assert_scored_one_by_one(models, bases_list, X, y, ref, cfg):
+    for bases, m in zip(bases_list, models):
+        coeffs, error = _fit_and_score_one(bases, X, y, ref, cfg)
+        assert m.coeffs.tobytes() == coeffs.tobytes()
+        assert type(m.train_error) is float
+        if math.isfinite(error):
+            assert m.valid and m.train_error.hex() == error.hex()
+        else:
+            assert not m.valid and m.train_error == INF
+
+
+@pytest.mark.parametrize("rows", [81, 243])
+def test_fit_models_scores_each_group_as_its_own_fit_and_error(rows):
+    """Groups of 1 to 20 models with 0 to 6 bases each, and a stack whose
+    every model repeats a basis (rank deficient): each error and coefficient
+    is the model's own fit and fit._error, byte for byte."""
+    cfg = _cfg()
+    rng = Draws(rows)
+    X, y, ref = _train_data(n_vars=4, n=rows, seed=rows)
+    pool = [t for t in (random_tree(G, cfg.max_depth, rng, 4, B=cfg.B) for _ in range(60))
+            if stored_column(t, X, cfg.B)[1]]
+    stacks = [[[pool[rng.below(len(pool))] for _ in range(size % 7)] for _ in range(size)]
+              for size in range(1, 21)]
+    stacks.append([[t, t] + [pool[rng.below(len(pool))] for _ in range(3)]
+                   for t in pool[:12]])
+    for bases_list in stacks:
+        models = fit_models(bases_list, X, y, ref, cfg)
+        assert all(m.valid for m in models)
+        _assert_scored_one_by_one(models, bases_list, X, y, ref, cfg)
+
+
+def test_fit_models_marks_a_non_finite_prediction_invalid():
+    """Targets up to the largest double: some fits overshoot it on a row, so
+    their finite coefficients predict inf there."""
+    cfg = _cfg()
+    top = float(np.finfo(float).max)
+    combos = [NTNode("REPVC", 0, [VCLeaf(e)]) for e in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
+    bases_list = [[a] for a in combos] + [[a, b] for a, b in itertools.combinations(combos, 2)]
+    valid = Counter()
+    for seed in range(8):
+        X = np.random.default_rng(seed).uniform(0.5, 1.5, size=(81, 3))
+        y = top * (X[:, 0] / 1.5)
+        y[:3] = top
+        with np.errstate(over="ignore"):      # the predictions that overflow
+            models = fit_models(bases_list, X, y, top, cfg)
+            _assert_scored_one_by_one(models, bases_list, X, y, top, cfg)
+        assert all(np.isfinite(m.coeffs).all() for m in models)
+        valid.update(m.valid for m in models)
+    assert valid[False] and valid[True]
 
 
 # ---------------------------------------------------------------------------

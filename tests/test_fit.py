@@ -228,6 +228,10 @@ def test_error_is_the_mean_formula_bit_for_bit():
             got, want = _error(pred, y, reference), mean_formula(pred, y, reference)
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+        # a row of a stack scores as it does alone
+        with np.errstate(all="ignore"):
+            stacked = _error(np.stack([y, pred]), y, reference)
+        assert struct.pack("<2d", *stacked) == struct.pack("<2d", 0.0, want)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ CFG = RunConfig(max_bases=15, max_depth=6)
 N_VARS = 3
 
 
-def _state(draws):
-    return draws._gen.bit_generator.state, draws._spare
-
-
 def assert_shapes_looked_up(tree):
     for node, _ in walk(tree):
         if type(node) is NTNode:
@@ -206,9 +202,9 @@ def test_vc_crossover_checks_both_parents_before_drawing():
     for parents in ((with_vcs, Model(bases=[weights_only])), (with_vcs, Model()),
                     (Model(bases=[weights_only]), with_vcs)):
         rng = Draws(8)
-        before = _state(rng)
+        before = rng.state()
         assert apply_operator("vc_onepoint_crossover", parents, g, N_VARS, CFG, rng) is None
-        assert _state(rng) == before
+        assert rng.state() == before
 
 
 def _has_bases(m):
@@ -266,11 +262,11 @@ def test_operators_return_none_before_drawing_exactly_when_a_requirement_fails(n
     outcomes = set()
     for _ in range(200):
         parents = [_random_parent(pools, cases) for _ in REQUIREMENTS[name]]
-        before = _state(rng)
+        before = rng.state()
         result = apply_operator(name, parents, g, N_VARS, CFG, rng)
         assert (result is None) == _fails(name, parents)
         if result is None:
-            assert _state(rng) == before
+            assert rng.state() == before
         outcomes.add(result is None)
     assert outcomes == {False, True}
 
