@@ -149,19 +149,21 @@ def _cell_values(path: str, header: List[str], cells: List[str],
 _NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-# bytes read per step of _has_long_line; at most the default field limit
-# (131072), so that only a run across chunks can exceed it
+# the most bytes _has_long_line reads per step
 _SCAN_CHUNK = 1 << 16
 
 
 def _has_long_line(fb, limit: int) -> bool:
     """Whether the binary file fb holds a line longer than limit bytes, lines
     split at '\n', '\r' or '\r\n' and counted without their ends.  The file
-    is read in chunks and each chunk scanned by bytes.find and rfind; the
-    lines inside a chunk are split only when the chunk is longer than limit."""
+    is read in chunks of at most limit + 1 bytes and each chunk scanned by
+    bytes.find and rfind: a line between a chunk's first and last line end
+    is then shorter than limit, so only a line that runs across chunks can
+    exceed it."""
+    size = max(1, min(_SCAN_CHUNK, limit + 1))
     run = 0             # bytes of the line the chunks so far end in
     while True:
-        chunk = fb.read(_SCAN_CHUNK)
+        chunk = fb.read(size)
         if not chunk:
             return False
         last = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
@@ -169,8 +171,7 @@ def _has_long_line(fb, limit: int) -> bool:
             run += len(chunk)
         else:
             first = min(i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0)
-            if run + first > limit or (last - first - 1 > limit and max(
-                    map(len, chunk[first + 1:last].splitlines()), default=0) > limit):
+            if run + first > limit:
                 return True
             run = len(chunk) - last - 1
         if run > limit:

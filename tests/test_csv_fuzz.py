@@ -215,7 +215,7 @@ def test_oversized_cell_keeps_the_field_limit_message(tmp_path):
 def test_long_line_scan_matches_splitlines(monkeypatch):
     """_has_long_line against its definition, on bytes made of 'a', '\r' and
     '\n' read in chunks of 1 to 9 bytes: lines straddle chunks, '\r\n'
-    splits across them, and chunks both shorter and longer than the limit."""
+    splits across them, and _SCAN_CHUNK is both below and above the limit."""
     script = random.Random(5)
     for _ in range(3000):
         data = bytes(script.choice(b"aaaa\r\n") for _ in range(script.randint(0, 40)))
