@@ -28,8 +28,8 @@ from canonsr.draws import Draws
 from canonsr.evolve import (ParetoArchive, _environmental_selection, apply_operator,
                             fit_model, fit_models, init_population, nondominated_sort,
                             nsga2_generation)
-from canonsr.expr import (Model, eval_basis_matrix, eval_model_matrix, model_to_dict,
-                          stored_column, tree_to_dict)
+from canonsr.expr import (Model, NTNode, basis_complexity, eval_basis_matrix, eval_model_matrix,
+                          model_to_dict, stored_column, tree_to_dict)
 from canonsr.fit import forward_regression_press, press
 from canonsr.grammar import load_default_grammar, random_tree, validate
 from canonsr.pipeline import TradeoffSet, run_evolution, simplify_after_generation
@@ -208,6 +208,26 @@ def test_eval_basis_matrix_200_trees_81_rows(benchmark, pm81):
     X = pm81[0]
     trees = _grow_trees()
     columns = benchmark(lambda: [eval_basis_matrix(t, X, 10.0) for t in trees])
+    assert all(col.shape == (81,) for col in columns)
+
+
+def test_grow_price_evaluate_200_new_pm81_bases(benchmark, pm81):
+    """What a generation does with each new basis: grow it (default depth 8,
+    4 variables), price it and evaluate its column on the 81 rows through
+    the combo table, which earlier rounds filled as earlier generations do."""
+    X = pm81[0]
+    cfg = RunConfig()
+    g = load_default_grammar()
+
+    def new_bases():
+        rng = Draws(4)
+        trees = [random_tree(g, cfg.max_depth, rng, 4, B=cfg.B) for _ in range(200)]
+        prices = [basis_complexity(t, cfg.wb, cfg.wvc) for t in trees]
+        return trees, prices, [stored_column(t, X, cfg.B)[0] for t in trees]
+
+    trees, prices, columns = benchmark(new_bases)
+    walked = [NTNode(t.symbol, t.alt, t.children) for t in trees]     # priced by a walk
+    assert prices == [basis_complexity(t, cfg.wb, cfg.wvc) for t in walked]
     assert all(col.shape == (81,) for col in columns)
 
 

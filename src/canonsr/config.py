@@ -34,11 +34,11 @@ class ConfigError(ValueError):
 
 # a double holds at most 17 significant decimal digits
 _MAX_SIG_FIGS = 17
-# grammar._grow, expr._eval, expr._render, replace_at and tree_to_dict each
-# recurse once per tree level, so a deep enough bound overflows Python's call
-# stack; at depth 20 the default grammar's random trees already average about
-# 1,100 nodes (200 trees, 4 variables), so no useful run is refused
-_MAX_DEPTH = 100
+# random trees grow about 1.3x per level: over 100 default-grammar trees on
+# 4 variables, depth 20 averaged about 1,100 nodes and depth 30 17,070, so a
+# deeper bound makes runs that never finish (and grammar._grow, expr._eval,
+# expr._render, replace_at and tree_to_dict recurse once per tree level)
+_MAX_DEPTH = 20
 # Draws.below(n) holds for n < 2**32 only (above 2**32 it accepts no draw and
 # never returns), and init_population draws a basis count below max_bases
 _MAX_BASES = 2 ** 32 - 1

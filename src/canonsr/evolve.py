@@ -173,7 +173,8 @@ def fit_models(bases_list: Sequence[Sequence[BasisTree]], X: np.ndarray, y: np.n
             Phi.transpose(0, 2, 1)[:, 1:] = [columns for _, _, columns in group]
         coeffs = fit_weights(Phi, y)
         coeffs.flags.writeable = False
-        errors = _error(np.matmul(Phi, coeffs[..., None])[..., 0], y, reference)
+        with np.errstate(all="ignore"):     # a prediction may overflow: an invalid fit
+            errors = _error(np.matmul(Phi, coeffs[..., None])[..., 0], y, reference)
         for c, error, (i, cpx, _) in zip(coeffs, errors, group):
             valid = math.isfinite(error)
             models[i] = Model(bases=list(bases_list[i]), coeffs=c,
@@ -195,7 +196,7 @@ def fit_model(bases: Sequence[BasisTree], X: np.ndarray, y: np.ndarray,
 def weight_cauchy_mutate(w: WeightLeaf, B: float, rng) -> WeightLeaf:
     """Add a standard Cauchy step to the stored value, clamped to [-2B, 2B]."""
     step = rng.standard_cauchy()
-    return WeightLeaf(float(np.clip(w.stored + step, -2.0 * B, 2.0 * B)))
+    return WeightLeaf(min(max(w.stored + step, -2.0 * B), 2.0 * B))
 
 
 def vc_onepoint_crossover(a: VCLeaf, b: VCLeaf, rng) -> Tuple[VCLeaf, VCLeaf]:
@@ -217,7 +218,7 @@ def vc_exponent_mutate(vc: VCLeaf, rng, exp_cap: int = RunConfig.exp_cap) -> VCL
     exps = list(vc.exponents)
     dim = rng.below(len(exps))
     step = 1 if rng.below(2) == 0 else -1
-    exps[dim] = int(np.clip(exps[dim] + step, -exp_cap, exp_cap))
+    exps[dim] = min(max(exps[dim] + step, -exp_cap), exp_cap)
     return VCLeaf(repair_all_zero_vc(exps, rng))
 
 

@@ -80,7 +80,7 @@ class NTNode:
     keeps its canonical-form shape (None outside the form): the `shape` its
     builder passes, which must be the entry for these children, or else the
     one looked up by its children's tokens.  A node used as a basis also
-    keeps values derived from it: its complexity and leaf counts (see
+    keeps values derived from it: its complexity and leaf record (see
     basis_complexity) and its column on one sample matrix (see
     stored_column).  They die with the node.  Variable-combo columns are
     not kept on nodes: evaluation under stored_column shares them between
@@ -158,15 +158,21 @@ def replace_at(tree: NTNode, path: Path, new) -> NTNode:
 # operator table
 # ---------------------------------------------------------------------------
 
-def _mask_nonfinite(result, *inputs):
-    # any non-finite input poisons the output; guards ops like max(0, -inf) -> 0
-    bad = None
-    for v in inputs:
-        b = ~np.isfinite(v)
-        bad = b if bad is None else (bad | b)
-    if bad is not None and bad.any():
-        result = np.where(bad, np.nan, result)
-    return result
+def _mask_nonfinite(result, args):
+    """`result` with NaN wherever an argument is not finite; guards ops like
+    max(0, -inf) -> 0.  Arguments are arrays, numpy scalars and weights
+    (floats).  The mask is built only when the sum of the arguments' squares
+    is not finite: then an argument holds a non-finite value, or the sum
+    overflowed and the mask finds nothing."""
+    total = 0.0
+    for v in args:
+        total += v * v if type(v) is float else np.dot(v, v)
+    if math.isfinite(total):
+        return result
+    bad = ~np.isfinite(args[0])
+    for v in args[1:]:
+        bad = bad | ~np.isfinite(v)
+    return np.where(bad, np.nan, result) if bad.any() else result
 
 
 @dataclass(frozen=True)
@@ -437,24 +443,33 @@ def _eval(node, X: np.ndarray, B: float):
             return _COMBOS.column(node.exponents)
         return vc_column(node.exponents, X)
     if kind is WeightLeaf:
-        return np.float64(interpret_weight(node.stored, B))
+        return interpret_weight(node.stored, B)
     ch = node.children
     shape = node.shape or _refuse(node)
-    args = []
-    for i, join in shape.terms:
+    terms = shape.terms
+    if len(terms) == 1:         # every shape but 2ARGS' and 4OP's
+        i, join = terms[0]
         val = _eval(ch[i], X, B)
         if join == "*":
             val = val * _eval(ch[i + 1], X, B)
         elif join == "+":
             val = val + _eval(ch[i + 1], X, B)
-        if type(val) is tuple:
-            args.extend(val)
-        else:
-            args.append(val)
-    if shape.applies:
-        fn = (ch[0].shape or _refuse(ch[0])).op.fn
-        return _mask_nonfinite(fn(*args), *args)
-    return args[0] if len(args) == 1 else tuple(args)
+        if not shape.applies:
+            return val
+        args = val if type(val) is tuple else (val,)
+    else:
+        args = []
+        for i, join in terms:
+            val = _eval(ch[i], X, B)
+            if join == "*":
+                val = val * _eval(ch[i + 1], X, B)
+            elif join == "+":
+                val = val + _eval(ch[i + 1], X, B)
+            args.extend(val if type(val) is tuple else (val,))
+        if not shape.applies:
+            return tuple(args)
+    fn = (ch[0].shape or _refuse(ch[0])).op.fn
+    return _mask_nonfinite(fn(*args), args)
 
 
 def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
@@ -522,36 +537,54 @@ def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
 
 def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
     """wb + payload-leaf count + exponent cost of one basis, kept on the tree per
-    (wb, wvc) together with its leaf counts (see leaf_count).
+    (wb, wvc) together with its leaf record.
 
-    The exponent cost adds wvc * sum|e| over the variable combos in preorder.
+    The leaf record is the list [weight leaves, payload leaves, then
+    sum|e| of each variable combo in preorder]; grammar.random_tree hands a
+    grown tree its record, and any other tree is walked once for it.  The
+    exponent cost adds wvc * sum|e| over the record's combos in order.
     """
     memo = tree._cpx
     if memo is None or memo[0] != wb or memo[1] != wvc:
-        count, weights, vcs, cost = 0, 0, 0, 0.0
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            kind = type(node)
-            if kind is NTNode:
-                stack.extend(node.children[::-1])
-                continue
-            count += 1
-            if kind is VCLeaf:
-                vcs += 1
-                cost += wvc * sum(map(abs, node.exponents))
-            elif kind is WeightLeaf:
-                weights += 1
-        memo = tree._cpx = (wb, wvc, wb + count + cost, weights, vcs)
+        record = _leaf_record(tree) if memo is None else memo[3]
+        cost = 0.0
+        for combo in record[2:]:
+            cost += wvc * combo
+        memo = tree._cpx = (wb, wvc, wb + record[1] + cost, record)
     return memo[2]
 
 
+def _leaf_record(tree: BasisTree) -> list:
+    """basis_complexity's leaf record of `tree`, by one preorder walk."""
+    record = [0, 0]
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is NTNode:
+            stack.extend(node.children[::-1])
+            continue
+        record[1] += 1
+        if kind is VCLeaf:
+            record.append(sum(map(abs, node.exponents)))
+        elif kind is WeightLeaf:
+            record[0] += 1
+    return record
+
+
+def set_leaf_record(tree: BasisTree, record: list) -> None:
+    """Keep `record`, the leaf record the grower of `tree` counted, on the
+    fresh tree in place of a walk."""
+    tree._cpx = (None, None, None, record)
+
+
 def leaf_count(tree: BasisTree, leaf_type) -> int:
-    """How many WeightLeaf or VCLeaf leaves one basis holds, counted by the
-    walk that finds its complexity: one walk per basis serves both."""
+    """How many WeightLeaf or VCLeaf leaves one basis holds, read from the
+    leaf record that prices it: one record per basis serves both."""
     if tree._cpx is None:
-        basis_complexity(tree, 0.0, 0.0)
-    return tree._cpx[3 if leaf_type is WeightLeaf else 4]
+        set_leaf_record(tree, _leaf_record(tree))
+    record = tree._cpx[3]
+    return record[0] if leaf_type is WeightLeaf else len(record) - 2
 
 
 def complexity_of_bases(bases: Sequence[BasisTree], wb: float, wvc: float) -> float:

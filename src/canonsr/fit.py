@@ -103,9 +103,10 @@ def press(Phi: np.ndarray, y: np.ndarray) -> Union[float, List[float]]:
         q, r = np.linalg.qr(stack)
         h = np.einsum("bij,bij->bi", q, q)
         ok = np.flatnonzero(~_rank_deficient(stack, r) & (h < _LEVERAGE_LIMIT).all(axis=1))
-        for i, coeffs in zip(ok, fit_weights(stack[ok], y)):
-            loo = (y - stack[i] @ coeffs) / (1.0 - h[i])
-            scores[i] = float(np.sum(loo * loo))
+        with np.errstate(all="ignore"):     # targets near the largest double overflow
+            for i, coeffs in zip(ok, fit_weights(stack[ok], y)):
+                loo = (y - stack[i] @ coeffs) / (1.0 - h[i])
+                scores[i] = float(np.sum(loo * loo))
     return scores if Phi.ndim == 3 else scores[0]
 
 

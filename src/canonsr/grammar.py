@@ -18,13 +18,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .config import RunConfig
 from .draws import floyd_sample
 from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
-                   NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, token_text,
-                   walk)
+                   NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, set_leaf_record,
+                   token_text, walk)
 
 START_SYMBOL = "REPVC"
 _LAYOUT = {("t", "("), ("t", ")"), ("t", ",")}        # grouping only
 _PUNCTUATION = _LAYOUT | ARITHMETIC
 _INF = float("inf")
+# growth steps for a variable combo and a weight leaf (see Grammar._growth_table)
+_VC, _W = object(), object()
+# one OpLeaf per operator, shared by every grown tree
+_OP_LEAVES = {name: OpLeaf(name) for name in OPS}
 
 
 class GrammarError(ValueError):
@@ -41,12 +45,7 @@ class Grammar:
     def __init__(self, rules: Dict[str, Sequence[Shape]]):
         self.rules = {lhs: tuple(alts) for lhs, alts in rules.items()}
         self._min_depth, self._alt_min_depths = self._min_depths()
-        # per symbol and depth budget, the alternatives that fit in it; the
-        # last entry holds every alternative and serves all larger budgets
-        top = int(max(max(d) for d in self._alt_min_depths.values()))
-        self._feasible = {nt: tuple(tuple(i for i, d in enumerate(depths) if d <= budget)
-                                    for budget in range(top + 1))
-                          for nt, depths in self._alt_min_depths.items()}
+        self._growth = self._growth_table()
 
     def min_depth(self, symbol: str) -> float:
         return self._min_depth[symbol]
@@ -76,6 +75,30 @@ class Grammar:
                 f"no terminating derivation for nonterminal(s): {', '.join(dead)}")
         return md, {nt: tuple(through(alt) for alt in alts)
                     for nt, alts in self.rules.items()}
+
+    def _growth_table(self) -> Dict[str, Tuple[tuple, ...]]:
+        """Per symbol, a row indexed by depth budget: the entries
+        (alternative index, shape, child steps, weight leaves, payload leaves)
+        of the alternatives that fit in that budget.  A row's last element
+        holds every alternative and serves all larger budgets.  A child step
+        is the symbol of a nonterminal child, the one OpLeaf of an operator,
+        or _VC or _W for a leaf to draw; the counts are of the node's own
+        payload children."""
+        top = int(max(max(d) for d in self._alt_min_depths.values()))
+        rows = {}
+        for nt, alts in self.rules.items():
+            entries = []
+            for i, shape in enumerate(alts):
+                steps = tuple(tok if kind == "nt" else _VC if tok == "VC" else
+                              _W if tok == "W" else _OP_LEAVES[tok]
+                              for kind, tok in shape.struct)
+                weights = sum(step is _W for step in steps)
+                leaves = sum(type(step) is not str for step in steps)
+                entries.append((i, shape, steps, weights, leaves))
+            depths = self._alt_min_depths[nt]
+            rows[nt] = tuple(tuple(e for e, d in zip(entries, depths) if d <= budget)
+                             for budget in range(top + 1))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +215,22 @@ def load_default_grammar() -> Grammar:
 # ---------------------------------------------------------------------------
 
 _VC_INIT_EXPONENTS = (-2, -1, 1, 2)
+_VC_INIT_COSTS = tuple(map(abs, _VC_INIT_EXPONENTS))
 
 
-def _random_vc(n_vars: int, below) -> VCLeaf:
-    # start simple: 1..3 variables present, small exponents
+def _random_vc(n_vars: int, below, record: list) -> VCLeaf:
+    # start simple: 1..3 variables present, small exponents; the exponents
+    # are ints already, so the leaf takes their tuple without VCLeaf.__init__
     exponents = [0] * n_vars
+    cost = 0
     for dim in floyd_sample(below, n_vars, 1 + below(min(3, n_vars))):
-        exponents[dim] = _VC_INIT_EXPONENTS[below(4)]
-    return VCLeaf(exponents)
+        k = below(4)
+        exponents[dim] = _VC_INIT_EXPONENTS[k]
+        cost += _VC_INIT_COSTS[k]
+    record.append(cost)
+    leaf = object.__new__(VCLeaf)
+    leaf.exponents = tuple(exponents)
+    return leaf
 
 
 def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
@@ -207,7 +238,8 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
     """Grow a random derivation tree of depth <= max_depth from `start`.
 
     Alternatives are chosen uniformly among those that can still terminate
-    within the remaining depth budget; `rng` is the run's `Draws`.
+    within the remaining depth budget; `rng` is the run's `Draws`.  The tree
+    keeps the leaf record that basis_complexity prices it from.
     """
     symbol = start or g.start
     if max_depth < g.min_depth(symbol):
@@ -217,30 +249,35 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 
     # a float bound admits what its floor admits, since depths are whole;
     # lo + span * random() is the double Generator.uniform(lo, lo + span) draws
-    return _grow(symbol, int(max_depth), g.rules, g._feasible, rng.below, rng.random,
-                 n_vars, -2.0 * B, 4.0 * B)
+    record = [0, 0]
+    tree = _grow(symbol, int(max_depth), g._growth, rng.below, rng.random, n_vars,
+                 -2.0 * B, 4.0 * B, record)
+    set_leaf_record(tree, record)
+    return tree
 
 
-def _grow(sym: str, budget: int, rules, feasible_by_budget, below, random, n_vars: int,
-          lo: float, span: float) -> NTNode:
+def _grow(symbol: str, budget: int, table, below, random, n_vars: int, lo: float,
+          span: float, record: list) -> NTNode:
     # a module-level function, not a closure over itself, so that growing a
-    # tree leaves no reference cycle for the garbage collector to find
-    by_budget = feasible_by_budget[sym]
-    feasible = by_budget[budget] if budget < len(by_budget) else by_budget[-1]
-    pick = feasible[below(len(feasible))]
-    shape = rules[sym][pick]
+    # tree leaves no reference cycle for the garbage collector to find.
+    # record is the tree's leaf record (see expr.basis_complexity) so far
+    row = table[symbol]
+    entries = row[budget] if budget < len(row) else row[-1]
+    pick, shape, steps, weights, leaves = entries[below(len(entries))]
+    record[0] += weights
+    record[1] += leaves
     children = []
-    for kind, tok in shape.struct:
-        if kind == "nt":
-            children.append(_grow(tok, budget - 1, rules, feasible_by_budget, below, random,
-                                  n_vars, lo, span))
-        elif tok == "VC":
-            children.append(_random_vc(n_vars, below))
-        elif tok == "W":
+    for step in steps:
+        if step is _W:
             children.append(WeightLeaf(lo + span * random()))
+        elif type(step) is str:
+            children.append(_grow(step, budget - 1, table, below, random, n_vars, lo, span,
+                                  record))
+        elif step is _VC:
+            children.append(_random_vc(n_vars, below, record))
         else:
-            children.append(OpLeaf(tok))
-    return NTNode(sym, pick, children, shape)
+            children.append(step)
+    return NTNode(symbol, pick, children, shape)
 
 
 # ---------------------------------------------------------------------------

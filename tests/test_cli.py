@@ -1,11 +1,14 @@
 """Command-line interface tests: exit codes, file formats, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canonsr.evolve as evolve
+import canonsr.pipeline as pipeline
 from canonsr.cli import main
 from canonsr.config import ConfigError, make_config, parse_config_values
 from canonsr.dataset import (DoePlan, doe_full_factorial, load_csv, oracle_dataset,
@@ -46,9 +49,9 @@ def _parse_config(text):
 def test_config_defaults_and_overrides():
     cfg = _parse_config("population = 64\nwvc = 0.5\n"
                             "operator.subtree_mutate.weight = 2.5\n# note\n"
-                            "max_depth = 100\nmax_bases = 4294967295\n")  # the ceilings
+                            "max_depth = 20\nmax_bases = 4294967295\n")  # the ceilings
     assert cfg.population == 64
-    assert (cfg.max_depth, cfg.max_bases) == (100, 2 ** 32 - 1)
+    assert (cfg.max_depth, cfg.max_bases) == (20, 2 ** 32 - 1)
     assert cfg.wvc == 0.5
     assert cfg.operator_weights["subtree_mutate"] == 2.5
     assert cfg.operator_weights["weight_cauchy_mutate"] == 5.0   # default kept
@@ -460,9 +463,47 @@ def test_run_huge_B_exits_2(pm_files, tmp_path, capsys):
     _assert_config_exit(code, capsys, "'B' is too large")
 
 
+def test_run_on_targets_near_the_largest_double_warns_nothing(tmp_path, capsys, monkeypatch):
+    """Fits whose predictions or leave-one-out residuals overflow are marked
+    invalid without a numpy RuntimeWarning: with warnings turned into errors
+    the run exits 0 and marks the same fits invalid as with them ignored."""
+    top = float(np.finfo(float).max)
+    X = doe_full_factorial(DoePlan(np.ones(3), dx=0.1))       # 27 rows
+    data = str(tmp_path / "data.csv")
+    write_points_csv(("x1", "x2", "x3", "y"),
+                     np.column_stack([X, top * (X[:, 0] / X[:, 0].max())]), data)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("population = 20\ngenerations = 3\nseed = 1\n")
+    real = evolve.fit_models
+
+    def run(action):
+        valid = []
+
+        def recorded(*args):
+            models = real(*args)
+            valid.append([m.valid for m in models])
+            return models
+
+        monkeypatch.setattr(evolve, "fit_models", recorded)
+        monkeypatch.setattr(pipeline, "fit_models", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = main(["run", "--config", str(cfg_path), "--train", data, "--test", data,
+                         "--target", "y", "--out", str(tmp_path / action), "--quiet"])
+        return code, valid
+
+    code, valid = run("error")
+    assert code == 0 and "Warning" not in capsys.readouterr().err
+    assert run("ignore") == (0, valid)
+    marks = [v for batch in valid for v in batch]
+    assert marks.count(False) and marks.count(True)
+
+
 @pytest.mark.parametrize("text, message", [
     # trees this deep would overflow the call stack while they grow
-    ("max_depth = 2000\n", "'max_depth' must be at most 100"),
+    ("max_depth = 2000\n", "'max_depth' must be at most 20"),
+    # trees this deep average about 17,000 nodes: a run that never finishes
+    ("max_depth = 30\n", "'max_depth' must be at most 20"),
     # Draws.below(max_bases) would never return
     ("max_bases = 4294967297\n", "'max_bases' must be at most 4294967295"),
     ("max_bases = 4294967296\n", "'max_bases' must be at most 4294967295"),

@@ -6,42 +6,14 @@ import pytest
 
 import canonsr.expr as expr
 from canonsr.draws import Draws
-from canonsr.expr import (COMBO_TABLE_DOUBLES, NTNode, VCLeaf, WeightLeaf, _mask_nonfinite,
-                          check_tree, eval_basis_matrix, interpret_weight, stored_column,
-                          vc_column)
+from canonsr.expr import (COMBO_TABLE_DOUBLES, NTNode, VCLeaf, check_tree, eval_basis_matrix,
+                          stored_column, vc_column)
 from canonsr.grammar import default_grammar_text, parse_grammar, random_tree
+from test_eval_oracle import reference_column
 
 N_TREES = 2000
 N_VARS = 5
 B = 10.0
-
-
-def _reference(node, X):
-    """A basis value with every variable combo taken from vc_column itself,
-    combined as the canonical form says (see expr.Shape)."""
-    kind = type(node)
-    if kind is VCLeaf:
-        return vc_column(node.exponents, X)
-    if kind is WeightLeaf:
-        return np.float64(interpret_weight(node.stored, B))
-    ch = node.children
-    args = []
-    for i, join in node.shape.terms:
-        val = _reference(ch[i], X)
-        if join == "*":
-            val = val * _reference(ch[i + 1], X)
-        elif join == "+":
-            val = val + _reference(ch[i + 1], X)
-        args.extend(val if type(val) is tuple else (val,))
-    if node.shape.applies:
-        return _mask_nonfinite(ch[0].shape.op.fn(*args), *args)
-    return args[0] if len(args) == 1 else tuple(args)
-
-
-def _reference_column(tree, X):
-    with np.errstate(all="ignore"):
-        val = _reference(tree, X)
-    return np.full(X.shape[0], float(val)) if np.ndim(val) == 0 else val
 
 
 def _assert_within_bound():
@@ -78,7 +50,7 @@ def test_columns_match_vc_column_bit_for_bit(trees, rows):
             got = stored_column(tree, X, B)[0]
         else:
             got = eval_basis_matrix(tree, X, B)
-        assert got.tobytes() == _reference_column(tree, X).tobytes()
+        assert got.tobytes() == reference_column(tree, X, B).tobytes()
         distinct.update(vc.exponents for vc in check_tree(tree)[2])
         _assert_within_bound()
     assert expr._COMBOS.X is X

@@ -122,6 +122,27 @@ def test_cauchy_mutation_stays_in_bounds():
         assert abs(out.stored) <= 20.0
 
 
+class _Step:
+    """A stand-in for Draws whose Cauchy step is given."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def standard_cauchy(self):
+        return self.step
+
+
+def test_cauchy_mutation_clamps_as_np_clip():
+    """The clamp gives np.clip's double, signed zeros, infinities and NaN included."""
+    for stored, step in itertools.product([-0.0, 0.0, 5.0, -20.0, 20.0],
+                                          [-0.0, 0.0, 3.0, -1e300, 1e300, INF, -INF, math.nan]):
+        got = weight_cauchy_mutate(WeightLeaf(stored), 10.0, _Step(step)).stored
+        expected = float(np.clip(stored + step, -20.0, 20.0))
+        assert type(got) is float
+        assert got.hex() == expected.hex()
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
 def test_cauchy_mutation_step_statistics():
     # standard Cauchy: median |step| = 1, signs split evenly
     rng = Draws(23)
@@ -181,6 +202,10 @@ def test_vc_mutate_clamps_at_cap():
     rng = Draws(28)
     out = vc_exponent_mutate(VCLeaf([2]), rng, exp_cap=2)
     assert out.exponents[0] in (1, 2)             # +1 clamps, -1 steps down
+    for cap in (2, -2):                           # both ends, each step drawn
+        outs = {vc_exponent_mutate(VCLeaf([cap]), rng, exp_cap=2).exponents[0]
+                for _ in range(64)}
+        assert outs == {cap, cap // 2}
 
 
 def test_vc_mutate_repairs_zero():

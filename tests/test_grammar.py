@@ -410,12 +410,17 @@ def test_sites_match_on_copies():
 # ---------------------------------------------------------------------------
 
 def _chain(depth):
-    """A thin REPVC -> abs(W + W * REPVC) chain tree of exactly `depth` levels."""
+    """A thin REPVC -> abs(W + W * REPVC) chain tree of exactly `depth` levels;
+    each link is three levels, and REPADD + REPADD sums in the top link make
+    up the one or two levels left over."""
     d = {"kind": "nt", "symbol": "REPVC", "alt": 0,
          "children": [{"kind": "vc", "exponents": [1]}]}
-    for _ in range((depth - 1) // 3):
+    links, left_over = divmod(depth - 1, 3)
+    for link in range(links):
         add = {"kind": "nt", "symbol": "REPADD", "alt": 0,
                "children": [{"kind": "w", "stored": 10.0}, d]}
+        for _ in range(left_over if link == links - 1 else 0):
+            add = {"kind": "nt", "symbol": "REPADD", "alt": 1, "children": [add, add]}
         op = {"kind": "nt", "symbol": "REPOP", "alt": 1,
               "children": [{"kind": "nt", "symbol": "1OP", "alt": 4,
                             "children": [{"kind": "op", "name": "abs"}]},
