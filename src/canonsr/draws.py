@@ -112,10 +112,12 @@ def floyd_sample(below: Callable[[int], int], a: int, k: int) -> List[int]:
     a <= 10000 or k <= a // 50.  Outside that domain numpy shuffles a tail of
     range(a) instead and draws other values.
     """
-    picked = []     # the search asks for a few picks: a list scan beats a set
+    picked, seen = [], set()
     for j in range(a - k, a):
         val = below(j + 1)
-        picked.append(j if val in picked else val)
+        val = j if val in seen else val
+        seen.add(val)
+        picked.append(val)
     for i in range(k - 1, 0, -1):
         j = below(i + 1)
         picked[i], picked[j] = picked[j], picked[i]

@@ -446,30 +446,21 @@ def _eval(node, X: np.ndarray, B: float):
         return interpret_weight(node.stored, B)
     ch = node.children
     shape = node.shape or _refuse(node)
-    terms = shape.terms
-    if len(terms) == 1:         # every shape but 2ARGS' and 4OP's
-        i, join = terms[0]
+    args = []
+    for i, join in shape.terms:
         val = _eval(ch[i], X, B)
         if join == "*":
             val = val * _eval(ch[i + 1], X, B)
         elif join == "+":
             val = val + _eval(ch[i + 1], X, B)
-        if not shape.applies:
-            return val
-        args = val if type(val) is tuple else (val,)
-    else:
-        args = []
-        for i, join in terms:
-            val = _eval(ch[i], X, B)
-            if join == "*":
-                val = val * _eval(ch[i + 1], X, B)
-            elif join == "+":
-                val = val + _eval(ch[i + 1], X, B)
-            args.extend(val if type(val) is tuple else (val,))
-        if not shape.applies:
-            return tuple(args)
-    fn = (ch[0].shape or _refuse(ch[0])).op.fn
-    return _mask_nonfinite(fn(*args), args)
+        if type(val) is tuple:
+            args.extend(val)
+        else:
+            args.append(val)
+    if shape.applies:
+        fn = (ch[0].shape or _refuse(ch[0])).op.fn
+        return _mask_nonfinite(fn(*args), args)
+    return args[0] if len(args) == 1 else tuple(args)
 
 
 def eval_basis_matrix(tree: BasisTree, X: np.ndarray, B: float) -> np.ndarray:
@@ -535,28 +526,38 @@ def eval_model_matrix(m: Model, X: np.ndarray, B: float) -> np.ndarray:
     return out
 
 
+# A leaf record is a list: the weight-leaf count, the payload-leaf count, then
+# sum|e| of each variable combo in preorder.  The growth of a tree fills one
+# as it goes (see grammar.random_tree); this module reads it.
+WEIGHT_LEAVES, PAYLOAD_LEAVES, FIRST_COMBO = 0, 1, 2
+
+
+def new_leaf_record() -> list:
+    """An empty leaf record: both counts 0 and no combo yet."""
+    return [0, 0]
+
+
 def basis_complexity(tree: BasisTree, wb: float, wvc: float) -> float:
     """wb + payload-leaf count + exponent cost of one basis, kept on the tree per
     (wb, wvc) together with its leaf record.
 
-    The leaf record is the list [weight leaves, payload leaves, then
-    sum|e| of each variable combo in preorder]; grammar.random_tree hands a
-    grown tree its record, and any other tree is walked once for it.  The
-    exponent cost adds wvc * sum|e| over the record's combos in order.
+    grammar.random_tree hands a grown tree its leaf record, and any other
+    tree is walked once for it.  The exponent cost adds wvc * sum|e| over the
+    record's combos in order.
     """
     memo = tree._cpx
     if memo is None or memo[0] != wb or memo[1] != wvc:
         record = _leaf_record(tree) if memo is None else memo[3]
         cost = 0.0
-        for combo in record[2:]:
+        for combo in record[FIRST_COMBO:]:
             cost += wvc * combo
-        memo = tree._cpx = (wb, wvc, wb + record[1] + cost, record)
+        memo = tree._cpx = (wb, wvc, wb + record[PAYLOAD_LEAVES] + cost, record)
     return memo[2]
 
 
 def _leaf_record(tree: BasisTree) -> list:
     """basis_complexity's leaf record of `tree`, by one preorder walk."""
-    record = [0, 0]
+    record = new_leaf_record()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -564,11 +565,11 @@ def _leaf_record(tree: BasisTree) -> list:
         if kind is NTNode:
             stack.extend(node.children[::-1])
             continue
-        record[1] += 1
+        record[PAYLOAD_LEAVES] += 1
         if kind is VCLeaf:
             record.append(sum(map(abs, node.exponents)))
         elif kind is WeightLeaf:
-            record[0] += 1
+            record[WEIGHT_LEAVES] += 1
     return record
 
 
@@ -584,7 +585,7 @@ def leaf_count(tree: BasisTree, leaf_type) -> int:
     if tree._cpx is None:
         set_leaf_record(tree, _leaf_record(tree))
     record = tree._cpx[3]
-    return record[0] if leaf_type is WeightLeaf else len(record) - 2
+    return record[WEIGHT_LEAVES] if leaf_type is WeightLeaf else len(record) - FIRST_COMBO
 
 
 def complexity_of_bases(bases: Sequence[BasisTree], wb: float, wvc: float) -> float:

@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import RunConfig
 from .draws import floyd_sample
-from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, SHAPES, BasisTree,
-                   NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf, check_tree, set_leaf_record,
-                   token_text, walk)
+from .expr import (ARITHMETIC, GRAMMAR_OP_TOKENS, OP_ARITY, OPS, PAYLOAD_LEAVES, SHAPES,
+                   WEIGHT_LEAVES, BasisTree, NTNode, OpLeaf, Shape, Token, VCLeaf, WeightLeaf,
+                   check_tree, new_leaf_record, set_leaf_record, token_text, walk)
 
 START_SYMBOL = "REPVC"
 _LAYOUT = {("t", "("), ("t", ")"), ("t", ",")}        # grouping only
@@ -83,7 +83,8 @@ class Grammar:
         holds every alternative and serves all larger budgets.  A child step
         is the symbol of a nonterminal child, the one OpLeaf of an operator,
         or _VC or _W for a leaf to draw; the counts are of the node's own
-        payload children."""
+        payload children, which it adds to its tree's leaf record (see
+        expr.new_leaf_record)."""
         top = int(max(max(d) for d in self._alt_min_depths.values()))
         rows = {}
         for nt, alts in self.rules.items():
@@ -227,7 +228,7 @@ def _random_vc(n_vars: int, below, record: list) -> VCLeaf:
         k = below(4)
         exponents[dim] = _VC_INIT_EXPONENTS[k]
         cost += _VC_INIT_COSTS[k]
-    record.append(cost)
+    record.append(cost)         # the combo's entry in the leaf record
     leaf = object.__new__(VCLeaf)
     leaf.exponents = tuple(exponents)
     return leaf
@@ -249,7 +250,7 @@ def random_tree(g: Grammar, max_depth: int, rng, n_vars: int,
 
     # a float bound admits what its floor admits, since depths are whole;
     # lo + span * random() is the double Generator.uniform(lo, lo + span) draws
-    record = [0, 0]
+    record = new_leaf_record()
     tree = _grow(symbol, int(max_depth), g._growth, rng.below, rng.random, n_vars,
                  -2.0 * B, 4.0 * B, record)
     set_leaf_record(tree, record)
@@ -260,12 +261,12 @@ def _grow(symbol: str, budget: int, table, below, random, n_vars: int, lo: float
           span: float, record: list) -> NTNode:
     # a module-level function, not a closure over itself, so that growing a
     # tree leaves no reference cycle for the garbage collector to find.
-    # record is the tree's leaf record (see expr.basis_complexity) so far
+    # record is the tree's leaf record (see expr.new_leaf_record) so far
     row = table[symbol]
     entries = row[budget] if budget < len(row) else row[-1]
     pick, shape, steps, weights, leaves = entries[below(len(entries))]
-    record[0] += weights
-    record[1] += leaves
+    record[WEIGHT_LEAVES] += weights
+    record[PAYLOAD_LEAVES] += leaves
     children = []
     for step in steps:
         if step is _W:
